@@ -27,3 +27,7 @@ class InfeasibleSpacingError(IrsmaError):
 
 class DegenerateRetractionError(IrsmaError):
     """A vector with a zero entry cannot be retracted onto the unit-modulus set."""
+
+
+class MultiplierBracketError(IrsmaError):
+    """The WMMSE power multiplier could not be bracketed within the doubling cap."""

@@ -1,7 +1,9 @@
 """Multi-user sum-rate machinery: rates, the regularized-ZF family and its
-far-field closed forms, weighted-MMSE precoding with a power bisection,
+far-field closed forms, weighted-MMSE precoding whose power-multiplier
+bisection runs on an eigendecomposition of the system matrix,
 conjugate-gradient optimization of the reflection phases on the unit-modulus
-manifold, and the discrete sequential position search."""
+manifold, and the discrete sequential position search, which scores all
+feasible candidates of an antenna in one batched evaluation."""
 
 from __future__ import annotations
 
@@ -9,11 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularMatrixError, DegenerateRetractionError
-from .su_opt import SamplingGrid, graph_position_select  # noqa: F401 (re-export convenience)
+from .errors import (DegenerateRetractionError, InvalidParameterError,
+                     MultiplierBracketError, SingularMatrixError)
+from .su_opt import SamplingGrid
 
 _TINY = 1e-300
-_LN2 = np.log(2.0)
+# Doublings of the multiplier bracket's upper end (starting at 1) before the
+# search gives up; 2**200 is far beyond any multiplier of a physical channel.
+_MAX_DOUBLINGS = 200
 
 
 def user_rate(h_rows: np.ndarray, w: np.ndarray, k: int, noise_power: float) -> float:
@@ -82,11 +87,17 @@ def mrt_rate_no_irs(path_gains, responses, powers, noise_power: float) -> np.nda
     return np.asarray(rates)
 
 
+def _wmmse_system(h_rows, chi, kappa):
+    """A0 = H^H diag(|chi|^2 kappa) H and rhs = H^H diag(chi kappa): the
+    precoder for multiplier mu solves (A0 + mu I) W = rhs."""
+    a0 = (h_rows.conj().T * (np.abs(chi) ** 2 * kappa)) @ h_rows
+    return a0, h_rows.conj().T * (chi * kappa)
+
+
 def _wmmse_precoder(h_rows, chi, kappa, mu):
-    n = h_rows.shape[1]
-    a = mu * np.eye(n, dtype=complex)
-    a += (h_rows.conj().T * (np.abs(chi) ** 2 * kappa)) @ h_rows
-    rhs = h_rows.conj().T * (chi * kappa)
+    a0, rhs = _wmmse_system(h_rows, chi, kappa)
+    a = mu * np.eye(h_rows.shape[1], dtype=complex)
+    a += a0
     if mu == 0:
         # a can be rank-deficient (K < N, or a user weight driven to zero);
         # the system stays consistent, so take the minimum-norm solution
@@ -94,17 +105,63 @@ def _wmmse_precoder(h_rows, chi, kappa, mu):
     return np.linalg.solve(a, rhs)
 
 
+def _power_profile(h_rows, chi, kappa):
+    """Eigenvalues lam and weights b with ||_wmmse_precoder(mu)||_F^2 =
+    sum_j b_j / (lam_j + mu)^2 for every mu > 0.
+
+    The precoder is (A0 + mu I)^-1 rhs with A0 = U diag(lam) U^H, so its
+    squared norm splits over the eigenvectors: b_j = ||(U^H rhs)_j||^2.
+    """
+    a0, rhs = _wmmse_system(h_rows, chi, kappa)
+    lam, u = np.linalg.eigh(a0)
+    proj = u.conj().T @ rhs
+    # a0 is positive semidefinite; clip rounding below zero
+    return np.maximum(lam, 0.0), np.sum(proj.real ** 2 + proj.imag ** 2, axis=1)
+
+
+def _power_multiplier(lam, b, power):
+    """Bisection for the multiplier mu > 0 at which the precoder power
+    sum_j b_j / (lam_j + mu)^2 meets `power`; the caller has checked that
+    mu = 0 exceeds it."""
+    def total_power(mu):
+        return float(np.sum(b / (lam + mu) ** 2))
+
+    hi = 1.0
+    for _ in range(_MAX_DOUBLINGS):
+        if total_power(hi) <= power:
+            break
+        hi *= 2.0
+    else:
+        raise MultiplierBracketError(
+            f"precoder power exceeds {power:.3g} for every multiplier up to {hi / 2:.3g}")
+    lo = 0.0
+    for _ in range(200):
+        mu = 0.5 * (lo + hi)
+        p = total_power(mu)
+        if abs(p - power) <= 1e-6 * power:
+            return mu
+        if p > power:
+            lo = mu
+        else:
+            hi = mu
+    return hi
+
+
 def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float, noise_power: float,
           tol: float = 1e-6, max_iter: int = 200) -> tuple[np.ndarray, list[float]]:
     """Weighted-MMSE precoding via alternating closed-form updates.
 
-    The dual variable of the power constraint is found by bisection (zero if
-    the unconstrained precoder is already feasible). Returns the final W and
-    the sum-rate trace, which is non-decreasing.
+    The dual variable of the power constraint is zero if the unconstrained
+    precoder is already feasible; otherwise it is found by bisection on the
+    transmitted power, which one eigendecomposition per iteration turns into
+    a scalar function of the multiplier. Returns the final W and the sum-rate
+    trace, which is non-decreasing.
     """
     h_rows = np.atleast_2d(np.asarray(h_rows))
     if not np.all(np.isfinite(h_rows)):
         raise InvalidParameterError("non-finite channel entries")
+    if not (power > 0 and noise_power > 0):
+        raise InvalidParameterError("power and noise_power must be > 0")
     w = np.asarray(w_init, dtype=complex).copy()
     trace = [sum_rate(h_rows, w, noise_power)]
     for _ in range(max_iter):
@@ -113,28 +170,10 @@ def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float, noise_power: flo
         chi = np.diag(hw) / totals
         kappa = 1.0 / np.real(1.0 - chi.conj() * np.diag(hw))
 
-        def total_power(mu):
-            return float(np.sum(np.abs(_wmmse_precoder(h_rows, chi, kappa, mu)) ** 2))
-
-        if total_power(0.0) <= power * (1 + 1e-9):
-            mu = 0.0
-        else:
-            hi = 1.0
-            while total_power(hi) > power:
-                hi *= 2.0
-            lo = 0.0
-            for _ in range(200):
-                mu = 0.5 * (lo + hi)
-                p = total_power(mu)
-                if abs(p - power) <= 1e-6 * power:
-                    break
-                if p > power:
-                    lo = mu
-                else:
-                    hi = mu
-            else:
-                mu = hi
-        w_new = _wmmse_precoder(h_rows, chi, kappa, mu)
+        w_new = _wmmse_precoder(h_rows, chi, kappa, 0.0)
+        if float(np.sum(np.abs(w_new) ** 2)) > power * (1 + 1e-9):
+            lam, b = _power_profile(h_rows, chi, kappa)
+            w_new = _wmmse_precoder(h_rows, chi, kappa, _power_multiplier(lam, b, power))
         rate = sum_rate(h_rows, w_new, noise_power)
         if rate < trace[-1]:
             # finite bisection tolerance at the fixed point; keep the monotone iterate
@@ -155,7 +194,14 @@ def interaction_vectors(h_iu: np.ndarray, h_bi: np.ndarray, w: np.ndarray) -> np
     seen by user k."""
     h_iu = np.atleast_2d(np.asarray(h_iu))
     hw = np.asarray(h_bi) @ np.asarray(w)  # (M, K)
-    return h_iu.conj()[:, None, :] * hw.T[None, :, :]
+    # C order, so that the objective and gradient reshape it without a copy
+    return h_iu.conj()[:, None, :] * np.ascontiguousarray(hw.T)[None, :, :]
+
+
+def _links(phi: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """z[k, i] = sum_m phi_m r[k, i, m], as one (K*K, M) @ (M,) product."""
+    k = r.shape[0]
+    return (r.reshape(k * k, -1) @ phi).reshape(k, k)
 
 
 def neg_sum_rate(phi: np.ndarray, r: np.ndarray, noise_power: float) -> float:
@@ -164,11 +210,10 @@ def neg_sum_rate(phi: np.ndarray, r: np.ndarray, noise_power: float) -> float:
     The effective link of precoder i at user k is sum_m phi_m r[k,i,m], which
     matches the cascade h_iu^H diag(phi) H w exactly.
     """
-    z = np.einsum("m,kim->ki", phi, r)
-    p = np.abs(z) ** 2
-    total = np.sum(p, axis=1) + noise_power
-    interf = total - np.diagonal(p)
-    return float(-np.sum(np.log(total) - np.log(interf)))
+    p = np.abs(_links(phi, r)) ** 2
+    total = p.sum(axis=1) + noise_power
+    interf = total - p.diagonal()
+    return float(-(np.log(total) - np.log(interf)).sum())
 
 
 def euclidean_grad_f2(phi: np.ndarray, r: np.ndarray, noise_power: float) -> np.ndarray:
@@ -177,26 +222,28 @@ def euclidean_grad_f2(phi: np.ndarray, r: np.ndarray, noise_power: float) -> np.
     With this scaling the directional derivative along a perturbation d is
     Re{d^H grad}, which is what the finite-difference tests check.
     """
-    z = np.einsum("m,kim->ki", phi, r)
+    k = r.shape[0]
+    z = _links(phi, r)
     p = np.abs(z) ** 2
-    total = np.sum(p, axis=1) + noise_power
-    interf = total - np.diagonal(p)
-    # d|phi^T r|^2 / d phi* = conj(r) (r^T phi) = conj(r) * z
-    per_term = np.conj(r) * z[:, :, None]  # (K, K, M)
-    sum_all = np.sum(per_term, axis=1)
-    sum_int = sum_all - per_term[np.arange(r.shape[0]), np.arange(r.shape[0])]
-    grad = -np.sum(sum_all / total[:, None] - sum_int / interf[:, None], axis=0)
-    return 2.0 * grad
+    total = p.sum(axis=1) + noise_power
+    interf = total - p.diagonal()
+    # d|phi^T r|^2 / d phi* = conj(r) (r^T phi) = conj(r) * z, so the gradient
+    # is -2 sum_{k,i} c[k,i] conj(r[k,i]) with c = z (1/total_k - [i!=k]/interf_k)
+    inv_total = 1.0 / total
+    c = z * (inv_total - 1.0 / interf)[:, None]
+    c.flat[::k + 1] = z.diagonal() * inv_total
+    return -2.0 * (c.conj().ravel() @ r.reshape(k * k, -1)).conj()
 
 
 def riemannian_project(grad: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the tangent space at phi."""
-    return grad - np.real(grad * np.conj(phi)) * phi
+    """Orthogonal projection onto the tangent space at phi.
+
+    The same formula carries a tangent vector to the tangent space at phi, so
+    it also serves as the vector transport."""
+    return grad - (grad * phi.conj()).real * phi
 
 
-def vector_transport(eta: np.ndarray, phi_next: np.ndarray) -> np.ndarray:
-    """Carry a tangent vector to the tangent space at phi_next."""
-    return eta - np.real(eta * np.conj(phi_next)) * phi_next
+vector_transport = riemannian_project
 
 
 def retract(v: np.ndarray) -> np.ndarray:
@@ -210,8 +257,8 @@ def retract(v: np.ndarray) -> np.ndarray:
 def _retract_step(phi, step, eta):
     v = phi + step * eta
     mags = np.abs(v)
-    zero = mags == 0
-    if np.any(zero):
+    if not mags.all():
+        zero = mags == 0
         # measure-zero event: keep the previous phase for the dead entries
         v = np.where(zero, phi, v)
         mags = np.where(zero, 1.0, mags)
@@ -231,6 +278,9 @@ def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
     """Polak-Ribiere conjugate gradient on the unit-modulus manifold with an
     Armijo line search. The objective (negative sum rate) never increases on
     accepted steps."""
+    for name, value in (("h_iu", h_iu), ("h_bi", h_bi), ("w", w), ("phi_init", phi_init)):
+        if not np.all(np.isfinite(value)):
+            raise InvalidParameterError(f"non-finite entries in {name}")
     r = interaction_vectors(h_iu, h_bi, w)
     phi = np.asarray(phi_init, dtype=complex).copy()
     phi = phi / np.abs(phi)
@@ -238,16 +288,16 @@ def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
     f = neg_sum_rate(phi, r, noise_power)
     grad = riemannian_project(euclidean_grad_f2(phi, r, noise_power), phi)
     eta = -grad
-    trace = ManifoldTrace([f], [float(np.linalg.norm(grad))])
+    gnorm = float(np.linalg.norm(grad))
+    trace = ManifoldTrace([f], [gnorm])
 
     for _ in range(max_iter):
-        gnorm = np.linalg.norm(grad)
         if gnorm <= grad_tol:
             break
         slope = float(np.real(np.vdot(grad, eta)))
         if slope >= 0:  # not a descent direction: restart
             eta = -grad
-            slope = -float(gnorm ** 2)
+            slope = -gnorm ** 2
         step = 1.0
         accepted = False
         for _ in range(max_backtracks):
@@ -266,8 +316,9 @@ def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
         tau = max(0.0, tau)
         eta = -grad_new + tau * vector_transport(eta, phi_new)
         phi, grad, f = phi_new, grad_new, f_cand
+        gnorm = float(np.linalg.norm(grad))
         trace.objective.append(f)
-        trace.grad_norm.append(float(np.linalg.norm(grad)))
+        trace.grad_norm.append(gnorm)
     return phi, trace
 
 
@@ -283,11 +334,13 @@ def sequential_position_search(cascade_table: np.ndarray, points: np.ndarray,
 
     `cascade_table` is (K, L): the cascaded channel seen by each user from an
     antenna at each grid point (for the current reflection). Each antenna in
-    turn is moved to the feasible point maximizing the sum rate; an empty
-    feasible set keeps the current position. The sum rate never decreases.
+    turn is moved to the feasible point maximizing the sum rate (the lowest
+    index among ties); an empty feasible set keeps the current position. The
+    sum rate never decreases.
     """
     cascade_table = np.atleast_2d(np.asarray(cascade_table))
     points = np.asarray(points)
+    w = np.atleast_2d(np.asarray(w))
     indices = list(init_indices)
     num_mas = len(indices)
     for _ in range(sweeps):
@@ -300,15 +353,16 @@ def sequential_position_search(cascade_table: np.ndarray, points: np.ndarray,
                 feasible = np.arange(len(points))
             if len(feasible) == 0:
                 continue
-            best_idx = indices[n]
-            best_rate = -np.inf
-            h = cascade_table[:, indices].copy()
-            for cand in feasible:
-                h[:, n] = cascade_table[:, cand]
-                rate = sum_rate(h, w, noise_power)
-                if rate > best_rate + 1e-15:
-                    best_rate, best_idx = rate, int(cand)
-            indices[n] = best_idx
+            keep = np.arange(num_mas) != n
+            # links[c, k, i] = h_k^H w_i with antenna n at candidate c: the
+            # other antennas' part plus antenna n's; rates as in `user_rate`
+            base = cascade_table[:, others] @ w[keep]  # (K, K)
+            links = base[None] + cascade_table[:, feasible].T[:, :, None] * w[n]
+            gains = np.abs(links) ** 2
+            signal = np.diagonal(gains, axis1=1, axis2=2)
+            interference = np.sum(gains, axis=2) - signal
+            rates = np.sum(np.log2(1 + signal / (interference + noise_power)), axis=1)
+            indices[n] = int(feasible[np.argmax(rates)])
     return indices
 
 

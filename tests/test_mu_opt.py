@@ -7,7 +7,8 @@ import pytest
 
 from irsma import channel, mu_opt, su_opt
 from irsma.config import Scenario
-from irsma.errors import InvalidParameterError, SingularMatrixError
+from irsma.errors import (InvalidParameterError, MultiplierBracketError,
+                          SingularMatrixError)
 
 
 def _random_rows(rng, k, n, scale=1.0):
@@ -186,6 +187,19 @@ class TestWmmse:
         with pytest.raises(InvalidParameterError):
             mu_opt.wmmse(h, np.ones((2, 1), dtype=complex), 1.0, 1.0)
 
+    @pytest.mark.parametrize("power, noise_power", [(0.0, 1.0), (-1.0, 1.0),
+                                                    (1.0, 0.0), (1.0, -0.5)])
+    def test_nonpositive_power_or_noise_rejected(self, rng, power, noise_power):
+        h = _random_rows(rng, 3, 4)
+        with pytest.raises(InvalidParameterError):
+            mu_opt.wmmse(h, h.conj().T, power, noise_power)
+
+    def test_unbracketable_multiplier_raises(self, rng):
+        # the multiplier that meets this power lies far beyond the doubling cap
+        h = _random_rows(rng, 3, 4)
+        with pytest.raises(MultiplierBracketError):
+            mu_opt.wmmse(h, h.conj().T, 1e-300, 1.0)
+
 
 def _interaction_setup(rng, k=3, n=4, m=20):
     h_iu = _random_rows(rng, k, m)
@@ -255,6 +269,9 @@ class TestManifoldPrimitives:
         out = mu_opt.vector_transport(np.array([1 + 1j]), np.array([1j]))
         assert out[0] == pytest.approx(1.0, abs=1e-12)
 
+    def test_transport_is_projection(self):
+        assert mu_opt.vector_transport is mu_opt.riemannian_project
+
     def test_transport_tangency(self, rng):
         phi = np.exp(1j * rng.uniform(0, 2 * np.pi, 12))
         eta = rng.standard_normal(12) + 1j * rng.standard_normal(12)
@@ -279,6 +296,15 @@ class TestManifoldPrimitives:
 
 
 class TestManifoldCg:
+    @pytest.mark.parametrize("arg", ["h_iu", "h_bi", "w", "phi_init"])
+    def test_nonfinite_input_rejected(self, rng, arg):
+        h_iu, h_bi, w, _, phi = _interaction_setup(rng, k=2, n=2, m=8)
+        args = dict(h_iu=h_iu, h_bi=h_bi, w=w, phi_init=phi)
+        args[arg] = args[arg].copy()
+        args[arg].flat[0] = np.inf if arg == "w" else np.nan
+        with pytest.raises(InvalidParameterError):
+            mu_opt.manifold_cg(noise_power=0.3, **args)
+
     def test_descent_on_random_instances(self, rng):
         for _ in range(100):
             k = int(rng.integers(1, 4))
@@ -353,9 +379,9 @@ class TestSequentialPositionSearch:
         pts = self._points(L)
         table = _random_rows(rng, 1, L)
         w = np.ones((2, 1), dtype=complex)
-        got = mu_opt.sequential_position_search(table, pts, w, 0.12 - 1e-9,
-                                                [0, 4], 0.5)
-        assert got == [0, 4]
+        args = (table, pts, w, 0.12 - 1e-9, [0, 4], 0.5)
+        assert mu_opt.sequential_position_search(*args) == [0, 4]
+        assert _reference_position_search(*args) == [0, 4]
 
     @pytest.mark.xfail(
         reason="one-at-a-time coordinate ascent is not jointly optimal; "
@@ -430,3 +456,169 @@ class TestAoMultiUser:
                                   s.transmit_power, s.noise_power,
                                   optimize_positions=True, **common)
         assert abs(ma.sum_rate - fpa.sum_rate) / fpa.sum_rate <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations of the matmul objective and gradient, the
+# eigendecomposition-based multiplier search and the batched position search.
+
+
+def _reference_neg_sum_rate(phi, r, noise_power):
+    z = np.einsum("m,kim->ki", phi, r)
+    p = np.abs(z) ** 2
+    total = np.sum(p, axis=1) + noise_power
+    interf = total - np.diagonal(p)
+    return float(-np.sum(np.log(total) - np.log(interf)))
+
+
+def _reference_grad(phi, r, noise_power):
+    z = np.einsum("m,kim->ki", phi, r)
+    p = np.abs(z) ** 2
+    total = np.sum(p, axis=1) + noise_power
+    interf = total - np.diagonal(p)
+    per_term = np.conj(r) * z[:, :, None]
+    sum_all = np.sum(per_term, axis=1)
+    sum_int = sum_all - per_term[np.arange(r.shape[0]), np.arange(r.shape[0])]
+    return -2.0 * np.sum(sum_all / total[:, None] - sum_int / interf[:, None], axis=0)
+
+
+def _reference_wmmse(h_rows, w_init, power, noise_power, tol=1e-6, max_iter=200):
+    """WMMSE with the multiplier bisected on full precoder solves."""
+    w = np.asarray(w_init, dtype=complex).copy()
+    trace = [mu_opt.sum_rate(h_rows, w, noise_power)]
+    for _ in range(max_iter):
+        hw = h_rows @ w
+        totals = np.sum(np.abs(hw) ** 2, axis=1) + noise_power
+        chi = np.diag(hw) / totals
+        kappa = 1.0 / np.real(1.0 - chi.conj() * np.diag(hw))
+
+        def total_power(mu):
+            return float(np.sum(np.abs(mu_opt._wmmse_precoder(h_rows, chi, kappa, mu)) ** 2))
+
+        if total_power(0.0) <= power * (1 + 1e-9):
+            mu = 0.0
+        else:
+            hi = 1.0
+            while total_power(hi) > power:
+                hi *= 2.0
+            lo = 0.0
+            for _ in range(200):
+                mu = 0.5 * (lo + hi)
+                p = total_power(mu)
+                if abs(p - power) <= 1e-6 * power:
+                    break
+                if p > power:
+                    lo = mu
+                else:
+                    hi = mu
+            else:
+                mu = hi
+        w_new = mu_opt._wmmse_precoder(h_rows, chi, kappa, mu)
+        rate = mu_opt.sum_rate(h_rows, w_new, noise_power)
+        if rate < trace[-1]:
+            break
+        w = w_new
+        trace.append(rate)
+        if trace[-1] - trace[-2] <= tol * max(abs(trace[-2]), 1e-300):
+            break
+    return w, trace
+
+
+def _reference_position_search(table, points, w, min_spacing, init, noise_power,
+                               sweeps=1):
+    """One sum_rate call per feasible candidate."""
+    indices = list(init)
+    for _ in range(sweeps):
+        for n in range(len(indices)):
+            others = [indices[m] for m in range(len(indices)) if m != n]
+            if others:
+                dists = np.linalg.norm(points[:, None, :] - points[others][None, :, :], axis=2)
+                feasible = np.where(np.all(dists >= min_spacing - 1e-12, axis=1))[0]
+            else:
+                feasible = np.arange(len(points))
+            if len(feasible) == 0:
+                continue
+            best_idx, best_rate = indices[n], -np.inf
+            h = table[:, indices].copy()
+            for cand in feasible:
+                h[:, n] = table[:, cand]
+                rate = mu_opt.sum_rate(h, w, noise_power)
+                if rate > best_rate + 1e-15:
+                    best_rate, best_idx = rate, int(cand)
+            indices[n] = best_idx
+    return indices
+
+
+class TestRewriteEquivalence:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_objective_and_gradient_match_einsum(self, rng, k):
+        for _ in range(20):
+            _, _, _, r, phi = _interaction_setup(rng, k=k, n=int(rng.integers(1, 5)),
+                                                 m=int(rng.integers(4, 40)))
+            s2 = float(rng.uniform(0.05, 2.0))
+            assert mu_opt.neg_sum_rate(phi, r, s2) == pytest.approx(
+                _reference_neg_sum_rate(phi, r, s2), rel=1e-12)
+            ref = _reference_grad(phi, r, s2)
+            got = mu_opt.euclidean_grad_f2(phi, r, s2)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("k, n, zero_weight", [(2, 4, False), (3, 3, False),
+                                                   (4, 2, False), (3, 4, True)])
+    def test_eigen_power_matches_full_solve(self, rng, k, n, zero_weight):
+        for _ in range(10):
+            h = _random_rows(rng, k, n)
+            chi = _random_rows(rng, 1, k)[0]
+            kappa = rng.uniform(0.5, 3.0, k)
+            if zero_weight:
+                chi[1] = 0.0
+            lam, b = mu_opt._power_profile(h, chi, kappa)
+            for scale in (1e-3, 1e-1, 1.0, 10.0, 1e3):
+                mu = scale * float(np.max(lam))
+                eig = float(np.sum(b / (lam + mu) ** 2))
+                full = float(np.sum(np.abs(mu_opt._wmmse_precoder(h, chi, kappa, mu)) ** 2))
+                assert eig == pytest.approx(full, rel=1e-10)
+
+    def test_wmmse_matches_full_solve_bisection(self, rng):
+        for _ in range(50):
+            k = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 5))
+            h = _random_rows(rng, k, n)
+            p, s2 = float(rng.uniform(0.5, 20)), float(rng.uniform(0.05, 2))
+            w0 = h.conj().T / np.linalg.norm(h, axis=1) * np.sqrt(p / k)
+            w, trace = mu_opt.wmmse(h, w0, p, s2)
+            w_ref, trace_ref = _reference_wmmse(h, w0, p, s2)
+            np.testing.assert_array_equal(w, w_ref)
+            np.testing.assert_array_equal(trace, trace_ref)
+
+    @staticmethod
+    def _points(L, step=0.03):
+        return np.stack([np.arange(L) * step, np.zeros(L), np.zeros(L)], axis=1)
+
+    def test_batched_search_matches_per_candidate_loop(self, rng):
+        for _ in range(30):
+            k = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 4))
+            L = int(rng.integers(3 * n, 30))
+            pts = self._points(L)
+            table = _random_rows(rng, k, L)
+            w = _random_rows(rng, k, n).conj().T
+            init = list(range(0, 2 * n, 2))
+            args = (table, pts, w, 0.06 - 1e-9, init, 0.5)
+            assert (mu_opt.sequential_position_search(*args, sweeps=2)
+                    == _reference_position_search(*args, sweeps=2))
+
+    def test_batched_search_ties_go_to_lowest_index(self, rng):
+        for _ in range(20):
+            k, n, half = 2, 2, 8
+            cols = _random_rows(rng, k, half)
+            table = np.hstack([cols, cols, cols])  # every column appears three times
+            pts = self._points(3 * half)
+            w = _random_rows(rng, k, n).conj().T
+            args = (table, pts, w, 0.06 - 1e-9, [20, 23], 0.5)
+            got = mu_opt.sequential_position_search(*args)
+            assert got == _reference_position_search(*args)
+            # each antenna takes the lowest feasible copy of its best column;
+            # for antenna 0 (moved first, antenna 1 at 23) that is the first copy
+            assert got[0] < half
+            copies = [got[1] % half + t * half for t in range(3)]
+            assert got[1] == min(j for j in copies if abs(j - got[0]) >= 2)
