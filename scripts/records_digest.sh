@@ -1,0 +1,19 @@
+#!/usr/bin/env bash
+# Print one sha256 per output file of the five shipped sweeps
+# (--realizations 2 --seed 0) and of `irsma verify --seed 0`, with BLAS on one
+# thread. Run it on two commits and diff the output to check that a change
+# keeps the records byte-identical.
+# Usage: scripts/records_digest.sh [OUT_DIR]   (default: a fresh temp dir)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+OUT="${1:-$(mktemp -d)}"
+mkdir -p "$OUT"
+export OPENBLAS_NUM_THREADS=1 PYTHONPATH=src
+for cfg in single_user_multipath_sweep multi_user_los_sweep \
+           multi_user_multipath_sweep region_length_sweep path_count_sweep; do
+    python -m irsma.cli sweep --config "configs/$cfg.yaml" --realizations 2 \
+        --seed 0 --out "$OUT/$cfg" > "$OUT/$cfg.stdout"
+done
+python -m irsma.cli verify --seed 0 --out "$OUT/verify" > "$OUT/verify.stdout"
+(cd "$OUT" && find . -type f | LC_ALL=C sort | xargs sha256sum)

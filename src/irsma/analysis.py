@@ -53,45 +53,45 @@ class Report:
                                  repr(c.threshold)])
 
 
-def _gain_profile_cophased(points, geometry, h_iu, wavelength):
-    """Co-phased end-to-end gain at many candidate positions, vectorized."""
-    d = np.linalg.norm(points[:, None, :] - geometry.element_positions()[None, :, :], axis=2)
-    return (wavelength / (4 * np.pi)) ** 2 * np.sum(np.abs(h_iu) / d, axis=1) ** 2
-
-
 def verify_single_ma_equivalence(scenario: Scenario, distances=(1, 2, 3, 4, 5, 6),
                                  num_seeds: int = 50, grid_points: int = 1001,
                                  tol: float = 1e-6) -> Report:
     """A single movable antenna never beats a fixed antenna at the point of the
     region closest to the surface, under co-phased reflection."""
-    geometry = scenario.geometry()
-    lam = scenario.wavelength
     report = Report("single-antenna movable/fixed equivalence")
     for dist in distances:
-        region = scenario.replace(bs_distance=float(dist)).region()
-        offsets = np.linspace(-region.length / 2, region.length / 2, grid_points)
-        points = region.point(offsets)
-        t_fpa = su_opt.optimal_single_ma_position(region)
-        worst = 0.0
-        for s in range(num_seeds):
-            rng = substream(scenario.master_seed, "equiv", int(dist * 1000), s)
-            d_user = rng.uniform(*scenario.user_distance_range)
-            direction = _user_direction(rng, scenario)
-            h_iu = channel.rician_iu_channel(rng, geometry, d_user, direction,
-                                             scenario.rician_factor,
-                                             scenario.pathloss_exponent, lam)
-            gains = _gain_profile_cophased(points, geometry, h_iu, lam)
-            g_ma = float(np.max(gains))
-            g_fpa = su_opt.gain_closed_form(t_fpa, geometry, h_iu, lam)
-            worst = max(worst, abs(g_ma - g_fpa) / g_fpa)
+        worst = _worst_equivalence_gap(scenario, dist, num_seeds, grid_points)
         report.add(f"max relative SNR gap at d={dist} m ({num_seeds} seeds)", worst, tol)
     return report
 
 
-def _user_direction(rng, scenario: Scenario) -> np.ndarray:
-    az = rng.uniform(*scenario.user_azimuth_range)
-    el = rng.uniform(*scenario.user_elevation_range)
-    return np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
+def _worst_equivalence_gap(scenario: Scenario, dist, num_seeds: int,
+                           grid_points: int) -> float:
+    """Largest relative gap between the best co-phased gain on a grid of the
+    region at distance `dist` and the gain at the closest point, over seeds."""
+    geometry = scenario.geometry()
+    lam = scenario.wavelength
+    region = scenario.replace(bs_distance=float(dist)).region()
+    offsets = np.linspace(-region.length / 2, region.length / 2, grid_points)
+    # point-to-element distances depend on the geometry only, not on the seed
+    d = np.linalg.norm(region.point(offsets)[:, None, :]
+                       - geometry.element_positions()[None, :, :], axis=2)
+    t_fpa = su_opt.optimal_single_ma_position(region)
+    worst = 0.0
+    for s in range(num_seeds):
+        rng = substream(scenario.master_seed, "equiv", int(dist * 1000), s)
+        d_user = rng.uniform(*scenario.user_distance_range)
+        direction = channel.draw_user_direction(rng, scenario.user_azimuth_range,
+                                                scenario.user_elevation_range)
+        h_iu = channel.rician_iu_channel(rng, geometry, d_user, direction,
+                                         scenario.rician_factor,
+                                         scenario.pathloss_exponent, lam)
+        # co-phased end-to-end gain at every grid point
+        gains = (lam / (4 * np.pi)) ** 2 * np.sum(np.abs(h_iu) / d, axis=1) ** 2
+        g_ma = float(np.max(gains))
+        g_fpa = su_opt.gain_closed_form(t_fpa, geometry, h_iu, lam)
+        worst = max(worst, abs(g_ma - g_fpa) / g_fpa)
+    return worst
 
 
 def verify_far_field_no_gain(scenario: Scenario, num_apvs: int = 100,
@@ -120,8 +120,10 @@ def verify_far_field_no_gain(scenario: Scenario, num_apvs: int = 100,
     arrival = np.array([1.0, 0.0, 0.0])
     h_iu = np.vstack([
         channel.rician_iu_channel(rng, geometry, rng.uniform(*scenario.user_distance_range),
-                                  _user_direction(rng, scenario), scenario.rician_factor,
-                                  scenario.pathloss_exponent, lam)
+                                  channel.draw_user_direction(
+                                      rng, scenario.user_azimuth_range,
+                                      scenario.user_elevation_range),
+                                  scenario.rician_factor, scenario.pathloss_exponent, lam)
         for _ in range(k)])
     phi = su_opt.random_reflection(rng, geometry.num_elements)
     beta = lam / (4 * np.pi * scenario.bs_distance) * np.exp(1j * rng.uniform(0, 2 * np.pi))

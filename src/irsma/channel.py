@@ -8,7 +8,6 @@ position array.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +32,34 @@ def rayleigh_distance(geometry: IrsGeometry, region_length: float, wavelength: f
 
 def nusw_los_vector(t, geometry: IrsGeometry, wavelength: float) -> np.ndarray:
     """Spherical-wave LoS channel from a point antenna to every element, (M,)."""
-    if wavelength <= 0:
-        raise InvalidParameterError("wavelength must be positive")
-    d = _distances(geometry.element_positions(), t)
-    return wavelength / (4 * np.pi * d) * np.exp(2j * np.pi * d / wavelength)
+    return nusw_los_matrix(np.atleast_2d(t), geometry, wavelength)[:, 0]
 
 
 def nusw_los_matrix(positions, geometry: IrsGeometry, wavelength: float) -> np.ndarray:
     """Per-antenna LoS channel columns stacked into an (M, N) matrix."""
+    if wavelength <= 0:
+        raise InvalidParameterError("wavelength must be positive")
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    return np.column_stack([nusw_los_vector(t, geometry, wavelength) for t in positions])
+    elements = geometry.element_positions()
+    # ((dx^2 + dy^2) + dz^2), one axis at a time: the same sums as a
+    # per-column norm, without an (M, N, 3) temporary
+    d = np.zeros((len(elements), len(positions)))
+    for axis in range(3):
+        diff = np.subtract.outer(elements[:, axis], positions[:, axis])
+        diff *= diff
+        d += diff
+    np.sqrt(d, out=d)
+    if np.any(d <= 0):
+        raise DegenerateGeometryError("source coincides with an array point")
+    # lam / (4*pi*d) * exp(2j*pi*d / lam) in place: the same operations and
+    # roundings, with fewer (M, N) temporaries
+    h = np.multiply(2j * np.pi, d, dtype=complex)
+    h /= wavelength
+    np.exp(h, out=h)
+    d *= 4 * np.pi
+    np.divide(wavelength, d, out=d)
+    h *= d
+    return h
 
 
 def near_field_response(points, source, wavelength: float) -> np.ndarray:
@@ -157,6 +174,14 @@ def far_field_bs_irs(positions, geometry: IrsGeometry, arrival_direction,
     return path_gain * np.outer(u, v.conj())
 
 
+def draw_user_direction(rng: np.random.Generator, azimuth_range,
+                        elevation_range) -> np.ndarray:
+    """Unit direction to a user; azimuth then elevation drawn uniformly."""
+    az = rng.uniform(*azimuth_range)
+    el = rng.uniform(*elevation_range)
+    return np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
+
+
 def rician_iu_channel(rng: np.random.Generator, geometry: IrsGeometry,
                       user_distance: float, user_direction, rician_factor: float,
                       pathloss_exponent: float, wavelength: float) -> np.ndarray:
@@ -181,25 +206,3 @@ def cascaded_row(h_iu: np.ndarray, phi: np.ndarray, h_bi: np.ndarray) -> np.ndar
     if h_iu.shape[0] != phi.shape[0] or phi.shape[0] != h_bi.shape[0]:
         raise InvalidParameterError("dimension mismatch between channel factors")
     return (h_iu.conj() * phi) @ h_bi
-
-
-def direct_bs_user(t, user_position, wavelength: float) -> complex:
-    """Spherical-wave LoS scalar channel from an antenna to a user."""
-    if wavelength <= 0:
-        raise InvalidParameterError("wavelength must be positive")
-    d = float(np.linalg.norm(np.asarray(t, dtype=float) - np.asarray(user_position, dtype=float)))
-    if d <= 0:
-        raise DegenerateGeometryError("antenna coincides with the user")
-    return complex(wavelength / (4 * np.pi * d) * np.exp(2j * np.pi * d / wavelength))
-
-
-def dump_channel_csv(matrix: np.ndarray, path) -> None:
-    """Write a complex matrix as (row, col, re, im) CSV for debugging."""
-    matrix = np.atleast_2d(np.asarray(matrix))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "re", "im"])
-        for i in range(matrix.shape[0]):
-            for j in range(matrix.shape[1]):
-                z = matrix[i, j]
-                writer.writerow([i, j, repr(float(z.real)), repr(float(z.imag))])

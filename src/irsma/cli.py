@@ -69,12 +69,13 @@ def cmd_profile(args) -> int:
     scen = scenario.replace(num_users=1)
     realization = harness.draw_realization(scen, rng)
     region = scen.region()
-    grid, _ = harness._grids(scen)
+    context = harness.cell_context(scen, realization)
+    grid = context.fine
     idx0 = su_opt.fpa_indices(grid, scen.num_mas, scen.min_spacing)
     h_iu = realization.h_iu[0]
 
     phi_rand = su_opt.random_reflection(rng, realization.bs_irs.geometry.num_elements)
-    sol = su_opt.ao_single_user(h_iu, realization.bs_irs, grid, phi_rand, idx0,
+    sol = su_opt.ao_single_user(h_iu, context.fine_columns, grid, phi_rand, idx0,
                                 scen.transmit_power, scen.noise_power)
     rows = []
     for label, phi in (("optimized", sol.phi), ("random", phi_rand)):
@@ -96,16 +97,17 @@ def cmd_convergence(args) -> int:
     out = _outdir(args)
     rng = substream(scenario.master_seed, "convergence")
     realization = harness.draw_realization(scenario, rng)
-    grid, _ = harness._grids(scenario)
+    context = harness.cell_context(scenario, realization)
+    grid, columns = context.fine, context.fine_columns
     idx0 = su_opt.fpa_indices(grid, scenario.num_mas, scenario.min_spacing)
     phi0 = su_opt.random_reflection(rng, realization.bs_irs.geometry.num_elements)
     if scenario.num_users == 1:
-        sol = su_opt.ao_single_user(realization.h_iu[0], realization.bs_irs, grid,
+        sol = su_opt.ao_single_user(realization.h_iu[0], columns, grid,
                                     phi0, idx0, scenario.transmit_power,
                                     scenario.noise_power)
         trace = [float(np.log2(1 + g)) for g in sol.trace]
     else:
-        sol = mu_opt.ao_multi_user(realization.h_iu, realization.bs_irs, grid, phi0,
+        sol = mu_opt.ao_multi_user(realization.h_iu, columns, grid, phi0,
                                    idx0, scenario.transmit_power, scenario.noise_power,
                                    min_spacing=scenario.min_spacing)
         trace = sol.trace

@@ -88,29 +88,6 @@ class TransmitRegion:
     def offset_of(self, t) -> float:
         return float(np.dot(np.asarray(t, dtype=float) - self.center_array, self.axis_array))
 
-    def contains(self, t, tol: float = 1e-9) -> bool:
-        t = np.asarray(t, dtype=float)
-        s = self.offset_of(t)
-        if abs(s) > self.length / 2 + tol:
-            return False
-        perp = t - self.center_array - s * self.axis_array
-        return bool(np.linalg.norm(perp) <= tol)
-
-
-def validate_positions(positions: np.ndarray, region: TransmitRegion, min_spacing: float,
-                       tol: float = 1e-9) -> None:
-    """Check that an antenna position set lies in the region with pairwise spacing."""
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    for t in positions:
-        if not region.contains(t, tol=tol):
-            raise InvalidParameterError(f"position {t} outside transmit region")
-    n = len(positions)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(positions[i] - positions[j]) < min_spacing - tol:
-                raise InvalidParameterError(
-                    f"positions {i} and {j} violate minimum spacing {min_spacing}")
-
 
 @dataclass(frozen=True)
 class Scenario:

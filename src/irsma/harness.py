@@ -1,15 +1,16 @@
 """Benchmark schemes, Monte-Carlo sweeps and CSV persistence.
 
 Within one (parameter value, realization) cell every scheme consumes the same
-channel realization; randomized initial points come from named substreams so
-serial and parallel execution produce identical results.
+channel realization, and each sampling grid's channel columns are built once
+per cell (`CellContext`); randomized initial points come from named substreams
+so serial and parallel execution produce identical results.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -29,6 +30,8 @@ FPA_RPS = "FPA_RPS"
 ALL_SCHEMES = (PROPOSED, FPA, AS, MA_RPS, FPA_RPS)
 
 SWEEPABLE = ("bs_irs_distance", "region_length", "num_paths")
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -78,15 +81,6 @@ class Realization:
     h_iu: np.ndarray  # (K, M)
     bs_irs: channel.BsIrsModel
 
-    @property
-    def fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(self.h_iu).tobytes())
-        cl = self.bs_irs.clusters
-        if cl is not None:
-            digest.update(repr(cl).encode())
-        return digest.hexdigest()
-
 
 def draw_realization(scenario: Scenario, rng: np.random.Generator) -> Realization:
     geometry = scenario.geometry()
@@ -94,8 +88,9 @@ def draw_realization(scenario: Scenario, rng: np.random.Generator) -> Realizatio
     h_iu = np.vstack([
         channel.rician_iu_channel(
             rng, geometry, rng.uniform(*scenario.user_distance_range),
-            _direction(rng, scenario), scenario.rician_factor,
-            scenario.pathloss_exponent, lam)
+            channel.draw_user_direction(rng, scenario.user_azimuth_range,
+                                        scenario.user_elevation_range),
+            scenario.rician_factor, scenario.pathloss_exponent, lam)
         for _ in range(scenario.num_users)])
     clusters = None
     if scenario.num_paths > 0:
@@ -104,12 +99,6 @@ def draw_realization(scenario: Scenario, rng: np.random.Generator) -> Realizatio
             rng, scenario.num_paths, region_center / 2, scenario.scatterer_box_size,
             lam, region_center)
     return Realization(h_iu=h_iu, bs_irs=channel.BsIrsModel(geometry, lam, clusters))
-
-
-def _direction(rng, scenario: Scenario) -> np.ndarray:
-    az = rng.uniform(*scenario.user_azimuth_range)
-    el = rng.uniform(*scenario.user_elevation_range)
-    return np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
 
 
 @dataclass
@@ -121,13 +110,34 @@ class SchemeRun:
     wall_time: float = 0.0
 
 
-def _grids(scenario: Scenario):
+@dataclass(frozen=True)
+class CellContext:
+    """Everything the schemes of one cell share: the channel draw, the fine
+    grid (antenna selection AS uses the coarse one) and each grid's channel
+    columns, (M, L)."""
+
+    realization: Realization
+    fine: su_opt.SamplingGrid
+    coarse: su_opt.SamplingGrid
+    fine_columns: np.ndarray
+    coarse_columns: np.ndarray
+
+    def grid(self, scheme: str) -> tuple[su_opt.SamplingGrid, np.ndarray]:
+        if scheme == AS:
+            return self.coarse, self.coarse_columns
+        return self.fine, self.fine_columns
+
+
+def cell_context(scenario: Scenario, realization: Realization) -> CellContext:
+    """Build the grids of `scenario` and their channel columns once."""
     region = scenario.region()
     fine = su_opt.SamplingGrid.from_region(region, scenario.sample_spacing,
                                            scenario.min_spacing)
     coarse = su_opt.SamplingGrid.from_region(region, scenario.min_spacing,
                                              scenario.min_spacing)
-    return fine, coarse
+    return CellContext(realization, fine, coarse,
+                       realization.bs_irs.matrix(fine.points),
+                       realization.bs_irs.matrix(coarse.points))
 
 
 def _nearest_indices(grid, positions: np.ndarray) -> list[int]:
@@ -135,10 +145,10 @@ def _nearest_indices(grid, positions: np.ndarray) -> list[int]:
     return [int(i) for i in np.argmin(d, axis=1)]
 
 
-def run_scheme(scheme: str, scenario: Scenario, realization: Realization, *,
+def run_scheme(scheme: str, scenario: Scenario, context: CellContext, *,
                rng: np.random.Generator, rps_phi: np.ndarray | None = None,
                warm: object = None) -> SchemeRun:
-    """Run one benchmark scheme on a fixed channel realization.
+    """Run one benchmark scheme on the channel realization of `context`.
 
     `warm` is an optional solution of another scheme on the same cell used as
     the starting point (shared initialization makes the nesting orderings
@@ -147,8 +157,8 @@ def run_scheme(scheme: str, scenario: Scenario, realization: Realization, *,
     if scheme not in ALL_SCHEMES:
         raise InvalidParameterError(f"unknown scheme {scheme!r}")
     start = time.perf_counter()
-    fine, coarse = _grids(scenario)
-    grid = coarse if scheme == AS else fine
+    grid, grid_columns = context.grid(scheme)
+    realization = context.realization
     num_mas = scenario.num_mas
     m = realization.bs_irs.geometry.num_elements
 
@@ -171,7 +181,7 @@ def run_scheme(scheme: str, scenario: Scenario, realization: Realization, *,
 
     if scenario.num_users == 1:
         sol = su_opt.ao_single_user(
-            realization.h_iu[0], realization.bs_irs, grid, phi0, idx0,
+            realization.h_iu[0], grid_columns, grid, phi0, idx0,
             scenario.transmit_power, scenario.noise_power,
             optimize_phi=optimize_phi, optimize_positions=optimize_positions)
         rate = float(np.log2(1 + sol.snr))
@@ -179,7 +189,7 @@ def run_scheme(scheme: str, scenario: Scenario, realization: Realization, *,
     else:
         w0 = getattr(warm, "w", None) if warm is not None else None
         sol = mu_opt.ao_multi_user(
-            realization.h_iu, realization.bs_irs, grid, phi0, idx0,
+            realization.h_iu, grid_columns, grid, phi0, idx0,
             scenario.transmit_power, scenario.noise_power,
             min_spacing=scenario.min_spacing, w_init=w0,
             optimize_phi=optimize_phi, optimize_positions=optimize_positions)
@@ -232,6 +242,7 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
     scen = apply_parameter(scenario, spec.parameter, value)
     chan_rng = substream(spec.seed, "chan", spec.parameter, value_index, realization_index)
     realization = draw_realization(scen, chan_rng)
+    context = cell_context(scen, realization)
     rps_phi = su_opt.random_reflection(
         substream(spec.seed, "rps", value_index, realization_index),
         realization.bs_irs.geometry.num_elements)
@@ -248,7 +259,7 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
             if candidates:
                 warm = max(candidates, key=lambda r: r.rate).solution
         init_rng = substream(spec.seed, "init", value_index, realization_index, scheme)
-        run = run_scheme(scheme, scen, realization, rng=init_rng,
+        run = run_scheme(scheme, scen, context, rng=init_rng,
                          rps_phi=rps_phi, warm=warm)
         runs[scheme] = run
         records.append(Record(scheme=scheme, param=float(value),
@@ -260,7 +271,7 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
 def run_sweep(spec: SweepSpec, scenario: Scenario, threads: int = 1) -> SweepResult:
     """Iterate (value, realization) cells; deterministic under the sweep seed
     regardless of execution order or thread count. Failed cells are skipped
-    with a console note instead of aborting the sweep."""
+    with a logged warning instead of aborting the sweep."""
     cells = [(value, vi, r) for vi, value in enumerate(spec.values)
              for r in range(spec.realizations)]
 
@@ -269,7 +280,7 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, threads: int = 1) -> SweepRes
         try:
             return (vi, r), run_cell(scenario, spec, value, vi, r)
         except Exception as exc:  # noqa: BLE001 - cell isolation is intentional
-            print(f"cell value={value} realization={r} failed: {exc!r}")
+            _log.warning("cell value=%s realization=%s failed: %r", value, r, exc)
             return (vi, r), []
 
     if threads > 1:

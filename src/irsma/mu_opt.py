@@ -13,9 +13,8 @@ import numpy as np
 
 from .errors import (DegenerateRetractionError, InvalidParameterError,
                      MultiplierBracketError, SingularMatrixError)
-from .su_opt import SamplingGrid
+from .su_opt import _TINY, SamplingGrid, _checked_columns
 
-_TINY = 1e-300
 # Doublings of the multiplier bracket's upper end (starting at 1) before the
 # search gives up; 2**200 is far beyond any multiplier of a physical channel.
 _MAX_DOUBLINGS = 200
@@ -379,19 +378,20 @@ class MuSolution:
     iterations: int = 0
 
 
-def ao_multi_user(h_iu, bs_irs, grid: SamplingGrid, phi_init, init_indices,
+def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices,
                   power: float, noise_power: float, *, min_spacing: float,
                   w_init=None, tol: float = 1e-3, max_outer: int = 50,
                   optimize_phi: bool = True, optimize_positions: bool = True,
                   cg_kwargs: dict | None = None,
                   wmmse_kwargs: dict | None = None) -> MuSolution:
     """Alternate precoding (WMMSE), reflection (manifold CG) and positions
-    (sequential grid search); the sum-rate trace is non-decreasing."""
+    (sequential grid search); the sum-rate trace is non-decreasing.
+    `grid_columns` (M, L) holds the channel column of every grid point."""
     h_iu = np.atleast_2d(np.asarray(h_iu))
     num_users = h_iu.shape[0]
     phi = np.asarray(phi_init, dtype=complex).copy()
     indices = list(init_indices)
-    grid_columns = bs_irs.matrix(grid.points)  # (M, L)
+    grid_columns = _checked_columns(grid_columns, grid)
     cg_kwargs = cg_kwargs or {}
     wmmse_kwargs = wmmse_kwargs or {}
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import BsIrsModel, cascaded_row
+from .channel import cascaded_row
 from .config import IrsGeometry, TransmitRegion
 from .errors import (DegenerateChannelError, DegenerateGeometryError,
                      InfeasibleSpacingError, InvalidParameterError)
@@ -145,15 +145,13 @@ def graph_position_select(weights, num_select: int, min_gap: int) -> list[int]:
     value = w.copy()
     preds: list[np.ndarray] = []
     for _ in range(1, num_select):
-        # prefix maxima of the previous layer, earliest index on ties
+        # prefix maxima of the previous layer and where they are attained,
+        # earliest index on ties: a new record only on a strict increase
         pref_val = np.maximum.accumulate(value)
-        pref_idx = np.zeros(num_points, dtype=int)
-        best = value[0]
-        best_i = 0
-        for l in range(num_points):
-            if value[l] > best:
-                best, best_i = value[l], l
-            pref_idx[l] = best_i
+        record = np.zeros(num_points, dtype=bool)
+        record[0] = True
+        record[1:] = value[1:] > pref_val[:-1]
+        pref_idx = np.maximum.accumulate(np.where(record, np.arange(num_points), 0))
         nxt = np.full(num_points, -np.inf)
         pred = np.full(num_points, -1, dtype=int)
         nxt[min_gap:] = w[min_gap:] + pref_val[:-min_gap]
@@ -197,6 +195,14 @@ def bcd_irs(h_iu, h_bi, phi_init, tol: float = 1e-3,
     return phi, trace
 
 
+def _checked_columns(grid_columns, grid: SamplingGrid) -> np.ndarray:
+    grid_columns = np.asarray(grid_columns)
+    if grid_columns.ndim != 2 or grid_columns.shape[1] != grid.num_points:
+        raise InvalidParameterError(
+            f"grid columns {grid_columns.shape} do not match {grid.num_points} grid points")
+    return grid_columns
+
+
 @dataclass
 class SuSolution:
     """Outcome of the single-user alternating loop."""
@@ -210,18 +216,19 @@ class SuSolution:
     iterations: int = 0
 
 
-def ao_single_user(h_iu, bs_irs: BsIrsModel, grid: SamplingGrid, phi_init,
+def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
                    init_indices, power: float, noise_power: float, *,
                    tol_bcd: float = 1e-3, tol_outer: float = 1e-3,
                    max_outer: int = 50, optimize_phi: bool = True,
                    optimize_positions: bool = True) -> SuSolution:
     """Alternate reflection BCD and optimal grid placement with matched transmit
-    beamforming; the SNR trace is non-decreasing."""
+    beamforming; the SNR trace is non-decreasing. `grid_columns` (M, L) holds
+    the channel column of every grid point."""
     h_iu = np.asarray(h_iu)
+    grid_columns = _checked_columns(grid_columns, grid)
     phi = np.asarray(phi_init, dtype=complex).copy()
     indices = list(init_indices)
     num_mas = len(indices)
-    grid_columns = bs_irs.matrix(grid.points)  # (M, L)
     scale = power / noise_power
 
     def objective(phi_cur, idx):

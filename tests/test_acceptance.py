@@ -151,13 +151,14 @@ def test_criterion_07_alternating_loop_convergence(default_scenario):
         s = default_scenario.replace(master_seed=seed)
         rng = substream(seed, "accept7")
         real = harness.draw_realization(s, rng)
-        grid, _ = harness._grids(s)
+        context = harness.cell_context(s, real)
+        grid, columns = context.fine, context.fine_columns
         idx0 = su_opt.fpa_indices(grid, s.num_mas, s.min_spacing)
         phi0 = su_opt.random_reflection(rng, real.bs_irs.geometry.num_elements)
-        mu_sol = mu_opt.ao_multi_user(real.h_iu, real.bs_irs, grid, phi0, idx0,
+        mu_sol = mu_opt.ao_multi_user(real.h_iu, columns, grid, phi0, idx0,
                                       s.transmit_power, s.noise_power,
                                       min_spacing=s.min_spacing)
-        su_sol = su_opt.ao_single_user(real.h_iu[0], real.bs_irs, grid, phi0,
+        su_sol = su_opt.ao_single_user(real.h_iu[0], columns, grid, phi0,
                                        idx0, s.transmit_power, s.noise_power)
         monotone = monotone and bool(np.all(np.diff(mu_sol.trace) >= -1e-9))
         monotone = monotone and bool(np.all(np.diff(su_sol.trace) >= -1e-9))
@@ -208,7 +209,8 @@ def test_criterion_09d_random_phases_widen_fluctuation():
                     user_distance_range=(30.0, 30.0))
     wins = 0
     total = 50
-    grid, _ = harness._grids(scen)
+    grid = su_opt.SamplingGrid.from_region(scen.region(), scen.sample_spacing,
+                                           scen.min_spacing)
     idx = su_opt.fpa_indices(grid, scen.num_mas, scen.min_spacing)
     for seed in range(total):
         rng = substream(9, "accept9d", seed)

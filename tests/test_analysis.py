@@ -49,6 +49,38 @@ class TestSingleMaEquivalence:
         assert rep.passed
         assert all(c.value == 0.0 for c in rep.checks)
 
+    def test_equals_per_seed_profile(self):
+        # reference: the distance tensor rebuilt for every seed
+        scen = Scenario(irs_num_y=5, irs_num_z=4, master_seed=8, num_mas=1)
+        geometry, lam = scen.geometry(), scen.wavelength
+        distances, num_seeds, grid_points = (1, 2.5, 4), 4, 31
+        expected = []
+        for dist in distances:
+            region = scen.replace(bs_distance=float(dist)).region()
+            offsets = np.linspace(-region.length / 2, region.length / 2, grid_points)
+            points = region.point(offsets)
+            t_fpa = su_opt.optimal_single_ma_position(region)
+            worst = 0.0
+            for s in range(num_seeds):
+                rng = substream(scen.master_seed, "equiv", int(dist * 1000), s)
+                d_user = rng.uniform(*scen.user_distance_range)
+                az = rng.uniform(*scen.user_azimuth_range)
+                el = rng.uniform(*scen.user_elevation_range)
+                direction = np.array([np.cos(el) * np.cos(az),
+                                      np.cos(el) * np.sin(az), np.sin(el)])
+                h_iu = channel.rician_iu_channel(rng, geometry, d_user, direction,
+                                                 scen.rician_factor,
+                                                 scen.pathloss_exponent, lam)
+                d = np.linalg.norm(points[:, None, :]
+                                   - geometry.element_positions()[None, :, :], axis=2)
+                gains = (lam / (4 * np.pi)) ** 2 * np.sum(np.abs(h_iu) / d, axis=1) ** 2
+                g_fpa = su_opt.gain_closed_form(t_fpa, geometry, h_iu, lam)
+                worst = max(worst, abs(float(np.max(gains)) - g_fpa) / g_fpa)
+            expected.append(worst)
+        rep = analysis.verify_single_ma_equivalence(
+            scen, distances=distances, num_seeds=num_seeds, grid_points=grid_points)
+        assert [c.value for c in rep.checks] == expected
+
     def test_deterministic(self, scenario):
         a = analysis.verify_single_ma_equivalence(scenario, distances=(2,),
                                                   num_seeds=3)
@@ -101,7 +133,8 @@ class TestFluctuation:
             h_iu = real.h_iu[0]
             phi_rand = su_opt.random_reflection(
                 rng, real.bs_irs.geometry.num_elements)
-            grid, _ = harness._grids(scenario)
+            grid = su_opt.SamplingGrid.from_region(region, scenario.sample_spacing,
+                                                   scenario.min_spacing)
             idx = su_opt.fpa_indices(grid, scenario.num_mas, scenario.min_spacing)
             phi_opt, _ = su_opt.bcd_irs(h_iu, real.bs_irs.matrix(grid.points[idx]),
                                         phi_rand)
@@ -121,7 +154,8 @@ class TestFluctuation:
             model = channel.BsIrsModel(geometry, scen.wavelength)
             h_iu = np.ones(geometry.num_elements)
             region = scen.region()
-            grid, _ = harness._grids(scen)
+            grid = su_opt.SamplingGrid.from_region(region, scen.sample_spacing,
+                                                   scen.min_spacing)
             idx = su_opt.fpa_indices(grid, scen.num_mas, scen.min_spacing)
             phi, _ = su_opt.bcd_irs(h_iu, model.matrix(grid.points[idx]),
                                     su_opt.random_reflection(rng, geometry.num_elements))

@@ -79,6 +79,29 @@ class TestNuswLos:
         m_perm = channel.nusw_los_matrix(pos[::-1], small_geometry, 0.06)
         np.testing.assert_array_equal(m_perm, m[:, ::-1])
 
+    def test_matrix_equals_per_column_loop(self, rng):
+        # reference: one norm and one formula per antenna position
+        def column(t, geometry, lam):
+            d = np.linalg.norm(geometry.element_positions() - t, axis=-1)
+            return lam / (4 * np.pi * d) * np.exp(2j * np.pi * d / lam)
+
+        for _ in range(20):
+            lam = rng.uniform(0.01, 0.3)
+            g = IrsGeometry(int(rng.integers(1, 12)), int(rng.integers(1, 12)),
+                            rng.uniform(0.005, 0.1))
+            pos = rng.normal(size=(int(rng.integers(1, 40)), 3)) * rng.uniform(0.5, 10)
+            expected = np.column_stack([column(t, g, lam) for t in pos])
+            np.testing.assert_array_equal(channel.nusw_los_matrix(pos, g, lam), expected)
+
+    def test_matrix_coincident_point_raises(self, small_geometry):
+        pos = np.array([[2.0, 0, 0], small_geometry.element_positions()[5]])
+        with pytest.raises(DegenerateGeometryError):
+            channel.nusw_los_matrix(pos, small_geometry, 0.06)
+
+    def test_matrix_bad_wavelength(self, small_geometry):
+        with pytest.raises(InvalidParameterError):
+            channel.nusw_los_matrix([[2.0, 0, 0]], small_geometry, 0.0)
+
     def test_equidistant_antennas_equal_magnitude(self):
         g = IrsGeometry(num_y=1, num_z=1, spacing=0.0)
         m = channel.nusw_los_matrix([[1.0, 1.0, 0], [1.0, -1.0, 0]], g, 0.06)
@@ -272,35 +295,14 @@ class TestCascadedRow:
             channel.cascaded_row(np.ones(3), np.ones(2), np.ones((2, 1)))
 
 
-class TestDirectBsUser:
-    def test_one_wavelength(self):
-        lam = 0.06
-        val = channel.direct_bs_user([lam, 0, 0], [0, 0, 0], lam)
-        assert abs(val) == pytest.approx(1 / (4 * np.pi), rel=1e-12)
-
-    def test_inverse_distance_law(self):
-        lam = 0.06
-        v1 = channel.direct_bs_user([1.0, 0, 0], [0, 0, 0], lam)
-        v2 = channel.direct_bs_user([2.0, 0, 0], [0, 0, 0], lam)
-        assert abs(v2) == pytest.approx(abs(v1) / 2, rel=1e-12)
-
-    def test_coincident(self):
-        with pytest.raises(DegenerateGeometryError):
-            channel.direct_bs_user([1, 0, 0], [1, 0, 0], 0.06)
-
-
-def test_dump_channel_csv_roundtrip(tmp_path, rng):
-    m = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    path = tmp_path / "chan.csv"
-    channel.dump_channel_csv(m, path)
-    import csv
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["row", "col", "re", "im"]
-    rebuilt = np.zeros((3, 2), dtype=complex)
-    for r, c, re, im in rows[1:]:
-        rebuilt[int(r), int(c)] = float(re) + 1j * float(im)
-    np.testing.assert_array_equal(rebuilt, m)
+def test_user_direction_draws_azimuth_then_elevation():
+    az_range, el_range = (-1.0, 1.0), (-0.5, 0.5)
+    u = channel.draw_user_direction(np.random.default_rng(7), az_range, el_range)
+    ref = np.random.default_rng(7)
+    az, el = ref.uniform(*az_range), ref.uniform(*el_range)
+    np.testing.assert_array_equal(
+        u, [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-15)
 
 
 @settings(max_examples=30, deadline=None)

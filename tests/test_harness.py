@@ -1,14 +1,15 @@
 """Sweep harness: schemes, determinism, persistence and the CLI surface."""
 
 import csv
+import logging
 
 import numpy as np
 import pytest
 
-from irsma import harness
+from irsma import channel, harness
 from irsma.cli import main as cli_main
 from irsma.config import Scenario
-from irsma.errors import InvalidParameterError
+from irsma.errors import InfeasibleSpacingError, InvalidParameterError
 from irsma.rng import substream
 
 
@@ -62,11 +63,15 @@ class TestSweepSpec:
 
 class TestRealization:
     def test_shared_channels_fingerprint(self, scenario):
-        a = harness.draw_realization(scenario, substream(1, "c"))
-        b = harness.draw_realization(scenario, substream(1, "c"))
-        assert a.fingerprint == b.fingerprint
-        c = harness.draw_realization(scenario, substream(2, "c"))
-        assert a.fingerprint != c.fingerprint
+        # the same substream gives the same draw, another one a different draw
+        scen = scenario.replace(num_paths=2)
+        a = harness.draw_realization(scen, substream(1, "c"))
+        b = harness.draw_realization(scen, substream(1, "c"))
+        np.testing.assert_array_equal(a.h_iu, b.h_iu)
+        assert a.bs_irs.clusters == b.bs_irs.clusters
+        c = harness.draw_realization(scen, substream(2, "c"))
+        assert not np.array_equal(a.h_iu, c.h_iu)
+        assert a.bs_irs.clusters != c.bs_irs.clusters
 
     def test_multipath_clusters_present(self, scenario):
         real = harness.draw_realization(scenario.replace(num_paths=3),
@@ -75,22 +80,53 @@ class TestRealization:
         assert len(real.bs_irs.clusters.clusters) == 3
 
 
+def _context(scenario, seed=0):
+    return harness.cell_context(
+        scenario, harness.draw_realization(scenario, substream(seed, "c")))
+
+
+class TestCellContext:
+    def test_columns_match_grids(self, scenario):
+        ctx = _context(scenario)
+        bs_irs = ctx.realization.bs_irs
+        np.testing.assert_array_equal(ctx.fine_columns, bs_irs.matrix(ctx.fine.points))
+        np.testing.assert_array_equal(ctx.coarse_columns,
+                                      bs_irs.matrix(ctx.coarse.points))
+        grid, columns = ctx.grid(harness.AS)
+        assert grid is ctx.coarse and columns is ctx.coarse_columns
+        for scheme in (harness.PROPOSED, harness.FPA, harness.MA_RPS, harness.FPA_RPS):
+            grid, columns = ctx.grid(scheme)
+            assert grid is ctx.fine and columns is ctx.fine_columns
+
+    def test_run_cell_builds_columns_twice(self, scenario, small_spec, monkeypatch):
+        calls = []
+        original = channel.BsIrsModel.matrix
+
+        def counting(self, positions):
+            calls.append(len(positions))
+            return original(self, positions)
+
+        monkeypatch.setattr(channel.BsIrsModel, "matrix", counting)
+        records = harness.run_cell(scenario, small_spec, 2.0, 0, 0)
+        assert len(records) == len(harness.ALL_SCHEMES)
+        assert len(calls) == 2
+
+
 class TestRunScheme:
     def test_unknown_scheme(self, scenario):
-        real = harness.draw_realization(scenario, substream(0, "c"))
         with pytest.raises(InvalidParameterError):
-            harness.run_scheme("BOGUS", scenario, real, rng=substream(0, "i"))
+            harness.run_scheme("BOGUS", scenario, _context(scenario),
+                               rng=substream(0, "i"))
 
     def test_rps_requires_phi(self, scenario):
-        real = harness.draw_realization(scenario, substream(0, "c"))
         with pytest.raises(InvalidParameterError):
-            harness.run_scheme(harness.MA_RPS, scenario, real,
+            harness.run_scheme(harness.MA_RPS, scenario, _context(scenario),
                                rng=substream(0, "i"))
 
     def test_single_user_rate_is_log_snr(self):
         s = Scenario(irs_num_y=6, irs_num_z=6, num_users=1, master_seed=4)
-        real = harness.draw_realization(s, substream(4, "c"))
-        run = harness.run_scheme(harness.FPA, s, real, rng=substream(4, "i"))
+        run = harness.run_scheme(harness.FPA, s, _context(s, seed=4),
+                                 rng=substream(4, "i"))
         assert run.rate > 0
         assert run.solution.snr == pytest.approx(2 ** run.rate - 1, rel=1e-9)
 
@@ -138,14 +174,35 @@ class TestRunSweep:
         metrics = {r[3] for r in rows[1:]}
         assert metrics == {"sum_rate", "iterations"}
 
-    def test_failed_cell_is_skipped(self, small_spec, capsys):
+    def test_failed_cell_is_skipped(self, small_spec, caplog):
         # zero-length region with 4 antennas cannot fit: every cell fails
         bad = Scenario(irs_num_y=6, irs_num_z=6, region_length=0.01, master_seed=0)
-        res = harness.run_sweep(
-            harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,),
-                              realizations=1, seed=0), bad)
+        with caplog.at_level(logging.WARNING, logger="irsma.harness"):
+            res = harness.run_sweep(
+                harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,),
+                                  realizations=1, seed=0), bad)
         assert res.records == []
-        assert "failed" in capsys.readouterr().out
+        assert "failed" in caplog.text
+
+    def test_one_failed_cell_is_logged(self, scenario, monkeypatch, caplog):
+        original = harness.cell_context
+
+        def failing(scen, realization):
+            if scen.bs_distance == 5.0:
+                raise InfeasibleSpacingError("forced")
+            return original(scen, realization)
+
+        monkeypatch.setattr(harness, "cell_context", failing)
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 5.0),
+                                 realizations=1, seed=21, schemes=(harness.FPA,))
+        with caplog.at_level(logging.WARNING, logger="irsma.harness"):
+            res = harness.run_sweep(spec, scenario)
+        assert [(r.scheme, r.param) for r in res.records] == [(harness.FPA, 2.0)]
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].name == "irsma.harness"
+        assert "value=5.0 realization=0 failed" in warnings[0].getMessage()
+        assert "forced" in warnings[0].getMessage()
 
 
 class TestSummarize:

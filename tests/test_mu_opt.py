@@ -428,7 +428,7 @@ class TestAoMultiUser:
     def test_trace_monotone(self, small_scenario):
         s = small_scenario
         h_iu, model, grid, phi0, idx0 = _mu_setup(s)
-        sol = mu_opt.ao_multi_user(h_iu, model, grid, phi0, idx0,
+        sol = mu_opt.ao_multi_user(h_iu, model.matrix(grid.points), grid, phi0, idx0,
                                    s.transmit_power, s.noise_power,
                                    min_spacing=s.min_spacing)
         assert np.all(np.diff(sol.trace) >= -1e-9)
@@ -449,13 +449,22 @@ class TestAoMultiUser:
 
         h_iu, _, grid, phi0, idx0 = _mu_setup(s, seed=5)
         common = dict(min_spacing=s.min_spacing, optimize_phi=False)
-        fpa = mu_opt.ao_multi_user(h_iu, FarFieldModel(), grid, phi0, idx0,
+        columns = FarFieldModel().matrix(grid.points)
+        fpa = mu_opt.ao_multi_user(h_iu, columns, grid, phi0, idx0,
                                    s.transmit_power, s.noise_power,
                                    optimize_positions=False, **common)
-        ma = mu_opt.ao_multi_user(h_iu, FarFieldModel(), grid, phi0, idx0,
+        ma = mu_opt.ao_multi_user(h_iu, columns, grid, phi0, idx0,
                                   s.transmit_power, s.noise_power,
                                   optimize_positions=True, **common)
         assert abs(ma.sum_rate - fpa.sum_rate) / fpa.sum_rate <= 1e-4
+
+    def test_columns_of_another_grid_rejected(self, small_scenario):
+        s = small_scenario
+        h_iu, model, grid, phi0, idx0 = _mu_setup(s)
+        with pytest.raises(InvalidParameterError):
+            mu_opt.ao_multi_user(h_iu, model.matrix(grid.points[:-1]), grid, phi0,
+                                 idx0, s.transmit_power, s.noise_power,
+                                 min_spacing=s.min_spacing)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,45 @@ class TestGraphPositionSelect:
             assert sum(w[i] for i in got) == pytest.approx(
                 sum(w[i] for i in best), rel=1e-12)
 
+    def test_equals_prefix_loop_reference(self):
+        # reference: the dynamic program with a Python prefix-argmax loop
+        def reference(w, num_select, min_gap):
+            w = np.asarray(w, dtype=float)
+            num_points = len(w)
+            value = w.copy()
+            preds = []
+            for _ in range(1, num_select):
+                pref_val = np.maximum.accumulate(value)
+                pref_idx = np.zeros(num_points, dtype=int)
+                best, best_i = value[0], 0
+                for l in range(num_points):
+                    if value[l] > best:
+                        best, best_i = value[l], l
+                    pref_idx[l] = best_i
+                nxt = np.full(num_points, -np.inf)
+                pred = np.full(num_points, -1, dtype=int)
+                nxt[min_gap:] = w[min_gap:] + pref_val[:-min_gap]
+                pred[min_gap:] = pref_idx[:-min_gap]
+                value, preds = nxt, preds + [pred]
+            last = int(np.argmax(value))
+            chosen = [last]
+            for pred in reversed(preds):
+                last = int(pred[last])
+                chosen.append(last)
+            return sorted(chosen)
+
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            num_points = int(rng.integers(2, 30))
+            num_select = int(rng.integers(1, 6))
+            min_gap = int(rng.integers(1, 5))
+            if (num_select - 1) * min_gap + 1 > num_points:
+                continue
+            w = rng.integers(0, 4, num_points).astype(float)  # many ties
+            w[:int(rng.integers(0, 3))] = -np.inf
+            assert su_opt.graph_position_select(w, num_select, min_gap) == \
+                reference(w, num_select, min_gap)
+
 
 class TestBcd:
     def test_single_element_invariant(self):
@@ -295,7 +334,7 @@ class TestAoSingleUser:
     def test_monotone_and_improves_on_init(self, small_scenario):
         s = small_scenario
         h_iu, model, grid, phi0, idx0 = _su_setup(s)
-        sol = su_opt.ao_single_user(h_iu, model, grid, phi0, idx0,
+        sol = su_opt.ao_single_user(h_iu, model.matrix(grid.points), grid, phi0, idx0,
                                     s.transmit_power, s.noise_power)
         assert np.all(np.diff(sol.trace) >= -1e-9)
         assert sol.snr >= sol.trace[0] - 1e-9
@@ -321,7 +360,8 @@ class TestAoSingleUser:
         phi0 = su_opt.random_reflection(rng, geometry.num_elements)
         snrs = []
         for start in ([0, 6, 12, 18], [5, 25, 60, 99], [40, 50, 70, 90]):
-            sol = su_opt.ao_single_user(h_iu, FarFieldModel(), grid, phi0, start,
+            sol = su_opt.ao_single_user(h_iu, FarFieldModel().matrix(grid.points), grid,
+                                        phi0, start,
                                         s.transmit_power, s.noise_power,
                                         optimize_positions=False)
             snrs.append(sol.snr)
@@ -330,14 +370,21 @@ class TestAoSingleUser:
     def test_position_only_and_phase_only_flags(self, small_scenario):
         s = small_scenario
         h_iu, model, grid, phi0, idx0 = _su_setup(s, seed=3)
-        sol_pos = su_opt.ao_single_user(h_iu, model, grid, phi0, idx0,
+        sol_pos = su_opt.ao_single_user(h_iu, model.matrix(grid.points), grid, phi0, idx0,
                                         s.transmit_power, s.noise_power,
                                         optimize_phi=False)
         np.testing.assert_array_equal(sol_pos.phi, phi0)
-        sol_phi = su_opt.ao_single_user(h_iu, model, grid, phi0, idx0,
+        sol_phi = su_opt.ao_single_user(h_iu, model.matrix(grid.points), grid, phi0, idx0,
                                         s.transmit_power, s.noise_power,
                                         optimize_positions=False)
         assert sol_phi.indices == list(idx0)
+
+    def test_columns_of_another_grid_rejected(self, small_scenario):
+        s = small_scenario
+        h_iu, model, grid, phi0, idx0 = _su_setup(s)
+        with pytest.raises(InvalidParameterError):
+            su_opt.ao_single_user(h_iu, model.matrix(grid.points[:-1]), grid, phi0,
+                                  idx0, s.transmit_power, s.noise_power)
 
 
 @settings(max_examples=25, deadline=None)
