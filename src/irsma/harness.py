@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -114,13 +115,17 @@ class SchemeRun:
 class CellContext:
     """Everything the schemes of one cell share: the channel draw, the fine
     grid (antenna selection AS uses the coarse one) and each grid's channel
-    columns, (M, L)."""
+    columns, (M, L). The coarse columns are built on first use, so a cell
+    without AS never builds them."""
 
     realization: Realization
     fine: su_opt.SamplingGrid
     coarse: su_opt.SamplingGrid
     fine_columns: np.ndarray
-    coarse_columns: np.ndarray
+
+    @functools.cached_property
+    def coarse_columns(self) -> np.ndarray:
+        return self.realization.bs_irs.matrix(self.coarse.points)
 
     def grid(self, scheme: str) -> tuple[su_opt.SamplingGrid, np.ndarray]:
         if scheme == AS:
@@ -129,15 +134,13 @@ class CellContext:
 
 
 def cell_context(scenario: Scenario, realization: Realization) -> CellContext:
-    """Build the grids of `scenario` and their channel columns once."""
+    """Build the grids of `scenario` and the fine grid's channel columns once."""
     region = scenario.region()
     fine = su_opt.SamplingGrid.from_region(region, scenario.sample_spacing,
                                            scenario.min_spacing)
     coarse = su_opt.SamplingGrid.from_region(region, scenario.min_spacing,
                                              scenario.min_spacing)
-    return CellContext(realization, fine, coarse,
-                       realization.bs_irs.matrix(fine.points),
-                       realization.bs_irs.matrix(coarse.points))
+    return CellContext(realization, fine, coarse, realization.bs_irs.matrix(fine.points))
 
 
 def _nearest_indices(grid, positions: np.ndarray) -> list[int]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (DegenerateRetractionError, InvalidParameterError,
                      MultiplierBracketError, SingularMatrixError)
-from .su_opt import _TINY, SamplingGrid, _checked_columns
+from .su_opt import _TINY, SamplingGrid, _checked_columns, _require_finite
 
 # Doublings of the multiplier bracket's upper end (starting at 1) before the
 # search gives up; 2**200 is far beyond any multiplier of a physical channel.
@@ -266,8 +266,13 @@ def _retract_step(phi, step, eta):
 
 @dataclass
 class ManifoldTrace:
+    """Objective and gradient norm after each accepted step, and why the
+    solver stopped: "tol" (gradient norm at most `grad_tol`), "max_iter" or
+    "line_search" (no trial step met the Armijo condition)."""
+
     objective: list[float] = field(default_factory=list)
     grad_norm: list[float] = field(default_factory=list)
+    exit: str = ""
 
 
 def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
@@ -276,10 +281,13 @@ def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
                 max_backtracks: int = 30) -> tuple[np.ndarray, ManifoldTrace]:
     """Polak-Ribiere conjugate gradient on the unit-modulus manifold with an
     Armijo line search. The objective (negative sum rate) never increases on
-    accepted steps."""
-    for name, value in (("h_iu", h_iu), ("h_bi", h_bi), ("w", w), ("phi_init", phi_init)):
-        if not np.all(np.isfinite(value)):
-            raise InvalidParameterError(f"non-finite entries in {name}")
+    accepted steps.
+
+    The first search starts at step 1; each later one at the Barzilai-Borwein
+    length (s.s)/(s.y) of the last accepted step s and gradient change y, both
+    transported to the new point, rescaled from the gradient to the new
+    search direction (twice the last step when s.y <= 0)."""
+    _require_finite(h_iu=h_iu, h_bi=h_bi, w=w, phi_init=phi_init)
     r = interaction_vectors(h_iu, h_bi, w)
     phi = np.asarray(phi_init, dtype=complex).copy()
     phi = phi / np.abs(phi)
@@ -289,6 +297,7 @@ def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
     eta = -grad
     gnorm = float(np.linalg.norm(grad))
     trace = ManifoldTrace([f], [gnorm])
+    step = 1.0
 
     for _ in range(max_iter):
         if gnorm <= grad_tol:
@@ -297,7 +306,6 @@ def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
         if slope >= 0:  # not a descent direction: restart
             eta = -grad
             slope = -gnorm ** 2
-        step = 1.0
         accepted = False
         for _ in range(max_backtracks):
             cand = _retract_step(phi, step, eta)
@@ -307,17 +315,27 @@ def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
                 break
             step *= backtrack
         if not accepted:
-            break
+            trace.exit = "line_search"
+            return phi, trace
         phi_new = cand
         grad_new = riemannian_project(euclidean_grad_f2(phi_new, r, noise_power), phi_new)
         grad_prev = vector_transport(grad, phi_new)
+        eta_prev = vector_transport(eta, phi_new)
         tau = float(np.real(np.vdot(grad_new, grad_new - grad_prev))) / max(gnorm ** 2, _TINY)
         tau = max(0.0, tau)
-        eta = -grad_new + tau * vector_transport(eta, phi_new)
+        eta = -grad_new + tau * eta_prev
         phi, grad, f = phi_new, grad_new, f_cand
         gnorm = float(np.linalg.norm(grad))
         trace.objective.append(f)
         trace.grad_norm.append(gnorm)
+        s_vec = step * eta_prev
+        sy = float(np.real(np.vdot(s_vec, grad_new - grad_prev)))
+        if sy > 0:
+            step = (float(np.real(np.vdot(s_vec, s_vec))) / sy
+                    * gnorm / max(float(np.linalg.norm(eta)), _TINY))
+        else:
+            step *= 2.0
+    trace.exit = "tol" if gnorm <= grad_tol else "max_iter"
     return phi, trace
 
 
@@ -387,6 +405,9 @@ def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices
     """Alternate precoding (WMMSE), reflection (manifold CG) and positions
     (sequential grid search); the sum-rate trace is non-decreasing.
     `grid_columns` (M, L) holds the channel column of every grid point."""
+    _require_finite(h_iu=h_iu, grid_columns=grid_columns, phi_init=phi_init)
+    if w_init is not None:
+        _require_finite(w_init=w_init)
     h_iu = np.atleast_2d(np.asarray(h_iu))
     num_users = h_iu.shape[0]
     phi = np.asarray(phi_init, dtype=complex).copy()

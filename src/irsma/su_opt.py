@@ -195,6 +195,13 @@ def bcd_irs(h_iu, h_bi, phi_init, tol: float = 1e-3,
     return phi, trace
 
 
+def _require_finite(**arrays) -> None:
+    """Reject solver inputs with NaN or infinite entries."""
+    for name, value in arrays.items():
+        if not np.all(np.isfinite(value)):
+            raise InvalidParameterError(f"non-finite entries in {name}")
+
+
 def _checked_columns(grid_columns, grid: SamplingGrid) -> np.ndarray:
     grid_columns = np.asarray(grid_columns)
     if grid_columns.ndim != 2 or grid_columns.shape[1] != grid.num_points:
@@ -224,6 +231,7 @@ def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
     """Alternate reflection BCD and optimal grid placement with matched transmit
     beamforming; the SNR trace is non-decreasing. `grid_columns` (M, L) holds
     the channel column of every grid point."""
+    _require_finite(h_iu=h_iu, grid_columns=grid_columns, phi_init=phi_init)
     h_iu = np.asarray(h_iu)
     grid_columns = _checked_columns(grid_columns, grid)
     phi = np.asarray(phi_init, dtype=complex).copy()

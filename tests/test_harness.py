@@ -98,7 +98,9 @@ class TestCellContext:
             grid, columns = ctx.grid(scheme)
             assert grid is ctx.fine and columns is ctx.fine_columns
 
-    def test_run_cell_builds_columns_twice(self, scenario, small_spec, monkeypatch):
+    @pytest.fixture
+    def matrix_calls(self, monkeypatch):
+        """Column count of every `BsIrsModel.matrix` call."""
         calls = []
         original = channel.BsIrsModel.matrix
 
@@ -107,9 +109,20 @@ class TestCellContext:
             return original(self, positions)
 
         monkeypatch.setattr(channel.BsIrsModel, "matrix", counting)
+        return calls
+
+    def test_run_cell_builds_columns_twice(self, scenario, small_spec, matrix_calls):
         records = harness.run_cell(scenario, small_spec, 2.0, 0, 0)
         assert len(records) == len(harness.ALL_SCHEMES)
-        assert len(calls) == 2
+        assert len(matrix_calls) == 2
+
+    def test_run_cell_without_as_builds_columns_once(self, scenario, matrix_calls):
+        schemes = tuple(s for s in harness.ALL_SCHEMES if s != harness.AS)
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,),
+                                 schemes=schemes, realizations=1, seed=21)
+        records = harness.run_cell(scenario, spec, 2.0, 0, 0)
+        assert sorted(r.scheme for r in records) == sorted(schemes)
+        assert len(matrix_calls) == 1
 
 
 class TestRunScheme:

@@ -5,10 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from irsma import channel, mu_opt, su_opt
+from irsma import channel, harness, mu_opt, su_opt
 from irsma.config import Scenario
 from irsma.errors import (InvalidParameterError, MultiplierBracketError,
                           SingularMatrixError)
+from irsma.rng import substream
 
 
 def _random_rows(rng, k, n, scale=1.0):
@@ -344,6 +345,24 @@ class TestManifoldCg:
         # terminates either below tolerance or at an Armijo stall
         assert trace.grad_norm[-1] <= tol or len(trace.objective) < 5001
 
+    @pytest.mark.parametrize("kwargs, reason", [
+        ({}, "tol"),
+        ({"max_iter": 1}, "max_iter"),
+        ({"max_backtracks": 0}, "line_search"),  # no trial step at all
+    ])
+    def test_exit_reason(self, rng, kwargs, reason):
+        h_iu, h_bi, w, _, phi0 = _interaction_setup(rng, k=1, n=2, m=8)
+        phi, trace = mu_opt.manifold_cg(h_iu, h_bi, w, phi0, 0.3, **kwargs)
+        assert trace.exit == reason
+        steps = len(trace.objective) - 1
+        if reason == "tol":
+            assert trace.grad_norm[-1] <= 1e-6 and steps < 500
+        elif reason == "max_iter":
+            assert steps == 1 and trace.grad_norm[-1] > 1e-6
+        else:
+            assert steps == 0
+            np.testing.assert_allclose(phi, phi0 / np.abs(phi0), atol=1e-15)
+
 
 class TestSequentialPositionSearch:
     def _points(self, L, step=0.03):
@@ -466,6 +485,21 @@ class TestAoMultiUser:
                                  idx0, s.transmit_power, s.noise_power,
                                  min_spacing=s.min_spacing)
 
+    @pytest.mark.parametrize("arg", ["h_iu", "grid_columns", "phi_init", "w_init"])
+    def test_nonfinite_input_rejected(self, small_scenario, arg):
+        s = small_scenario
+        h_iu, model, grid, phi0, idx0 = _mu_setup(s)
+        args = dict(h_iu=h_iu, grid_columns=model.matrix(grid.points), phi_init=phi0,
+                    w_init=np.ones((s.num_mas, s.num_users), dtype=complex))
+        args[arg] = args[arg].copy()
+        # the last grid point is not a starting position, so only the input
+        # check sees a bad column there
+        args[arg].flat[-1] = np.inf if arg == "grid_columns" else np.nan
+        with pytest.raises(InvalidParameterError):
+            mu_opt.ao_multi_user(grid=grid, init_indices=idx0, power=s.transmit_power,
+                                 noise_power=s.noise_power, min_spacing=s.min_spacing,
+                                 max_outer=1, **args)
+
 
 # ---------------------------------------------------------------------------
 # Reference implementations of the matmul objective and gradient, the
@@ -531,6 +565,41 @@ def _reference_wmmse(h_rows, w_init, power, noise_power, tol=1e-6, max_iter=200)
         if trace[-1] - trace[-2] <= tol * max(abs(trace[-2]), 1e-300):
             break
     return w, trace
+
+
+def _reference_step_one_cg(h_iu, h_bi, w, phi_init, noise_power, max_iter=500):
+    """Manifold CG whose every Armijo search starts at step 1; returns the
+    final objective."""
+    r = mu_opt.interaction_vectors(h_iu, h_bi, w)
+    phi = np.asarray(phi_init, dtype=complex) / np.abs(phi_init)
+    f = mu_opt.neg_sum_rate(phi, r, noise_power)
+    grad = mu_opt.riemannian_project(mu_opt.euclidean_grad_f2(phi, r, noise_power), phi)
+    eta = -grad
+    for _ in range(max_iter):
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= 1e-6:
+            break
+        slope = float(np.real(np.vdot(grad, eta)))
+        if slope >= 0:
+            eta = -grad
+            slope = -gnorm ** 2
+        step = 1.0
+        for _ in range(30):
+            cand = mu_opt._retract_step(phi, step, eta)
+            f_cand = mu_opt.neg_sum_rate(cand, r, noise_power)
+            if f_cand <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        grad_new = mu_opt.riemannian_project(
+            mu_opt.euclidean_grad_f2(cand, r, noise_power), cand)
+        grad_prev = mu_opt.riemannian_project(grad, cand)
+        tau = max(0.0, float(np.real(np.vdot(grad_new, grad_new - grad_prev)))
+                  / max(gnorm ** 2, 1e-300))
+        eta = -grad_new + tau * mu_opt.riemannian_project(eta, cand)
+        phi, grad, f = cand, grad_new, f_cand
+    return f
 
 
 def _reference_position_search(table, points, w, min_spacing, init, noise_power,
@@ -631,3 +700,33 @@ class TestRewriteEquivalence:
             assert got[0] < half
             copies = [got[1] % half + t * half for t in range(3)]
             assert got[1] == min(j for j in copies if abs(j - got[0]) >= 2)
+
+
+class TestManifoldCgConvergence:
+    """The CG on instances drawn like the first reflection update of a
+    line-of-sight sweep cell (K=3 users, N=4 antennas, M=225 elements, one
+    cell at each distance from 2 to 6 m)."""
+
+    @staticmethod
+    def _cells(seed=3):
+        base = Scenario(num_users=3, num_paths=0, master_seed=0)
+        for vi, distance in enumerate((2.0, 3.0, 4.0, 5.0, 6.0)):
+            s = harness.apply_parameter(base, "bs_irs_distance", distance)
+            real = harness.draw_realization(
+                s, substream(seed, "chan", "bs_irs_distance", vi, 0))
+            ctx = harness.cell_context(s, real)
+            idx = su_opt.fpa_indices(ctx.fine, s.num_mas, s.min_spacing)
+            phi0 = su_opt.random_reflection(substream(seed, "init", vi, 0, harness.FPA),
+                                            ctx.fine_columns.shape[0])
+            columns = ctx.fine_columns[:, idx]
+            h = (real.h_iu.conj() * phi0) @ columns
+            w0 = h.conj().T / np.linalg.norm(h, axis=1) * np.sqrt(s.transmit_power / 3)
+            w, _ = mu_opt.wmmse(h, w0, s.transmit_power, s.noise_power)
+            yield real.h_iu, columns, w, phi0, s.noise_power
+
+    def test_converges_and_beats_step_one_search(self):
+        for args in self._cells():
+            assert args[1].shape == (225, 4) and args[2].shape == (4, 3)
+            _, trace = mu_opt.manifold_cg(*args)
+            assert trace.exit == "tol"
+            assert trace.objective[-1] <= _reference_step_one_cg(*args)

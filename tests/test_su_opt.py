@@ -386,6 +386,17 @@ class TestAoSingleUser:
             su_opt.ao_single_user(h_iu, model.matrix(grid.points[:-1]), grid, phi0,
                                   idx0, s.transmit_power, s.noise_power)
 
+    @pytest.mark.parametrize("arg", ["h_iu", "grid_columns", "phi_init"])
+    def test_nonfinite_input_rejected(self, small_scenario, arg):
+        s = small_scenario
+        h_iu, model, grid, phi0, idx0 = _su_setup(s)
+        args = dict(h_iu=h_iu, grid_columns=model.matrix(grid.points), phi_init=phi0)
+        args[arg] = args[arg].copy()
+        args[arg].flat[0] = np.inf if arg == "grid_columns" else np.nan
+        with pytest.raises(InvalidParameterError):
+            su_opt.ao_single_user(grid=grid, init_indices=idx0, power=s.transmit_power,
+                                  noise_power=s.noise_power, **args)
+
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
