@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Print one sha256 per output file of the five shipped sweeps
-# (--realizations 2 --seed 0) and of `irsma verify --seed 0`, with BLAS on one
+# (--realizations 2 --seed 0), of `irsma verify --seed 0`, of `irsma profile`
+# on the single-user equivalence config and of `irsma convergence` on the
+# default and the single-user scenario (all --seed 0), with BLAS on one
 # thread. Run it on two commits and diff the output to check that a change
-# keeps the records byte-identical.
+# keeps the outputs of all four subcommands byte-identical.
 # Usage: scripts/records_digest.sh [OUT_DIR]   (default: a fresh temp dir)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,4 +18,11 @@ for cfg in single_user_multipath_sweep multi_user_los_sweep \
         --seed 0 --out "$OUT/$cfg" > "$OUT/$cfg.stdout"
 done
 python -m irsma.cli verify --seed 0 --out "$OUT/verify" > "$OUT/verify.stdout"
+SU=configs/single_user_equivalence.yaml
+python -m irsma.cli profile --config "$SU" --seed 0 --out "$OUT/profile" \
+    > "$OUT/profile.stdout"
+python -m irsma.cli convergence --seed 0 --out "$OUT/convergence" \
+    > "$OUT/convergence.stdout"
+python -m irsma.cli convergence --config "$SU" --seed 0 \
+    --out "$OUT/convergence_single_user" > "$OUT/convergence_single_user.stdout"
 (cd "$OUT" && find . -type f | LC_ALL=C sort | xargs sha256sum)

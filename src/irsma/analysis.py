@@ -158,15 +158,17 @@ def verify_far_field_no_gain(scenario: Scenario, num_apvs: int = 100,
     return report
 
 
-def fluctuation_profile(h_iu, phi, bs_irs: channel.BsIrsModel, region: TransmitRegion,
-                        resolution: int = 200) -> tuple[np.ndarray, np.ndarray, float]:
-    """Effective channel power gain along the region axis for a fixed
-    reflection; returns (offsets, gains, max-min spread in dB)."""
+def fluctuation_profile(h_iu, phis, bs_irs: channel.BsIrsModel, region: TransmitRegion,
+                        resolution: int = 200) -> tuple[np.ndarray, list, list]:
+    """Effective channel power gain along the region axis for each fixed
+    reflection in `phis`, all on one build of the channel columns; returns
+    (offsets, per-reflection gains, per-reflection max-min spreads in dB)."""
     offsets = np.linspace(-region.length / 2, region.length / 2, resolution)
     cols = bs_irs.matrix(region.point(offsets))
-    gains = np.abs((np.asarray(h_iu).conj() * np.asarray(phi)) @ cols) ** 2
-    spread_db = float(10 * np.log10(np.max(gains) / np.min(gains)))
-    return offsets, gains, spread_db
+    gains = [np.abs((np.asarray(h_iu).conj() * np.asarray(phi)) @ cols) ** 2
+             for phi in phis]
+    spreads = [float(10 * np.log10(np.max(g) / np.min(g))) for g in gains]
+    return offsets, gains, spreads
 
 
 def verify_fluctuation_monotonicity(scenario: Scenario,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, harness, mu_opt, su_opt
+from . import analysis, harness, su_opt
 from .config import Scenario, load_config, scenario_from_dict
 from .rng import substream
 
@@ -68,26 +68,25 @@ def cmd_profile(args) -> int:
     rng = substream(scenario.master_seed, "profile")
     scen = scenario.replace(num_users=1)
     realization = harness.draw_realization(scen, rng)
-    region = scen.region()
     context = harness.cell_context(scen, realization)
     grid = context.fine
-    idx0 = su_opt.fpa_indices(grid, scen.num_mas, scen.min_spacing)
     h_iu = realization.h_iu[0]
 
     phi_rand = su_opt.random_reflection(rng, realization.bs_irs.geometry.num_elements)
-    sol = su_opt.ao_single_user(h_iu, context.fine_columns, grid, phi_rand, idx0,
+    sol = su_opt.ao_single_user(h_iu, context.fine_columns, grid, phi_rand,
+                                su_opt.fpa_indices(grid, scen.num_mas),
                                 scen.transmit_power, scen.noise_power)
-    rows = []
-    for label, phi in (("optimized", sol.phi), ("random", phi_rand)):
-        offsets, gains, spread = analysis.fluctuation_profile(
-            h_iu, phi, realization.bs_irs, region, resolution=args.resolution)
-        print(f"{label}: max-min spread {spread:.2f} dB")
-        rows.extend((label, s, g) for s, g in zip(offsets, gains))
+    labels = ("optimized", "random")
+    offsets, gains, spreads = analysis.fluctuation_profile(
+        h_iu, (sol.phi, phi_rand), realization.bs_irs, scen.region(),
+        resolution=args.resolution)
     with open(out / "profile.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["reflection", "offset_m", "gain"])
-        for label, s, g in rows:
-            writer.writerow([label, repr(float(s)), repr(float(g))])
+        for label, gain, spread in zip(labels, gains, spreads):
+            print(f"{label}: max-min spread {spread:.2f} dB")
+            for s, g in zip(offsets, gain):
+                writer.writerow([label, repr(float(s)), repr(float(g))])
     return 0
 
 
@@ -98,18 +97,10 @@ def cmd_convergence(args) -> int:
     rng = substream(scenario.master_seed, "convergence")
     realization = harness.draw_realization(scenario, rng)
     context = harness.cell_context(scenario, realization)
-    grid, columns = context.fine, context.fine_columns
-    idx0 = su_opt.fpa_indices(grid, scenario.num_mas, scenario.min_spacing)
-    phi0 = su_opt.random_reflection(rng, realization.bs_irs.geometry.num_elements)
+    sol = harness.run_scheme(harness.PROPOSED, scenario, context, rng=rng).solution
     if scenario.num_users == 1:
-        sol = su_opt.ao_single_user(realization.h_iu[0], columns, grid,
-                                    phi0, idx0, scenario.transmit_power,
-                                    scenario.noise_power)
         trace = [float(np.log2(1 + g)) for g in sol.trace]
     else:
-        sol = mu_opt.ao_multi_user(realization.h_iu, columns, grid, phi0,
-                                   idx0, scenario.transmit_power, scenario.noise_power,
-                                   min_spacing=scenario.min_spacing)
         trace = sol.trace
     with open(out / "convergence.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -132,9 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="YAML config path")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--realizations", type=int, default=None)
         p.add_argument("--out", type=str, default="out")
-        p.add_argument("--threads", type=int, default=1)
+        if name == "sweep":
+            p.add_argument("--realizations", type=int, default=None)
+            p.add_argument("--threads", type=int, default=1)
         if name == "profile":
             p.add_argument("--resolution", type=int, default=200)
         p.set_defaults(func=fn)

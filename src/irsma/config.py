@@ -104,7 +104,6 @@ class Scenario:
     pathloss_exponent: float = 2.8
     num_paths: int = 0
     master_seed: int = 0
-    num_realizations: int = 50
 
     irs_num_y: int = 15
     irs_num_z: int = 15
@@ -145,10 +144,6 @@ class Scenario:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_frequency
 
-    @property
-    def transmit_snr(self) -> float:
-        return self.transmit_power / self.noise_power
-
     def geometry(self) -> IrsGeometry:
         return IrsGeometry(self.irs_num_y, self.irs_num_z, self.irs_spacing)
 
@@ -179,7 +174,3 @@ def load_config(path) -> dict:
         data = yaml.safe_load(fh)
     return data or {}
 
-
-def load_scenario(path) -> Scenario:
-    data = load_config(path)
-    return scenario_from_dict(data.get("scenario", {}))

@@ -179,7 +179,7 @@ def run_scheme(scheme: str, scenario: Scenario, context: CellContext, *,
         # carry positions over, not indices
         idx0 = _nearest_indices(grid, np.asarray(warm.positions))
     else:
-        idx0 = su_opt.fpa_indices(grid, num_mas, scenario.min_spacing)
+        idx0 = su_opt.fpa_indices(grid, num_mas)
     optimize_positions = scheme in (PROPOSED, AS, MA_RPS)
 
     if scenario.num_users == 1:

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import (DegenerateRetractionError, InvalidParameterError,
                      MultiplierBracketError, SingularMatrixError)
-from .su_opt import _TINY, SamplingGrid, _checked_columns, _require_finite
+from .su_opt import (_TINY, SamplingGrid, _checked_columns, _require_finite,
+                     _index_gap)
 
 # Doublings of the multiplier bracket's upper end (starting at 1) before the
 # search gives up; 2**200 is far beyond any multiplier of a physical channel.
@@ -343,43 +344,39 @@ def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
 # Discrete position search and the outer alternating loop
 
 
-def sequential_position_search(cascade_table: np.ndarray, points: np.ndarray,
-                               w: np.ndarray, min_spacing: float,
-                               init_indices, noise_power: float,
-                               sweeps: int = 1) -> list[int]:
-    """One-at-a-time grid search of the antenna positions.
+def sequential_position_search(cascade_table: np.ndarray, w: np.ndarray,
+                               min_gap: int, init_indices,
+                               noise_power: float) -> list[int]:
+    """One sweep of one-at-a-time grid search of the antenna positions.
 
     `cascade_table` is (K, L): the cascaded channel seen by each user from an
     antenna at each grid point (for the current reflection). Each antenna in
-    turn is moved to the feasible point maximizing the sum rate (the lowest
-    index among ties); an empty feasible set keeps the current position. The
-    sum rate never decreases.
+    turn is moved to the grid index at least `min_gap` from every other
+    antenna's index that maximizes the sum rate (the lowest index among
+    ties); an empty feasible set keeps the current position. The sum rate
+    never decreases.
     """
     cascade_table = np.atleast_2d(np.asarray(cascade_table))
-    points = np.asarray(points)
     w = np.atleast_2d(np.asarray(w))
     indices = list(init_indices)
     num_mas = len(indices)
-    for _ in range(sweeps):
-        for n in range(num_mas):
-            others = [indices[m] for m in range(num_mas) if m != n]
-            if others:
-                dists = np.linalg.norm(points[:, None, :] - points[others][None, :, :], axis=2)
-                feasible = np.where(np.all(dists >= min_spacing - 1e-12, axis=1))[0]
-            else:
-                feasible = np.arange(len(points))
-            if len(feasible) == 0:
-                continue
-            keep = np.arange(num_mas) != n
-            # links[c, k, i] = h_k^H w_i with antenna n at candidate c: the
-            # other antennas' part plus antenna n's; rates as in `user_rate`
-            base = cascade_table[:, others] @ w[keep]  # (K, K)
-            links = base[None] + cascade_table[:, feasible].T[:, :, None] * w[n]
-            gains = np.abs(links) ** 2
-            signal = np.diagonal(gains, axis1=1, axis2=2)
-            interference = np.sum(gains, axis=2) - signal
-            rates = np.sum(np.log2(1 + signal / (interference + noise_power)), axis=1)
-            indices[n] = int(feasible[np.argmax(rates)])
+    candidates = np.arange(cascade_table.shape[1])
+    for n in range(num_mas):
+        keep = np.arange(num_mas) != n
+        others = np.asarray(indices)[keep]
+        feasible = candidates[np.all(
+            np.abs(candidates[:, None] - others[None, :]) >= min_gap, axis=1)]
+        if len(feasible) == 0:
+            continue
+        # links[c, k, i] = h_k^H w_i with antenna n at candidate c: the
+        # other antennas' part plus antenna n's; rates as in `user_rate`
+        base = cascade_table[:, others] @ w[keep]  # (K, K)
+        links = base[None] + cascade_table[:, feasible].T[:, :, None] * w[n]
+        gains = np.abs(links) ** 2
+        signal = np.diagonal(gains, axis1=1, axis2=2)
+        interference = np.sum(gains, axis=2) - signal
+        rates = np.sum(np.log2(1 + signal / (interference + noise_power)), axis=1)
+        indices[n] = int(feasible[np.argmax(rates)])
     return indices
 
 
@@ -399,12 +396,17 @@ class MuSolution:
 def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices,
                   power: float, noise_power: float, *, min_spacing: float,
                   w_init=None, tol: float = 1e-3, max_outer: int = 50,
-                  optimize_phi: bool = True, optimize_positions: bool = True,
-                  cg_kwargs: dict | None = None,
-                  wmmse_kwargs: dict | None = None) -> MuSolution:
+                  optimize_phi: bool = True,
+                  optimize_positions: bool = True) -> MuSolution:
     """Alternate precoding (WMMSE), reflection (manifold CG) and positions
     (sequential grid search); the sum-rate trace is non-decreasing.
-    `grid_columns` (M, L) holds the channel column of every grid point."""
+    `grid_columns` (M, L) holds the channel column of every grid point.
+    Positions keep the index gap `grid.min_gap`, which must be at least the
+    gap that `min_spacing` needs on this grid."""
+    if grid.min_gap < _index_gap(min_spacing, grid.spacing):
+        raise InvalidParameterError(
+            f"grid index gap {grid.min_gap} is below the gap that "
+            f"min_spacing {min_spacing:.4g} m needs on this grid")
     _require_finite(h_iu=h_iu, grid_columns=grid_columns, phi_init=phi_init)
     if w_init is not None:
         _require_finite(w_init=w_init)
@@ -413,8 +415,6 @@ def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices
     phi = np.asarray(phi_init, dtype=complex).copy()
     indices = list(init_indices)
     grid_columns = _checked_columns(grid_columns, grid)
-    cg_kwargs = cg_kwargs or {}
-    wmmse_kwargs = wmmse_kwargs or {}
 
     def cascades(phi_cur):
         return (h_iu.conj() * phi_cur) @ grid_columns  # (K, L)
@@ -434,13 +434,13 @@ def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices
     for _ in range(max_outer):
         iterations += 1
         h = table[:, indices]
-        w, _ = wmmse(h, w, power, noise_power, **wmmse_kwargs)
+        w, _ = wmmse(h, w, power, noise_power)
         if optimize_phi:
             phi, _ = manifold_cg(h_iu, grid_columns[:, indices], w, phi,
-                                 noise_power, **cg_kwargs)
+                                 noise_power)
             table = cascades(phi)
         if optimize_positions:
-            indices = sequential_position_search(table, grid.points, w, min_spacing,
+            indices = sequential_position_search(table, w, grid.min_gap,
                                                  indices, noise_power)
         rate = sum_rate(table[:, indices], w, noise_power)
         trace.append(rate)

@@ -104,10 +104,17 @@ def gain_difference(t1, t2, geometry: IrsGeometry, h_iu, wavelength: float) -> f
     return h1 ** 2 - h2 ** 2
 
 
+def _index_gap(min_spacing: float, sample_spacing: float) -> int:
+    """Smallest index gap on a uniform grid of step `sample_spacing` whose
+    distance is at least `min_spacing`."""
+    return max(1, math.ceil(min_spacing / sample_spacing - 1e-9))
+
+
 @dataclass(frozen=True)
 class SamplingGrid:
     """Uniform sampling of the transmit segment, with the index gap that
-    guarantees the continuous spacing constraint."""
+    guarantees the continuous spacing constraint. Antenna positions are
+    feasible when their pairwise index differences are at least `min_gap`."""
 
     points: np.ndarray  # (L, 3), sorted along the axis
     spacing: float
@@ -126,8 +133,7 @@ class SamplingGrid:
         delta = region.length / num
         # cell-center placement keeps symmetric fixed layouts on the grid
         offsets = (np.arange(num) + 0.5 - num / 2) * delta
-        min_gap = max(1, math.ceil(min_spacing / delta - 1e-9))
-        return cls(region.point(offsets), delta, min_gap)
+        return cls(region.point(offsets), delta, _index_gap(min_spacing, delta))
 
 
 def graph_position_select(weights, num_select: int, min_gap: int) -> list[int]:
@@ -265,14 +271,13 @@ def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
                       trace=trace, iterations=iterations)
 
 
-def fpa_indices(grid: SamplingGrid, num_mas: int, min_spacing: float) -> list[int]:
-    """Grid indices of the fixed layout: symmetric about the region center with
-    spacing `min_spacing`, snapped to the nearest grid points."""
-    gap = max(grid.min_gap, int(round(min_spacing / grid.spacing)))
-    span = (num_mas - 1) * gap
-    if span + 1 > grid.num_points:
+def fpa_indices(grid: SamplingGrid, num_mas: int) -> list[int]:
+    """Grid indices of the fixed layout: `grid.min_gap` apart and as near to
+    symmetric about the region center as the grid allows."""
+    gap = grid.min_gap
+    slack = grid.num_points - 1 - (num_mas - 1) * gap
+    if slack < 0:
         raise InfeasibleSpacingError("fixed layout does not fit on the grid")
-    first = (grid.num_points - 1 - span) / 2
-    start = int(round(first))
-    start = min(max(start, 0), grid.num_points - 1 - span)
+    # round(slack / 2) lies in [0, slack], so the layout stays on the grid
+    start = round(slack / 2)
     return [start + n * gap for n in range(num_mas)]

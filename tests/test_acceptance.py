@@ -153,7 +153,7 @@ def test_criterion_07_alternating_loop_convergence(default_scenario):
         real = harness.draw_realization(s, rng)
         context = harness.cell_context(s, real)
         grid, columns = context.fine, context.fine_columns
-        idx0 = su_opt.fpa_indices(grid, s.num_mas, s.min_spacing)
+        idx0 = su_opt.fpa_indices(grid, s.num_mas)
         phi0 = su_opt.random_reflection(rng, real.bs_irs.geometry.num_elements)
         mu_sol = mu_opt.ao_multi_user(real.h_iu, columns, grid, phi0, idx0,
                                       s.transmit_power, s.noise_power,
@@ -211,7 +211,7 @@ def test_criterion_09d_random_phases_widen_fluctuation():
     total = 50
     grid = su_opt.SamplingGrid.from_region(scen.region(), scen.sample_spacing,
                                            scen.min_spacing)
-    idx = su_opt.fpa_indices(grid, scen.num_mas, scen.min_spacing)
+    idx = su_opt.fpa_indices(grid, scen.num_mas)
     for seed in range(total):
         rng = substream(9, "accept9d", seed)
         real = harness.draw_realization(scen, rng)
@@ -219,10 +219,8 @@ def test_criterion_09d_random_phases_widen_fluctuation():
         phi_rand = su_opt.random_reflection(rng, real.bs_irs.geometry.num_elements)
         phi_opt, _ = su_opt.bcd_irs(h_iu, real.bs_irs.matrix(grid.points[idx]),
                                     phi_rand)
-        _, _, s_rand = analysis.fluctuation_profile(h_iu, phi_rand, real.bs_irs,
-                                                    scen.region(), 60)
-        _, _, s_opt = analysis.fluctuation_profile(h_iu, phi_opt, real.bs_irs,
-                                                   scen.region(), 60)
+        _, _, (s_rand, s_opt) = analysis.fluctuation_profile(
+            h_iu, (phi_rand, phi_opt), real.bs_irs, scen.region(), 60)
         wins += s_rand > s_opt
     _report(9, "(d) random phases widen the gain fluctuation", wins > total / 2,
             f"wider spread on {wins}/{total} seeds")

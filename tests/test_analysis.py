@@ -118,8 +118,8 @@ class TestFluctuation:
                                          scenario.rician_factor,
                                          scenario.pathloss_exponent, lam)
         phi = su_opt.random_reflection(rng, geometry.num_elements)
-        _, _, spread = analysis.fluctuation_profile(h_iu, phi, FarFieldModel(),
-                                                    region, resolution=50)
+        _, _, (spread,) = analysis.fluctuation_profile(h_iu, (phi,), FarFieldModel(),
+                                                       region, resolution=50)
         assert spread == pytest.approx(0.0, abs=1e-8)
 
     def test_random_phi_spread_exceeds_optimized(self, scenario):
@@ -135,13 +135,11 @@ class TestFluctuation:
                 rng, real.bs_irs.geometry.num_elements)
             grid = su_opt.SamplingGrid.from_region(region, scenario.sample_spacing,
                                                    scenario.min_spacing)
-            idx = su_opt.fpa_indices(grid, scenario.num_mas, scenario.min_spacing)
+            idx = su_opt.fpa_indices(grid, scenario.num_mas)
             phi_opt, _ = su_opt.bcd_irs(h_iu, real.bs_irs.matrix(grid.points[idx]),
                                         phi_rand)
-            _, _, s_rand = analysis.fluctuation_profile(h_iu, phi_rand,
-                                                        real.bs_irs, region, 60)
-            _, _, s_opt = analysis.fluctuation_profile(h_iu, phi_opt,
-                                                       real.bs_irs, region, 60)
+            _, _, (s_rand, s_opt) = analysis.fluctuation_profile(
+                h_iu, (phi_rand, phi_opt), real.bs_irs, region, 60)
             wins += s_rand > s_opt
         assert wins > total / 2
 
@@ -156,10 +154,10 @@ class TestFluctuation:
             region = scen.region()
             grid = su_opt.SamplingGrid.from_region(region, scen.sample_spacing,
                                                    scen.min_spacing)
-            idx = su_opt.fpa_indices(grid, scen.num_mas, scen.min_spacing)
+            idx = su_opt.fpa_indices(grid, scen.num_mas)
             phi, _ = su_opt.bcd_irs(h_iu, model.matrix(grid.points[idx]),
                                     su_opt.random_reflection(rng, geometry.num_elements))
-            _, _, spread = analysis.fluctuation_profile(h_iu, phi, model, region, 60)
+            _, _, (spread,) = analysis.fluctuation_profile(h_iu, (phi,), model, region, 60)
             spreads.append(spread)
         assert spreads[0] > spreads[1]
 

@@ -80,6 +80,20 @@ class TestRealization:
         assert len(real.bs_irs.clusters.clusters) == 3
 
 
+@pytest.fixture
+def matrix_calls(monkeypatch):
+    """Column count of every `BsIrsModel.matrix` call."""
+    calls = []
+    original = channel.BsIrsModel.matrix
+
+    def counting(self, positions):
+        calls.append(len(positions))
+        return original(self, positions)
+
+    monkeypatch.setattr(channel.BsIrsModel, "matrix", counting)
+    return calls
+
+
 def _context(scenario, seed=0):
     return harness.cell_context(
         scenario, harness.draw_realization(scenario, substream(seed, "c")))
@@ -97,19 +111,6 @@ class TestCellContext:
         for scheme in (harness.PROPOSED, harness.FPA, harness.MA_RPS, harness.FPA_RPS):
             grid, columns = ctx.grid(scheme)
             assert grid is ctx.fine and columns is ctx.fine_columns
-
-    @pytest.fixture
-    def matrix_calls(self, monkeypatch):
-        """Column count of every `BsIrsModel.matrix` call."""
-        calls = []
-        original = channel.BsIrsModel.matrix
-
-        def counting(self, positions):
-            calls.append(len(positions))
-            return original(self, positions)
-
-        monkeypatch.setattr(channel.BsIrsModel, "matrix", counting)
-        return calls
 
     def test_run_cell_builds_columns_twice(self, scenario, small_spec, matrix_calls):
         records = harness.run_cell(scenario, small_spec, 2.0, 0, 0)
@@ -276,6 +277,29 @@ class TestCli:
                        "--resolution", "40"])
         assert rc == 0
         assert (out / "profile.csv").exists()
+
+    def test_profile_builds_segment_columns_once(self, tmp_path, matrix_calls):
+        # the fine grid for the optimizer, then one segment build shared by
+        # the optimized and the random reflection
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scenario: {irs_num_y: 6, irs_num_z: 6}\n")
+        rc = cli_main(["profile", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                       "--resolution", "40"])
+        assert rc == 0
+        assert matrix_calls == [100, 40]
+
+    @pytest.mark.parametrize("command", ["verify", "profile", "convergence"])
+    @pytest.mark.parametrize("flag", ["--threads", "--realizations"])
+    def test_sweep_only_flags_rejected(self, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, flag, "2"])
+        assert exc.value.code == 2
+
+    def test_scenario_num_realizations_rejected_at_load(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scenario: {num_realizations: 5}\n")
+        with pytest.raises(InvalidParameterError, match="num_realizations"):
+            cli_main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
     def test_convergence_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

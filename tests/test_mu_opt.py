@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from irsma import channel, harness, mu_opt, su_opt
-from irsma.config import Scenario
+from irsma.config import Scenario, TransmitRegion
 from irsma.errors import (InvalidParameterError, MultiplierBracketError,
                           SingularMatrixError)
 from irsma.rng import substream
@@ -372,8 +372,7 @@ class TestSequentialPositionSearch:
         L = 10
         table = _random_rows(rng, 2, L)
         w = _random_rows(rng, 2, 1).conj().T
-        got = mu_opt.sequential_position_search(table, self._points(L), w,
-                                                0.03, [4], 0.5)
+        got = mu_opt.sequential_position_search(table, w, 1, [4], 0.5)
         rates = [mu_opt.sum_rate(table[:, [i]], w, 0.5) for i in range(L)]
         assert got == [int(np.argmax(rates))]
 
@@ -384,8 +383,9 @@ class TestSequentialPositionSearch:
         w = _random_rows(rng, 2, n).conj().T
         init = [0, 4, 8]
         min_spacing = 0.06 - 1e-9
-        got = mu_opt.sequential_position_search(table, pts, w, min_spacing,
-                                                init, 0.5, sweeps=3)
+        got = init
+        for _ in range(3):
+            got = mu_opt.sequential_position_search(table, w, 2, got, 0.5)
         for i, j in itertools.combinations(got, 2):
             assert np.linalg.norm(pts[i] - pts[j]) >= min_spacing - 1e-12
         before = mu_opt.sum_rate(table[:, init], w, 0.5)
@@ -398,9 +398,8 @@ class TestSequentialPositionSearch:
         pts = self._points(L)
         table = _random_rows(rng, 1, L)
         w = np.ones((2, 1), dtype=complex)
-        args = (table, pts, w, 0.12 - 1e-9, [0, 4], 0.5)
-        assert mu_opt.sequential_position_search(*args) == [0, 4]
-        assert _reference_position_search(*args) == [0, 4]
+        assert mu_opt.sequential_position_search(table, w, 4, [0, 4], 0.5) == [0, 4]
+        assert _reference_position_search(table, pts, w, 0.12 - 1e-9, [0, 4], 0.5) == [0, 4]
 
     @pytest.mark.xfail(
         reason="one-at-a-time coordinate ascent is not jointly optimal; "
@@ -410,19 +409,17 @@ class TestSequentialPositionSearch:
     def test_matches_joint_exhaustive_n2(self, rng):
         for _ in range(50):
             L = int(rng.integers(6, 16))
-            pts = self._points(L)
             table = _random_rows(rng, 2, L)
             w = _random_rows(rng, 2, 2).conj().T
             gap = 2
-            min_spacing = gap * 0.03 - 1e-9
             feas = [(i, j) for i in range(L) for j in range(L)
                     if abs(i - j) >= gap]
             def rate(c):
                 return mu_opt.sum_rate(table[:, list(c)], w, 0.5)
             best = max(feas, key=rate)
-            init = [0, gap]
-            got = mu_opt.sequential_position_search(table, pts, w, min_spacing,
-                                                    init, 0.5, sweeps=10)
+            got = [0, gap]
+            for _ in range(10):
+                got = mu_opt.sequential_position_search(table, w, gap, got, 0.5)
             assert rate(got) == pytest.approx(rate(best), rel=1e-10)
 
 
@@ -439,7 +436,7 @@ def _mu_setup(scenario, seed=0):
                                            scenario.sample_spacing,
                                            scenario.min_spacing)
     phi0 = su_opt.random_reflection(rng, geometry.num_elements)
-    idx0 = su_opt.fpa_indices(grid, scenario.num_mas, scenario.min_spacing)
+    idx0 = su_opt.fpa_indices(grid, scenario.num_mas)
     return h_iu, model, grid, phi0, idx0
 
 
@@ -483,6 +480,16 @@ class TestAoMultiUser:
         with pytest.raises(InvalidParameterError):
             mu_opt.ao_multi_user(h_iu, model.matrix(grid.points[:-1]), grid, phi0,
                                  idx0, s.transmit_power, s.noise_power,
+                                 min_spacing=s.min_spacing)
+
+    def test_grid_with_smaller_spacing_rejected(self, small_scenario):
+        s = small_scenario
+        h_iu, model, _, phi0, idx0 = _mu_setup(s)
+        grid = su_opt.SamplingGrid.from_region(s.region(), s.sample_spacing,
+                                               s.min_spacing / 2)
+        with pytest.raises(InvalidParameterError):
+            mu_opt.ao_multi_user(h_iu, model.matrix(grid.points), grid, phi0, idx0,
+                                 s.transmit_power, s.noise_power,
                                  min_spacing=s.min_spacing)
 
     @pytest.mark.parametrize("arg", ["h_iu", "grid_columns", "phi_init", "w_init"])
@@ -681,9 +688,30 @@ class TestRewriteEquivalence:
             table = _random_rows(rng, k, L)
             w = _random_rows(rng, k, n).conj().T
             init = list(range(0, 2 * n, 2))
-            args = (table, pts, w, 0.06 - 1e-9, init, 0.5)
-            assert (mu_opt.sequential_position_search(*args, sweeps=2)
-                    == _reference_position_search(*args, sweeps=2))
+            got = init
+            for _ in range(2):
+                got = mu_opt.sequential_position_search(table, w, 2, got, 0.5)
+            assert got == _reference_position_search(table, pts, w, 0.06 - 1e-9,
+                                                     init, 0.5, sweeps=2)
+
+    def test_index_gap_search_matches_euclidean_reference(self, rng):
+        # cell-centered grids along an oblique axis with min_spacing =
+        # gap * step - 1e-9: the index-gap rule and the reference's Euclidean
+        # rule select the same positions
+        for length, step, gap in [(0.6, 0.006, 5), (0.6, 0.03, 1), (0.3, 0.006, 3),
+                                  (0.2, 0.03, 2), (0.45, 0.0119, 4)]:
+            region = TransmitRegion((5.0, 5.0, 0.0), (1.0, 1.0, 0.5), length)
+            grid = su_opt.SamplingGrid.from_region(region, step, step)
+            min_spacing = gap * grid.spacing - 1e-9
+            assert su_opt._index_gap(min_spacing, grid.spacing) == gap
+            for _ in range(5):
+                k, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+                table = _random_rows(rng, k, grid.num_points)
+                w = _random_rows(rng, k, n).conj().T
+                init = list(range(0, n * gap, gap))
+                got = mu_opt.sequential_position_search(table, w, gap, init, 0.5)
+                assert got == _reference_position_search(table, grid.points, w,
+                                                         min_spacing, init, 0.5)
 
     def test_batched_search_ties_go_to_lowest_index(self, rng):
         for _ in range(20):
@@ -692,9 +720,9 @@ class TestRewriteEquivalence:
             table = np.hstack([cols, cols, cols])  # every column appears three times
             pts = self._points(3 * half)
             w = _random_rows(rng, k, n).conj().T
-            args = (table, pts, w, 0.06 - 1e-9, [20, 23], 0.5)
-            got = mu_opt.sequential_position_search(*args)
-            assert got == _reference_position_search(*args)
+            got = mu_opt.sequential_position_search(table, w, 2, [20, 23], 0.5)
+            assert got == _reference_position_search(table, pts, w, 0.06 - 1e-9,
+                                                     [20, 23], 0.5)
             # each antenna takes the lowest feasible copy of its best column;
             # for antenna 0 (moved first, antenna 1 at 23) that is the first copy
             assert got[0] < half
@@ -715,7 +743,7 @@ class TestManifoldCgConvergence:
             real = harness.draw_realization(
                 s, substream(seed, "chan", "bs_irs_distance", vi, 0))
             ctx = harness.cell_context(s, real)
-            idx = su_opt.fpa_indices(ctx.fine, s.num_mas, s.min_spacing)
+            idx = su_opt.fpa_indices(ctx.fine, s.num_mas)
             phi0 = su_opt.random_reflection(substream(seed, "init", vi, 0, harness.FPA),
                                             ctx.fine_columns.shape[0])
             columns = ctx.fine_columns[:, idx]

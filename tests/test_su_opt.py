@@ -1,14 +1,16 @@
 """Single-user SNR maximization: closed forms, BCD, placement DP, outer loop."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsma import channel, su_opt
-from irsma.config import IrsGeometry, Scenario, TransmitRegion
+from irsma import channel, harness, su_opt
+from irsma.config import (IrsGeometry, Scenario, TransmitRegion, load_config,
+                          scenario_from_dict)
 from irsma.errors import (DegenerateChannelError, DegenerateGeometryError,
                           InfeasibleSpacingError, InvalidParameterError)
 
@@ -179,6 +181,21 @@ class TestGainDifference:
         assert diffs[0] > diffs[1] > diffs[2]
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _reference_fpa_indices(grid, num_mas, min_spacing):
+    """The fixed layout with its gap rounded from `min_spacing` (at least
+    `grid.min_gap`); None when it does not fit."""
+    gap = max(grid.min_gap, int(round(min_spacing / grid.spacing)))
+    span = (num_mas - 1) * gap
+    if span + 1 > grid.num_points:
+        return None
+    start = int(round((grid.num_points - 1 - span) / 2))
+    start = min(max(start, 0), grid.num_points - 1 - span)
+    return [start + n * gap for n in range(num_mas)]
+
+
 class TestSamplingGrid:
     def test_uniform_and_sorted(self):
         region = TransmitRegion((5.0, 5.0, 0.0), (1.0, 0.0, 0.0), 0.6)
@@ -199,11 +216,35 @@ class TestSamplingGrid:
         s = Scenario()
         region = s.region()
         grid = su_opt.SamplingGrid.from_region(region, s.sample_spacing, s.min_spacing)
-        idx = su_opt.fpa_indices(grid, s.num_mas, s.min_spacing)
+        idx = su_opt.fpa_indices(grid, s.num_mas)
         # symmetric about the region center with spacing >= min_spacing
         offs = np.array([region.offset_of(grid.points[i]) for i in idx])
         np.testing.assert_allclose(offs + offs[::-1], 0.0, atol=1e-9)
         assert np.all(np.diff(offs) >= s.min_spacing - 1e-9)
+
+    def test_fpa_matches_rounded_spacing_layout_on_shipped_configs(self):
+        # every fine and coarse grid of every swept value of every config
+        paths = sorted(CONFIGS.glob("*.yaml"))
+        checked = 0
+        for path in paths:
+            data = load_config(path)
+            base = scenario_from_dict(data.get("scenario", {}))
+            sweep = data.get("sweep")
+            scenarios = ([base] if sweep is None else
+                         [harness.apply_parameter(base, sweep["parameter"], v)
+                          for v in sweep["values"]])
+            for s in scenarios:
+                for step in (s.sample_spacing, s.min_spacing):
+                    grid = su_opt.SamplingGrid.from_region(s.region(), step,
+                                                           s.min_spacing)
+                    want = _reference_fpa_indices(grid, s.num_mas, s.min_spacing)
+                    if want is None:
+                        with pytest.raises(InfeasibleSpacingError):
+                            su_opt.fpa_indices(grid, s.num_mas)
+                    else:
+                        assert su_opt.fpa_indices(grid, s.num_mas) == want
+                    checked += 1
+        assert paths and checked >= 2 * len(paths)
 
     def test_bad_spacing(self):
         region = TransmitRegion((5.0, 0.0, 0.0))
@@ -326,7 +367,7 @@ def _su_setup(scenario, seed=0):
     grid = su_opt.SamplingGrid.from_region(region, scenario.sample_spacing,
                                            scenario.min_spacing)
     phi0 = su_opt.random_reflection(rng, geometry.num_elements)
-    idx0 = su_opt.fpa_indices(grid, scenario.num_mas, scenario.min_spacing)
+    idx0 = su_opt.fpa_indices(grid, scenario.num_mas)
     return h_iu, model, grid, phi0, idx0
 
 
