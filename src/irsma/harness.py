@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import functools
 import logging
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import channel, mu_opt, su_opt
 from .config import Scenario
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, IrsmaError
 from .rng import substream
 
 PROPOSED = "PROPOSED"
@@ -108,7 +107,6 @@ class SchemeRun:
     rate: float  # bits/s/Hz (single user: log2(1 + SNR))
     iterations: int
     solution: object = None
-    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,6 @@ def run_scheme(scheme: str, scenario: Scenario, context: CellContext, *,
     """
     if scheme not in ALL_SCHEMES:
         raise InvalidParameterError(f"unknown scheme {scheme!r}")
-    start = time.perf_counter()
     grid, grid_columns = context.grid(scheme)
     realization = context.realization
     num_mas = scenario.num_mas
@@ -198,8 +195,7 @@ def run_scheme(scheme: str, scenario: Scenario, context: CellContext, *,
             optimize_phi=optimize_phi, optimize_positions=optimize_positions)
         rate = sol.sum_rate
         iterations = sol.iterations
-    return SchemeRun(scheme=scheme, rate=rate, iterations=iterations, solution=sol,
-                     wall_time=time.perf_counter() - start)
+    return SchemeRun(scheme=scheme, rate=rate, iterations=iterations, solution=sol)
 
 
 @dataclass(frozen=True)
@@ -209,7 +205,6 @@ class Record:
     realization: int
     rate: float
     iterations: int
-    wall_time: float
 
 
 @dataclass
@@ -218,7 +213,7 @@ class SweepResult:
     records: list[Record] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        """Deterministic per-record CSV (wall time is intentionally omitted)."""
+        """Deterministic per-record CSV."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["scheme", "param", "realization", "metric", "value"])
@@ -267,14 +262,15 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
         runs[scheme] = run
         records.append(Record(scheme=scheme, param=float(value),
                               realization=realization_index, rate=run.rate,
-                              iterations=run.iterations, wall_time=run.wall_time))
+                              iterations=run.iterations))
     return records
 
 
 def run_sweep(spec: SweepSpec, scenario: Scenario, threads: int = 1) -> SweepResult:
     """Iterate (value, realization) cells; deterministic under the sweep seed
-    regardless of execution order or thread count. Failed cells are skipped
-    with a logged warning instead of aborting the sweep."""
+    regardless of execution order or thread count. A cell that fails with a
+    package error or a linear-algebra error is skipped with a logged warning
+    instead of aborting the sweep; any other exception is a bug and propagates."""
     cells = [(value, vi, r) for vi, value in enumerate(spec.values)
              for r in range(spec.realizations)]
 
@@ -282,7 +278,7 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, threads: int = 1) -> SweepRes
         value, vi, r = cell
         try:
             return (vi, r), run_cell(scenario, spec, value, vi, r)
-        except Exception as exc:  # noqa: BLE001 - cell isolation is intentional
+        except (IrsmaError, np.linalg.LinAlgError) as exc:
             _log.warning("cell value=%s realization=%s failed: %r", value, r, exc)
             return (vi, r), []
 

@@ -8,13 +8,16 @@ feasible candidates of an antenna in one batched evaluation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import (DegenerateRetractionError, InvalidParameterError,
                      MultiplierBracketError, SingularMatrixError)
-from .su_opt import (_TINY, SamplingGrid, _checked_columns, _require_finite,
-                     _index_gap)
+from .su_opt import _TINY, _checked_columns, _require_finite, _index_gap
+
+if TYPE_CHECKING:
+    from .su_opt import SamplingGrid
 
 # Doublings of the multiplier bracket's upper end (starting at 1) before the
 # search gives up; 2**200 is far beyond any multiplier of a physical channel.

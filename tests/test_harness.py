@@ -218,13 +218,23 @@ class TestRunSweep:
         assert "value=5.0 realization=0 failed" in warnings[0].getMessage()
         assert "forced" in warnings[0].getMessage()
 
+    def test_programming_error_propagates(self, scenario, monkeypatch):
+        def broken(scen, realization):
+            raise TypeError("forced bug")
+
+        monkeypatch.setattr(harness, "cell_context", broken)
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,),
+                                 realizations=1, seed=21, schemes=(harness.FPA,))
+        with pytest.raises(TypeError, match="forced bug"):
+            harness.run_sweep(spec, scenario)
+
 
 class TestSummarize:
     def test_single_realization(self):
         spec = harness.SweepSpec(parameter="bs_irs_distance", values=(1.0,),
                                  realizations=1)
         res = harness.SweepResult(spec, [
-            harness.Record("FPA", 1.0, 0, 3.5, 2, 0.0)])
+            harness.Record("FPA", 1.0, 0, 3.5, 2)])
         out = harness.summarize(res)
         assert out[("FPA", 1.0)] == (3.5, 0.0, 1)
 
@@ -232,8 +242,8 @@ class TestSummarize:
         spec = harness.SweepSpec(parameter="bs_irs_distance", values=(1.0,),
                                  realizations=2)
         res = harness.SweepResult(spec, [
-            harness.Record("FPA", 1.0, 0, 2.0, 1, 0.0),
-            harness.Record("FPA", 1.0, 1, 2.0, 1, 0.0)])
+            harness.Record("FPA", 1.0, 0, 2.0, 1),
+            harness.Record("FPA", 1.0, 1, 2.0, 1)])
         mean, hw, n = harness.summarize(res)[("FPA", 1.0)]
         assert (mean, hw, n) == (2.0, 0.0, 2)
 
@@ -241,8 +251,8 @@ class TestSummarize:
         spec = harness.SweepSpec(parameter="bs_irs_distance", values=(1.0,),
                                  realizations=2)
         res = harness.SweepResult(spec, [
-            harness.Record("FPA", 1.0, 0, 2.0, 1, 0.0),
-            harness.Record("FPA", 1.0, 1, 4.0, 1, 0.0)])
+            harness.Record("FPA", 1.0, 0, 2.0, 1),
+            harness.Record("FPA", 1.0, 1, 4.0, 1)])
         mean, hw, n = harness.summarize(res)[("FPA", 1.0)]
         assert mean == 3.0 and n == 2 and hw > 0
 

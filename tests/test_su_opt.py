@@ -355,6 +355,124 @@ class TestBcd:
         phi, _ = su_opt.bcd_irs(h_iu, h_bi, np.exp(1j * rng.uniform(0, 7, 6)))
         np.testing.assert_allclose(np.abs(phi), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("h_iu_shape, h_bi_shape, phi_len", [
+        ((5,), (5,), 5),        # 1-D h_bi would broadcast the rows to (M, M)
+        ((5,), (4, 2), 5),      # h_bi rows != len(h_iu)
+        ((5,), (5, 2, 1), 5),   # 3-D h_bi
+        ((5,), (5, 2), 4),      # phi_init too short
+        ((1, 5), (5, 2), 5),    # 2-D h_iu
+    ])
+    def test_bad_shapes_rejected(self, rng, h_iu_shape, h_bi_shape, phi_len):
+        h_iu = rng.standard_normal(h_iu_shape) + 0j
+        h_bi = rng.standard_normal(h_bi_shape) + 0j
+        with pytest.raises(InvalidParameterError):
+            su_opt.bcd_irs(h_iu, h_bi, np.ones(phi_len, dtype=complex))
+
+    def test_trace_ends_at_objective_of_returned_phases(self, rng):
+        # the trace is kept by increments; check it against ||phi @ g||^2,
+        # also from a start that is not unit-modulus
+        h_iu, h_bi = _random_channels(rng, 12, 3)
+        g = h_iu.conj()[:, None] * h_bi
+        for phi0 in (np.exp(1j * rng.uniform(0, 2 * np.pi, 12)),
+                     rng.uniform(0.2, 1.8, 12) * np.exp(1j * rng.uniform(0, 7, 12))):
+            phi, trace = su_opt.bcd_irs(h_iu, h_bi, phi0, max_sweeps=1)
+            assert trace[0] == pytest.approx(np.linalg.norm(phi0 @ g) ** 2, rel=1e-12)
+            assert trace[-1] == pytest.approx(np.linalg.norm(phi @ g) ** 2, rel=1e-12)
+
+    def test_flat_elements_keep_their_phase(self, rng):
+        # with one element, or one nonzero row, the objective does not depend
+        # on that element's phase: the update must not move it
+        phi1 = np.exp(1j * rng.uniform(0, 2 * np.pi, 1))
+        h_iu, h_bi = _random_channels(rng, 1, 4)
+        phi, trace = su_opt.bcd_irs(h_iu, h_bi, phi1)
+        np.testing.assert_array_equal(phi, phi1)
+        assert len(trace) == 2 and trace[1] == trace[0]
+        h_iu, h_bi = _random_channels(rng, 5, 3)
+        h_iu[[0, 1, 3, 4]] = 0
+        phi5 = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
+        phi, _ = su_opt.bcd_irs(h_iu, h_bi, phi5)
+        np.testing.assert_array_equal(phi, phi5)
+
+
+def _reference_bcd_irs(h_iu, h_bi, phi_init, tol=1e-3, max_sweeps=100):
+    """The element loop on numpy vectors: alpha and the objective are rebuilt
+    at every update. Returns (phi, trace, sweeps)."""
+    h_iu = np.asarray(h_iu)
+    h_bi = np.atleast_2d(np.asarray(h_bi))
+    phi = np.asarray(phi_init, dtype=complex).copy()
+    g1 = h_iu.conj()[:, None] * h_bi
+    total = phi @ g1
+    trace = [float(np.linalg.norm(total) ** 2)]
+    sweeps = 0
+    for _ in range(max_sweeps):
+        sweeps += 1
+        sweep_start = trace[-1]
+        for m in range(len(phi)):
+            alpha = total - phi[m] * g1[m]
+            inner = alpha @ g1[m].conj()
+            if abs(inner) > 0:
+                phi[m] = np.exp(1j * np.angle(inner))
+            total = alpha + phi[m] * g1[m]
+            trace.append(float(np.linalg.norm(total) ** 2))
+        if trace[-1] - sweep_start <= tol * max(abs(sweep_start), 1e-300):
+            break
+    return phi, trace, sweeps
+
+
+def _random_bcd_instances(count=240):
+    """Every M in 1..40 with N in 1..4, each with no zero rows, zero user
+    entries or zero BS rows."""
+    rng = np.random.default_rng(606)
+    for i in range(count):
+        m, n = 1 + i % 40, 1 + (i // 40) % 4
+        h_iu, h_bi = _random_channels(rng, m, n)
+        if i % 3 == 1:
+            h_iu[rng.random(m) < 0.5] = 0
+        elif i % 3 == 2:
+            h_bi[rng.random(m) < 0.5] = 0
+        yield h_iu, h_bi, np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+
+
+def _cell_bcd_instances():
+    """BCD inputs built like a single-user multipath sweep cell (M = 225, N = 4)."""
+    scenario = Scenario(num_users=1, num_paths=8, user_distance_range=(30.0, 30.0))
+    rng = np.random.default_rng(7)
+    for distance in (1.0, 2.0, 4.0, 6.0):
+        scen = harness.apply_parameter(scenario, "bs_irs_distance", distance)
+        for _ in range(2):
+            context = harness.cell_context(scen, harness.draw_realization(scen, rng))
+            idx = su_opt.fpa_indices(context.fine, scen.num_mas)
+            yield (context.realization.h_iu[0], context.fine_columns[:, idx],
+                   su_opt.random_reflection(rng, len(context.realization.h_iu[0])))
+
+
+def _assert_bcd_matches_reference(h_iu, h_bi, phi0):
+    phi, trace = su_opt.bcd_irs(h_iu, h_bi, phi0)
+    ref_phi, ref_trace, sweeps = _reference_bcd_irs(h_iu, h_bi, phi0)
+    m = len(phi0)
+    assert len(trace) == len(ref_trace) == 1 + m * sweeps
+    assert abs(trace[-1] - ref_trace[-1]) <= 1e-12 * max(ref_trace[-1], 1e-300)
+    assert np.all(np.diff(trace) >= -1e-10)
+    if np.count_nonzero(np.any(h_iu[:, None] * h_bi != 0, axis=1)) < 2:
+        # no element's phase changes the objective; the numpy loop turns it
+        # by the phase of a rounding residue, the scalar loop keeps it
+        np.testing.assert_array_equal(phi, phi0)
+    else:
+        np.testing.assert_allclose(phi, ref_phi, rtol=0, atol=1e-12)
+
+
+class TestBcdMatchesNumpyLoop:
+    def test_random_instances(self):
+        instances = list(_random_bcd_instances())
+        assert {len(phi0) for _, _, phi0 in instances} == set(range(1, 41))
+        for h_iu, h_bi, phi0 in instances:
+            _assert_bcd_matches_reference(h_iu, h_bi, phi0)
+
+    def test_sweep_cell_instances(self):
+        for h_iu, h_bi, phi0 in _cell_bcd_instances():
+            assert h_bi.shape == (225, 4)
+            _assert_bcd_matches_reference(h_iu, h_bi, phi0)
+
 
 def _su_setup(scenario, seed=0):
     rng = np.random.default_rng(seed)
