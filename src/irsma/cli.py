@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import re
 import sys
 from pathlib import Path
@@ -12,7 +13,10 @@ import numpy as np
 
 from . import analysis, harness, su_opt
 from .config import Scenario, load_config, scenario_from_dict
+from .errors import InfeasibleSpacingError
 from .rng import substream
+
+_log = logging.getLogger(__name__)
 
 
 def _load(args) -> tuple[Scenario, dict]:
@@ -30,6 +34,9 @@ def _outdir(args) -> Path:
 
 
 def cmd_sweep(args) -> int:
+    """Run the sweep and write its records. Returns 2, having written
+    nothing, when the antennas cannot fit at some swept value, and 1 when any
+    cell failed."""
     scenario, data = _load(args)
     sweep_cfg = dict(data.get("sweep", {}))
     if args.realizations is not None:
@@ -38,6 +45,11 @@ def cmd_sweep(args) -> int:
         sweep_cfg["seed"] = args.seed
     sweep_cfg.setdefault("seed", scenario.master_seed)
     spec = harness.sweep_spec_from_dict(sweep_cfg)
+    try:
+        harness._check_layouts_fit(spec, scenario)
+    except InfeasibleSpacingError as exc:
+        _log.error("sweep rejected: %s", exc)
+        return 2
     result = harness.run_sweep(spec, scenario, threads=args.threads)
     out = _outdir(args)
     result.to_csv(out / "records.csv")
@@ -45,6 +57,10 @@ def cmd_sweep(args) -> int:
     for (scheme, value), (mean, hw, n) in sorted(harness.summarize(result).items()):
         print(f"{scheme:10s} {spec.parameter}={value:g}: "
               f"{mean:.4f} +/- {hw:.4f} bits/s/Hz (n={n})")
+    if result.failed:
+        _log.error("%d of %d cells failed", len(result.failed),
+                   len(spec.values) * spec.realizations)
+        return 1
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import channel, mu_opt, su_opt
 from .config import Scenario
-from .errors import InvalidParameterError, IrsmaError
+from .errors import InfeasibleSpacingError, InvalidParameterError, IrsmaError
 from .rng import substream
 
 PROPOSED = "PROPOSED"
@@ -131,14 +131,41 @@ class CellContext:
         return self.fine, self.fine_columns
 
 
-def cell_context(scenario: Scenario, realization: Realization) -> CellContext:
-    """Build the grids of `scenario` and the fine grid's channel columns once."""
+def _grids(scenario: Scenario) -> tuple[su_opt.SamplingGrid, su_opt.SamplingGrid]:
+    """The fine sampling grid of `scenario` and the coarse one AS uses."""
     region = scenario.region()
     fine = su_opt.SamplingGrid.from_region(region, scenario.sample_spacing,
                                            scenario.min_spacing)
     coarse = su_opt.SamplingGrid.from_region(region, scenario.min_spacing,
                                              scenario.min_spacing)
+    return fine, coarse
+
+
+def cell_context(scenario: Scenario, realization: Realization) -> CellContext:
+    """Build the grids of `scenario` and the fine grid's channel columns once."""
+    fine, coarse = _grids(scenario)
     return CellContext(realization, fine, coarse, realization.bs_irs.matrix(fine.points))
+
+
+def _check_layouts_fit(spec: SweepSpec, scenario: Scenario) -> None:
+    """Raise InfeasibleSpacingError unless the fixed layout of `num_mas`
+    antennas fits, at every swept value, on each grid the swept schemes use:
+    the coarse one for AS, the fine one for the rest. Every cell at such a
+    value would fail, so the sweep is rejected before its first cell. Private,
+    so that tracers wrapping every public harness function leave it alone."""
+    used = {"coarse" if s == AS else "fine" for s in spec.schemes}
+    for value in spec.values:
+        scen = apply_parameter(scenario, spec.parameter, value)
+        for name, grid in zip(("fine", "coarse"), _grids(scen)):
+            if name not in used:
+                continue
+            try:
+                su_opt.fpa_indices(grid, scen.num_mas)
+            except InfeasibleSpacingError as exc:
+                raise InfeasibleSpacingError(
+                    f"{scen.num_mas} antennas {grid.min_gap} grid steps apart do not "
+                    f"fit on the {grid.num_points}-point {name} grid at "
+                    f"{spec.parameter}={value}") from exc
 
 
 def _nearest_indices(grid, positions: np.ndarray) -> list[int]:
@@ -211,6 +238,7 @@ class Record:
 class SweepResult:
     spec: SweepSpec
     records: list[Record] = field(default_factory=list)
+    failed: list[tuple[float, int]] = field(default_factory=list)  # (value, realization)
 
     def to_csv(self, path) -> None:
         """Deterministic per-record CSV."""
@@ -270,29 +298,33 @@ def run_sweep(spec: SweepSpec, scenario: Scenario, threads: int = 1) -> SweepRes
     """Iterate (value, realization) cells; deterministic under the sweep seed
     regardless of execution order or thread count. A cell that fails with a
     package error or a linear-algebra error is skipped with a logged warning
-    instead of aborting the sweep; any other exception is a bug and propagates."""
+    and listed in `SweepResult.failed` instead of aborting the sweep; any other
+    exception is a bug and propagates."""
     cells = [(value, vi, r) for vi, value in enumerate(spec.values)
              for r in range(spec.realizations)]
 
     def work(cell):
         value, vi, r = cell
         try:
-            return (vi, r), run_cell(scenario, spec, value, vi, r)
+            return run_cell(scenario, spec, value, vi, r)
         except (IrsmaError, np.linalg.LinAlgError) as exc:
             _log.warning("cell value=%s realization=%s failed: %r", value, r, exc)
-            return (vi, r), []
+            return None
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outputs = list(pool.map(work, cells))
     else:
         outputs = [work(c) for c in cells]
-    outputs.sort(key=lambda item: item[0])
     scheme_rank = {s: i for i, s in enumerate(_CELL_ORDER)}
-    records = []
-    for _, recs in outputs:
-        records.extend(sorted(recs, key=lambda r: scheme_rank[r.scheme]))
-    return SweepResult(spec=spec, records=records)
+    result = SweepResult(spec=spec)
+    # outputs are in cell order: map keeps the order of its inputs
+    for (value, _, r), recs in zip(cells, outputs):
+        if recs is None:
+            result.failed.append((float(value), r))
+        else:
+            result.records.extend(sorted(recs, key=lambda rec: scheme_rank[rec.scheme]))
+    return result
 
 
 def summarize(result: SweepResult) -> dict:

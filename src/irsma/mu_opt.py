@@ -1,9 +1,10 @@
 """Multi-user sum-rate machinery: rates, the regularized-ZF family and its
-far-field closed forms, weighted-MMSE precoding whose power-multiplier
-bisection runs on an eigendecomposition of the system matrix,
-conjugate-gradient optimization of the reflection phases on the unit-modulus
-manifold, and the discrete sequential position search, which scores all
-feasible candidates of an antenna in one batched evaluation."""
+far-field closed forms, weighted-MMSE precoding (one eigendecomposition of
+the system matrix per iteration gives both the power test of the
+unconstrained precoder and the multiplier bisection, which runs on Python
+floats), conjugate-gradient optimization of the reflection phases on the
+unit-modulus manifold, and the discrete sequential position search, which
+scores all feasible candidates of an antenna in one batched evaluation."""
 
 from __future__ import annotations
 
@@ -36,8 +37,16 @@ def user_rate(h_rows: np.ndarray, w: np.ndarray, k: int, noise_power: float) -> 
 
 
 def sum_rate(h_rows: np.ndarray, w: np.ndarray, noise_power: float) -> float:
+    """Sum over users of `user_rate`, bit for bit, in one pass."""
     h_rows = np.atleast_2d(np.asarray(h_rows))
-    return float(sum(user_rate(h_rows, w, k, noise_power) for k in range(h_rows.shape[0])))
+    w = np.atleast_2d(np.asarray(w))
+    if h_rows.shape[1] != w.shape[0]:
+        raise InvalidParameterError("precoder row count does not match antenna count")
+    # one product per row: h_rows @ w rounds differently from user_rate's h_k @ w
+    gains = np.abs(np.stack([row @ w for row in h_rows])) ** 2
+    signal = np.diagonal(gains)
+    interference = np.sum(gains, axis=1) - signal
+    return float(sum(np.log2(1 + signal / (interference + noise_power)).tolist()))
 
 
 def rzf(h_rows: np.ndarray, reg: float, powers) -> np.ndarray:
@@ -122,12 +131,32 @@ def _power_profile(h_rows, chi, kappa):
     return np.maximum(lam, 0.0), np.sum(proj.real ** 2 + proj.imag ** 2, axis=1)
 
 
+def _pinv_power(lam, b):
+    """||_wmmse_precoder(0)||_F^2 from the profile (lam ascending, as eigh
+    returns it): the minimum-norm precoder inverts only the eigenvalues that
+    np.linalg.pinv keeps, those above 1e-15 lam_max."""
+    kept = lam > 1e-15 * lam[-1]
+    return float(np.sum(b[kept] / lam[kept] ** 2))
+
+
 def _power_multiplier(lam, b, power):
     """Bisection for the multiplier mu > 0 at which the precoder power
     sum_j b_j / (lam_j + mu)^2 meets `power`; the caller has checked that
-    mu = 0 exceeds it."""
+    mu = 0 exceeds it.
+
+    The power is a sequential sum on Python floats. For up to 7 eigenvalues
+    that is bit for bit numpy's sum; from 8 on numpy sums pairwise, so mu
+    may differ from a numpy evaluation in its last bit while still meeting
+    the 1e-6 tolerance.
+    """
+    terms = list(zip(lam.tolist(), b.tolist()))
+
     def total_power(mu):
-        return float(np.sum(b / (lam + mu) ** 2))
+        total = 0.0
+        for lam_j, b_j in terms:
+            d = lam_j + mu
+            total += b_j / (d * d)
+        return total
 
     hi = 1.0
     for _ in range(_MAX_DOUBLINGS):
@@ -154,11 +183,12 @@ def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float, noise_power: flo
           tol: float = 1e-6, max_iter: int = 200) -> tuple[np.ndarray, list[float]]:
     """Weighted-MMSE precoding via alternating closed-form updates.
 
-    The dual variable of the power constraint is zero if the unconstrained
-    precoder is already feasible; otherwise it is found by bisection on the
-    transmitted power, which one eigendecomposition per iteration turns into
-    a scalar function of the multiplier. Returns the final W and the sum-rate
-    trace, which is non-decreasing.
+    Each iteration takes one eigendecomposition of the system matrix. It
+    tells whether the minimum-norm precoder at multiplier 0 already meets the
+    power budget; if not, it turns the power into a scalar function of the
+    multiplier, which is bisected. The precoder is then solved once for the
+    chosen multiplier. Returns the final W and the sum-rate trace, which is
+    non-decreasing.
     """
     h_rows = np.atleast_2d(np.asarray(h_rows))
     if not np.all(np.isfinite(h_rows)):
@@ -173,10 +203,11 @@ def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float, noise_power: flo
         chi = np.diag(hw) / totals
         kappa = 1.0 / np.real(1.0 - chi.conj() * np.diag(hw))
 
-        w_new = _wmmse_precoder(h_rows, chi, kappa, 0.0)
-        if float(np.sum(np.abs(w_new) ** 2)) > power * (1 + 1e-9):
-            lam, b = _power_profile(h_rows, chi, kappa)
-            w_new = _wmmse_precoder(h_rows, chi, kappa, _power_multiplier(lam, b, power))
+        lam, b = _power_profile(h_rows, chi, kappa)
+        mu = 0.0
+        if _pinv_power(lam, b) > power * (1 + 1e-9):
+            mu = _power_multiplier(lam, b, power)
+        w_new = _wmmse_precoder(h_rows, chi, kappa, mu)
         rate = sum_rate(h_rows, w_new, noise_power)
         if rate < trace[-1]:
             # finite bisection tolerance at the fixed point; keep the monotone iterate

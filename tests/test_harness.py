@@ -1,6 +1,7 @@
 """Sweep harness: schemes, determinism, persistence and the CLI surface."""
 
 import csv
+import dataclasses
 import logging
 
 import numpy as np
@@ -197,6 +198,7 @@ class TestRunSweep:
                                   realizations=1, seed=0), bad)
         assert res.records == []
         assert "failed" in caplog.text
+        assert res.failed == [(2.0, 0)]
 
     def test_one_failed_cell_is_logged(self, scenario, monkeypatch, caplog):
         original = harness.cell_context
@@ -310,6 +312,64 @@ class TestCli:
         cfg.write_text("scenario: {num_realizations: 5}\n")
         with pytest.raises(InvalidParameterError, match="num_realizations"):
             cli_main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+    def test_infeasible_layout_rejected_at_load(self, tmp_path, monkeypatch, caplog):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(harness, "run_cell", no_cell)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "scenario: {irs_num_y: 6, irs_num_z: 6, num_mas: 30}\n"
+            "sweep: {parameter: bs_irs_distance, values: [2.0, 3.0], realizations: 1}\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
+        assert caplog.records[0].getMessage() == (
+            "sweep rejected: 30 antennas 5 grid steps apart do not fit on the "
+            "100-point fine grid at bs_irs_distance=2.0")
+
+    def test_layout_check_covers_only_grids_in_use(self, scenario):
+        # a 0.11 m region holds 4 antennas on the fine grid but only 2 on the
+        # coarse one, which antenna selection (AS) alone uses
+        scen = scenario.replace(region_length=0.11)
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,),
+                                 schemes=(harness.FPA, harness.PROPOSED))
+        harness._check_layouts_fit(spec, scen)
+        with pytest.raises(InfeasibleSpacingError, match="coarse grid"):
+            harness._check_layouts_fit(dataclasses.replace(spec, schemes=(harness.AS,)), scen)
+        too_short = harness.SweepSpec(parameter="region_length", values=(0.6, 0.05),
+                                      schemes=(harness.FPA,))
+        with pytest.raises(InfeasibleSpacingError, match="region_length=0.05"):
+            harness._check_layouts_fit(too_short, scenario)
+
+    def test_failed_cell_sets_exit_status(self, tmp_path, monkeypatch, caplog):
+        original = harness.cell_context
+
+        def failing(scen, realization):
+            if scen.bs_distance == 5.0:
+                raise InfeasibleSpacingError("forced")
+            return original(scen, realization)
+
+        monkeypatch.setattr(harness, "cell_context", failing)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "scenario: {irs_num_y: 6, irs_num_z: 6}\n"
+            "sweep: {parameter: bs_irs_distance, values: [2.0, 5.0], realizations: 1,"
+            " schemes: [FPA]}\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main(["sweep", "--config", str(cfg), "--seed", "3", "--out", str(out)])
+        assert rc == 1
+        with open(out / "records.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert {(r[0], r[1]) for r in rows[1:]} == {("FPA", "2.0")}
+        errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+        assert [(r.name, r.getMessage()) for r in errors] == [
+            ("irsma.cli", "1 of 2 cells failed")]
 
     def test_convergence_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"

@@ -574,6 +574,59 @@ def _reference_wmmse(h_rows, w_init, power, noise_power, tol=1e-6, max_iter=200)
     return w, trace
 
 
+def _reference_power_multiplier(lam, b, power):
+    """The multiplier bisection with the power summed by numpy."""
+    def total_power(mu):
+        return float(np.sum(b / (lam + mu) ** 2))
+
+    hi = 1.0
+    while total_power(hi) > power:
+        hi *= 2.0
+    lo = 0.0
+    for _ in range(200):
+        mu = 0.5 * (lo + hi)
+        p = total_power(mu)
+        if abs(p - power) <= 1e-6 * power:
+            return mu
+        if p > power:
+            lo = mu
+        else:
+            hi = mu
+    return hi
+
+
+def _reference_wmmse_pinv_first(h_rows, w_init, power, noise_power, tol=1e-6,
+                                max_iter=200):
+    """WMMSE that solves the minimum-norm precoder on every iteration and
+    tests its norm, bisects the multiplier on numpy sums and adds the rates
+    user by user."""
+    def rate_of(w):
+        return float(sum(mu_opt.user_rate(h_rows, w, k, noise_power)
+                         for k in range(h_rows.shape[0])))
+
+    w = np.asarray(w_init, dtype=complex).copy()
+    trace = [rate_of(w)]
+    for _ in range(max_iter):
+        hw = h_rows @ w
+        totals = np.sum(np.abs(hw) ** 2, axis=1) + noise_power
+        chi = np.diag(hw) / totals
+        kappa = 1.0 / np.real(1.0 - chi.conj() * np.diag(hw))
+
+        w_new = mu_opt._wmmse_precoder(h_rows, chi, kappa, 0.0)
+        if float(np.sum(np.abs(w_new) ** 2)) > power * (1 + 1e-9):
+            lam, b = mu_opt._power_profile(h_rows, chi, kappa)
+            w_new = mu_opt._wmmse_precoder(h_rows, chi, kappa,
+                                           _reference_power_multiplier(lam, b, power))
+        rate = rate_of(w_new)
+        if rate < trace[-1]:
+            break
+        w = w_new
+        trace.append(rate)
+        if trace[-1] - trace[-2] <= tol * max(abs(trace[-2]), 1e-300):
+            break
+    return w, trace
+
+
 def _reference_step_one_cg(h_iu, h_bi, w, phi_init, noise_power, max_iter=500):
     """Manifold CG whose every Armijo search starts at step 1; returns the
     final objective."""
@@ -676,6 +729,95 @@ class TestRewriteEquivalence:
             np.testing.assert_array_equal(trace, trace_ref)
 
     @staticmethod
+    def _multiplier_instance(rng, n, i):
+        """Eigenvalues over six decades, a zero eigenvalue or a zero weight
+        on some instances, and a power that a multiplier in [1e-4, 1e4]
+        meets."""
+        lam = rng.uniform(0.1, 1.0, n) * 10.0 ** rng.uniform(-3, 3, n)
+        b = rng.uniform(0.1, 5.0, n)
+        if i % 4 in (1, 3):
+            lam[-1] = 0.0
+        if i % 4 in (2, 3) and n > 1:
+            b[0] = 0.0
+        power = float(np.sum(b / (lam + 10.0 ** rng.uniform(-4, 4)) ** 2))
+        return lam, b, power
+
+    def test_power_multiplier_matches_numpy_sum(self, rng):
+        for i in range(280):
+            lam, b, power = self._multiplier_instance(rng, 1 + i % 7, i)
+            assert mu_opt._power_multiplier(lam, b, power) == \
+                _reference_power_multiplier(lam, b, power)
+
+    def test_power_multiplier_meets_tolerance_for_large_n(self, rng):
+        # from 8 terms numpy sums pairwise, so only the tolerance is shared
+        for i in range(100):
+            lam, b, power = self._multiplier_instance(rng, 8 + i % 5, i)
+            mu = mu_opt._power_multiplier(lam, b, power)
+            assert mu > 0
+            assert abs(float(np.sum(b / (lam + mu) ** 2)) - power) <= 1e-6 * power
+
+    @pytest.mark.parametrize("k, n, zero_weight", [(1, 1, False), (1, 4, False),
+                                                   (2, 4, False), (3, 4, False),
+                                                   (3, 3, False), (4, 2, False),
+                                                   (3, 4, True)])
+    def test_eigen_power_test_matches_pinv_norm(self, rng, k, n, zero_weight):
+        for _ in range(80):
+            h = _random_rows(rng, k, n, scale=10.0 ** rng.uniform(-3, 3))
+            chi = _random_rows(rng, 1, k)[0]
+            kappa = rng.uniform(0.5, 3.0, k)
+            if zero_weight:
+                chi[1] = 0.0
+            lam, b = mu_opt._power_profile(h, chi, kappa)
+            full = float(np.sum(np.abs(mu_opt._wmmse_precoder(h, chi, kappa, 0.0)) ** 2))
+            eig = mu_opt._pinv_power(lam, b)
+            assert eig == pytest.approx(full, rel=1e-12)
+            for power in (0.5 * full, 2.0 * full, full * (1 - 1e-12) / (1 + 1e-9),
+                          full * (1 + 1e-12) / (1 + 1e-9)):
+                assert (eig > power * (1 + 1e-9)) == (full > power * (1 + 1e-9))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_sum_rate_is_sum_of_user_rates(self, rng, k):
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
+            h = _random_rows(rng, k, n, scale=10.0 ** rng.uniform(-3, 3))
+            w = _random_rows(rng, k, n).conj().T
+            s2 = 10.0 ** rng.uniform(-3, 1)
+            assert mu_opt.sum_rate(h, w, s2) == \
+                sum(mu_opt.user_rate(h, w, j, s2) for j in range(k))
+
+    def test_wmmse_matches_pinv_first_iteration(self, rng):
+        # powers up to 1e4 make the unconstrained precoder feasible on some
+        # iterations, so both branches of the power test run
+        for _ in range(60):
+            k = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 6))
+            h = _random_rows(rng, k, n)
+            p, s2 = 10.0 ** float(rng.uniform(-1, 4)), float(rng.uniform(0.05, 2))
+            w0 = h.conj().T / np.linalg.norm(h, axis=1) * np.sqrt(p / k)
+            w, trace = mu_opt.wmmse(h, w0, p, s2)
+            w_ref, trace_ref = _reference_wmmse_pinv_first(h, w0, p, s2)
+            np.testing.assert_array_equal(w, w_ref)
+            np.testing.assert_array_equal(trace, trace_ref)
+
+    @pytest.mark.parametrize("excess", [0.5e-9, 2e-9])
+    def test_power_test_keeps_its_slack(self, rng, excess):
+        # the unconstrained precoder exceeds the budget by `excess`: within
+        # the 1e-9 slack it is kept, beyond it the multiplier is searched
+        for _ in range(20):
+            k = int(rng.integers(1, 4))
+            n = int(rng.integers(k, 5))
+            h = _random_rows(rng, k, n)
+            w0 = h.conj().T / np.linalg.norm(h, axis=1)
+            hw = h @ w0
+            chi = np.diag(hw) / (np.sum(np.abs(hw) ** 2, axis=1) + 1.0)
+            kappa = 1.0 / np.real(1.0 - chi.conj() * np.diag(hw))
+            full = float(np.sum(np.abs(mu_opt._wmmse_precoder(h, chi, kappa, 0.0)) ** 2))
+            p = full / (1 + excess)
+            w, _ = mu_opt.wmmse(h, w0, p, 1.0, max_iter=1)
+            w_ref, _ = _reference_wmmse_pinv_first(h, w0, p, 1.0, max_iter=1)
+            np.testing.assert_array_equal(w, w_ref)
+
+    @staticmethod
     def _points(L, step=0.03):
         return np.stack([np.arange(L) * step, np.zeros(L), np.zeros(L)], axis=1)
 
@@ -758,3 +900,57 @@ class TestManifoldCgConvergence:
             _, trace = mu_opt.manifold_cg(*args)
             assert trace.exit == "tol"
             assert trace.objective[-1] <= _reference_step_one_cg(*args)
+
+
+class TestWmmseCallPattern:
+    """Per-iteration cost of WMMSE, counted on the calls that two
+    line-of-sight sweep cells (K=3, N=4, M=225, at 2 and 6 m) make."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        base = Scenario(num_users=3, num_paths=0, master_seed=0)
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 6.0),
+                                 realizations=1, seed=3)
+        calls = []
+        wmmse = mu_opt.wmmse
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return wmmse(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mu_opt, "wmmse", recording)
+            for vi, value in enumerate(spec.values):
+                harness.run_cell(base, spec, value, vi, 0)
+        return calls
+
+    def test_one_eigh_and_one_precoder_per_iteration(self, instances, monkeypatch):
+        events = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # pinv's own eigendecomposition goes through numpy's internals, so
+        # "eigh" counts only the calls WMMSE makes itself
+        for owner, name in ((np.linalg, "eigh"), (np.linalg, "pinv"),
+                            (mu_opt, "_wmmse_precoder"), (mu_opt, "_power_multiplier"),
+                            (mu_opt, "sum_rate")):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        kinds = []
+        for args in instances:
+            events.clear()
+            mu_opt.wmmse(*args)
+            # one rate for the start, then each iteration ends with its rate
+            assert events[0] == "sum_rate" and events[-1] == "sum_rate"
+            body = events[1:]
+            while body:
+                end = body.index("sum_rate") + 1
+                kinds.append(tuple(body[:end]))
+                body = body[end:]
+        assert set(kinds) == {
+            ("eigh", "_power_multiplier", "_wmmse_precoder", "sum_rate"),
+            ("eigh", "_wmmse_precoder", "pinv", "sum_rate"),
+        }
