@@ -2,4 +2,5 @@
 # Dump the outer-loop sum-rate trace of the joint optimizer on one channel draw.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-irsma convergence --out out/convergence "$@"
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+python -m irsma.cli convergence --out out/convergence "$@"

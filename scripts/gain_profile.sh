@@ -3,5 +3,6 @@
 # under optimized and random reflection phases.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-irsma profile --config configs/single_user_equivalence.yaml \
-      --out out/profile "$@"
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+python -m irsma.cli profile --config configs/single_user_equivalence.yaml \
+    --out out/profile "$@"

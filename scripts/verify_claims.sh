@@ -3,4 +3,5 @@
 # fluctuation monotonicity). Exits nonzero if any check fails.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-irsma verify --out out/verify "$@"
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+python -m irsma.cli verify --out out/verify "$@"

@@ -23,6 +23,17 @@ def _distances(points: np.ndarray, source: np.ndarray) -> np.ndarray:
     return d
 
 
+def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) distances as ((dx^2 + dy^2) + dz^2), one axis at a time:
+    the same sums as a per-pair norm, without a (len(a), len(b), 3) temporary."""
+    d = np.zeros((len(a), len(b)))
+    for axis in range(3):
+        diff = np.subtract.outer(a[:, axis], b[:, axis])
+        diff *= diff
+        d += diff
+    return np.sqrt(d, out=d)
+
+
 def rayleigh_distance(geometry: IrsGeometry, region_length: float, wavelength: float) -> float:
     """Near/far-field boundary 2*(D_irs + A)^2 / lambda for the combined aperture."""
     if wavelength <= 0:
@@ -40,15 +51,7 @@ def nusw_los_matrix(positions, geometry: IrsGeometry, wavelength: float) -> np.n
     if wavelength <= 0:
         raise InvalidParameterError("wavelength must be positive")
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    elements = geometry.element_positions()
-    # ((dx^2 + dy^2) + dz^2), one axis at a time: the same sums as a
-    # per-column norm, without an (M, N, 3) temporary
-    d = np.zeros((len(elements), len(positions)))
-    for axis in range(3):
-        diff = np.subtract.outer(elements[:, axis], positions[:, axis])
-        diff *= diff
-        d += diff
-    np.sqrt(d, out=d)
+    d = _distance_matrix(geometry.element_positions(), positions)
     if np.any(d <= 0):
         raise DegenerateGeometryError("source coincides with an array point")
     # lam / (4*pi*d) * exp(2j*pi*d / lam) in place: the same operations and

@@ -88,6 +88,8 @@ def cmd_profile(args) -> int:
     grid = context.fine
     h_iu = realization.h_iu[0]
 
+    # not run_scheme: this random start is also the plotted "random" profile,
+    # and run_scheme does not return the start it draws
     phi_rand = su_opt.random_reflection(rng, realization.bs_irs.geometry.num_elements)
     sol = su_opt.ao_single_user(h_iu, context.fine_columns, grid, phi_rand,
                                 su_opt.fpa_indices(grid, scen.num_mas),

@@ -277,9 +277,6 @@ def riemannian_project(grad: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return grad - (grad * phi.conj()).real * phi
 
 
-vector_transport = riemannian_project
-
-
 def retract(v: np.ndarray) -> np.ndarray:
     """Entrywise normalization back onto the unit-modulus set."""
     mags = np.abs(v)
@@ -354,8 +351,8 @@ def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
             return phi, trace
         phi_new = cand
         grad_new = riemannian_project(euclidean_grad_f2(phi_new, r, noise_power), phi_new)
-        grad_prev = vector_transport(grad, phi_new)
-        eta_prev = vector_transport(eta, phi_new)
+        grad_prev = riemannian_project(grad, phi_new)
+        eta_prev = riemannian_project(eta, phi_new)
         tau = float(np.real(np.vdot(grad_new, grad_new - grad_prev))) / max(gnorm ** 2, _TINY)
         tau = max(0.0, tau)
         eta = -grad_new + tau * eta_prev

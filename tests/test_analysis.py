@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsma import analysis, channel, harness, su_opt
 from irsma.config import Scenario, TransmitRegion
@@ -13,6 +15,36 @@ from irsma.rng import substream
 @pytest.fixture(scope="module")
 def scenario():
     return Scenario(irs_num_y=8, irs_num_z=8, master_seed=3)
+
+
+def _dense_equivalence_gaps(scen, distances, num_seeds, grid_points):
+    """Reference for the equivalence report: the distance tensor rebuilt for
+    every seed and the co-phased gain evaluated at every grid point."""
+    geometry, lam = scen.geometry(), scen.wavelength
+    expected = []
+    for dist in distances:
+        region = scen.replace(bs_distance=float(dist)).region()
+        offsets = np.linspace(-region.length / 2, region.length / 2, grid_points)
+        points = region.point(offsets)
+        t_fpa = su_opt.optimal_single_ma_position(region)
+        worst = 0.0
+        for s in range(num_seeds):
+            rng = substream(scen.master_seed, "equiv", int(dist * 1000), s)
+            d_user = rng.uniform(*scen.user_distance_range)
+            az = rng.uniform(*scen.user_azimuth_range)
+            el = rng.uniform(*scen.user_elevation_range)
+            direction = np.array([np.cos(el) * np.cos(az),
+                                  np.cos(el) * np.sin(az), np.sin(el)])
+            h_iu = channel.rician_iu_channel(rng, geometry, d_user, direction,
+                                             scen.rician_factor,
+                                             scen.pathloss_exponent, lam)
+            d = np.linalg.norm(points[:, None, :]
+                               - geometry.element_positions()[None, :, :], axis=2)
+            gains = (lam / (4 * np.pi)) ** 2 * np.sum(np.abs(h_iu) / d, axis=1) ** 2
+            g_fpa = su_opt.gain_closed_form(t_fpa, geometry, h_iu, lam)
+            worst = max(worst, abs(float(np.max(gains)) - g_fpa) / g_fpa)
+        expected.append(worst)
+    return expected
 
 
 class TestReportObject:
@@ -50,36 +82,45 @@ class TestSingleMaEquivalence:
         assert all(c.value == 0.0 for c in rep.checks)
 
     def test_equals_per_seed_profile(self):
-        # reference: the distance tensor rebuilt for every seed
         scen = Scenario(irs_num_y=5, irs_num_z=4, master_seed=8, num_mas=1)
-        geometry, lam = scen.geometry(), scen.wavelength
         distances, num_seeds, grid_points = (1, 2.5, 4), 4, 31
-        expected = []
-        for dist in distances:
-            region = scen.replace(bs_distance=float(dist)).region()
-            offsets = np.linspace(-region.length / 2, region.length / 2, grid_points)
-            points = region.point(offsets)
-            t_fpa = su_opt.optimal_single_ma_position(region)
-            worst = 0.0
-            for s in range(num_seeds):
-                rng = substream(scen.master_seed, "equiv", int(dist * 1000), s)
-                d_user = rng.uniform(*scen.user_distance_range)
-                az = rng.uniform(*scen.user_azimuth_range)
-                el = rng.uniform(*scen.user_elevation_range)
-                direction = np.array([np.cos(el) * np.cos(az),
-                                      np.cos(el) * np.sin(az), np.sin(el)])
-                h_iu = channel.rician_iu_channel(rng, geometry, d_user, direction,
-                                                 scen.rician_factor,
-                                                 scen.pathloss_exponent, lam)
-                d = np.linalg.norm(points[:, None, :]
-                                   - geometry.element_positions()[None, :, :], axis=2)
-                gains = (lam / (4 * np.pi)) ** 2 * np.sum(np.abs(h_iu) / d, axis=1) ** 2
-                g_fpa = su_opt.gain_closed_form(t_fpa, geometry, h_iu, lam)
-                worst = max(worst, abs(float(np.max(gains)) - g_fpa) / g_fpa)
-            expected.append(worst)
+        expected = _dense_equivalence_gaps(scen, distances, num_seeds, grid_points)
         rep = analysis.verify_single_ma_equivalence(
             scen, distances=distances, num_seeds=num_seeds, grid_points=grid_points)
         assert [c.value for c in rep.checks] == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(num_y=st.integers(1, 8), num_z=st.integers(1, 8),
+           region_length=st.floats(0.0, 1.0), grid_points=st.integers(1, 301),
+           dist=st.floats(0.5, 8.0), num_seeds=st.integers(1, 6),
+           rician_factor=st.sampled_from([0.0, 1e6]), seed=st.integers(0, 2 ** 16))
+    def test_screen_equals_dense_profile(self, num_y, num_z, region_length, grid_points,
+                                         dist, num_seeds, rician_factor, seed):
+        scen = Scenario(irs_num_y=num_y, irs_num_z=num_z, region_length=region_length,
+                        rician_factor=rician_factor, master_seed=seed, num_mas=1)
+        rep = analysis.verify_single_ma_equivalence(
+            scen, distances=(dist,), num_seeds=num_seeds, grid_points=grid_points)
+        assert [c.value for c in rep.checks] == _dense_equivalence_gaps(
+            scen, (dist,), num_seeds, grid_points)
+
+    def test_screen_keeps_mirror_tie(self):
+        # a region along y centred on the surface normal, an even grid and equal
+        # |h|: the two points next to the centre tie at the best gain up to
+        # rounding, which the product and the exact sum may break either way
+        scen = Scenario(irs_num_y=7, irs_num_z=5, region_axis=(0.0, 1.0, 0.0),
+                        bs_direction=(1.0, 0.0, 0.0), bs_distance=2.0)
+        geometry, lam = scen.geometry(), scen.wavelength
+        region = scen.region()
+        points = region.point(np.linspace(-region.length / 2, region.length / 2, 400))
+        elements = geometry.element_positions()
+        amps = np.vstack([np.ones(geometry.num_elements),
+                          np.full(geometry.num_elements, 3.0)])
+        screened = analysis._screened_gains(points, elements, amps, lam)
+        d = np.linalg.norm(points[:, None, :] - elements[None, :, :], axis=2)
+        for amp, gains in zip(amps, screened):
+            dense = (lam / (4 * np.pi)) ** 2 * np.sum(amp / d, axis=1) ** 2
+            assert sorted(gains) == sorted(dense[199:201])
+            assert np.max(gains) == np.max(dense)
 
     def test_deterministic(self, scenario):
         a = analysis.verify_single_ma_equivalence(scenario, distances=(2,),

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import logging
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +282,15 @@ class TestCli:
         rc = cli_main(["verify", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
         assert any(out.glob("verify_*.csv"))
+
+    def test_verify_claims_script(self, tmp_path):
+        # the script runs from a checkout, where no `irsma` command is installed
+        script = Path(__file__).resolve().parents[1] / "scripts" / "verify_claims.sh"
+        out = tmp_path / "out"
+        proc = subprocess.run(["bash", str(script), "--out", str(out)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(out.glob("verify_*.csv"))) == 4
 
     def test_profile_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
