@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run every shipped benchmark sweep and collect plot-ready CSVs under out/.
-# Usage: scripts/run_all_sweeps.sh [--realizations N] [--threads T]
+# Usage: scripts/run_all_sweeps.sh [--realizations N]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import channel, su_opt
 from .config import Scenario, TransmitRegion
-from .mu_opt import rzf, rzf_rate_far_field, user_rate
+from .mu_opt import _user_rates, rzf, rzf_rate_far_field
 from .rng import substream
 
 
@@ -159,7 +159,7 @@ def verify_far_field_no_gain(scenario: Scenario, num_apvs: int = 100,
             w = dirs / np.linalg.norm(dirs, axis=0, keepdims=True) * np.sqrt(powers)
         else:
             w = rzf(rows, reg, powers)
-        return np.array([user_rate(rows, w, i, sigma2) for i in range(k)])
+        return _user_rates(rows, w, sigma2)
 
     closed = rzf_rate_far_field(q, powers, num_mas, sigma2)
     for name, reg in regs.items():

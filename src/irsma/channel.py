@@ -16,13 +16,6 @@ from .config import IrsGeometry
 from .errors import DegenerateGeometryError, InvalidParameterError
 
 
-def _distances(points: np.ndarray, source: np.ndarray) -> np.ndarray:
-    d = np.linalg.norm(points - np.asarray(source, dtype=float), axis=-1)
-    if np.any(d <= 0):
-        raise DegenerateGeometryError("source coincides with an array point")
-    return d
-
-
 def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) distances as ((dx^2 + dy^2) + dz^2), one axis at a time:
     the same sums as a per-pair norm, without a (len(a), len(b), 3) temporary."""
@@ -39,11 +32,6 @@ def rayleigh_distance(geometry: IrsGeometry, region_length: float, wavelength: f
     if wavelength <= 0:
         raise InvalidParameterError("wavelength must be positive")
     return 2.0 * (geometry.aperture + region_length) ** 2 / wavelength
-
-
-def nusw_los_vector(t, geometry: IrsGeometry, wavelength: float) -> np.ndarray:
-    """Spherical-wave LoS channel from a point antenna to every element, (M,)."""
-    return nusw_los_matrix(np.atleast_2d(t), geometry, wavelength)[:, 0]
 
 
 def nusw_los_matrix(positions, geometry: IrsGeometry, wavelength: float) -> np.ndarray:
@@ -69,7 +57,10 @@ def near_field_response(points, source, wavelength: float) -> np.ndarray:
     """Unit-modulus spherical phase response exp(j*2*pi*||s - p||/lambda)."""
     if wavelength <= 0:
         raise InvalidParameterError("wavelength must be positive")
-    d = _distances(np.atleast_2d(np.asarray(points, dtype=float)), source)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    d = _distance_matrix(points, np.atleast_2d(np.asarray(source, dtype=float)))[:, 0]
+    if np.any(d <= 0):
+        raise DegenerateGeometryError("source coincides with an array point")
     return np.exp(2j * np.pi * d / wavelength)
 
 
@@ -147,9 +138,6 @@ class BsIrsModel:
     geometry: IrsGeometry
     wavelength: float
     clusters: ClusterSet | None = None
-
-    def column(self, t) -> np.ndarray:
-        return self.matrix(np.atleast_2d(np.asarray(t, dtype=float)))[:, 0]
 
     def matrix(self, positions) -> np.ndarray:
         if self.clusters is None:

@@ -50,7 +50,7 @@ def cmd_sweep(args) -> int:
     except InfeasibleSpacingError as exc:
         _log.error("sweep rejected: %s", exc)
         return 2
-    result = harness.run_sweep(spec, scenario, threads=args.threads)
+    result = harness.run_sweep(spec, scenario)
     out = _outdir(args)
     result.to_csv(out / "records.csv")
     result.summary_csv(out / "summary.csv")
@@ -144,7 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default="out")
         if name == "sweep":
             p.add_argument("--realizations", type=int, default=None)
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=int, choices=(1,), default=1,
+                           help="sweeps run serially; the flag stays so that "
+                                "benchmark scripts passing 1 still parse")
         if name == "profile":
             p.add_argument("--resolution", type=int, default=200)
         p.set_defaults(func=fn)

@@ -85,9 +85,6 @@ class TransmitRegion:
         s = np.asarray(offset, dtype=float)
         return self.center_array + np.multiply.outer(s, self.axis_array)
 
-    def offset_of(self, t) -> float:
-        return float(np.dot(np.asarray(t, dtype=float) - self.center_array, self.axis_array))
-
 
 @dataclass(frozen=True)
 class Scenario:

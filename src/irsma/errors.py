@@ -25,9 +25,5 @@ class InfeasibleSpacingError(IrsmaError):
     """The antenna-spacing constraint cannot be met on the given sampling grid."""
 
 
-class DegenerateRetractionError(IrsmaError):
-    """A vector with a zero entry cannot be retracted onto the unit-modulus set."""
-
-
 class MultiplierBracketError(IrsmaError):
     """The WMMSE power multiplier could not be bracketed within the doubling cap."""

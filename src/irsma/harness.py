@@ -2,8 +2,8 @@
 
 Within one (parameter value, realization) cell every scheme consumes the same
 channel realization, and each sampling grid's channel columns are built once
-per cell (`CellContext`); randomized initial points come from named substreams
-so serial and parallel execution produce identical results.
+per cell (`CellContext`); randomized initial points come from named substreams,
+so every cell is a pure function of the sweep seed and its indices.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import functools
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -294,36 +293,20 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
     return records
 
 
-def run_sweep(spec: SweepSpec, scenario: Scenario, threads: int = 1) -> SweepResult:
-    """Iterate (value, realization) cells; deterministic under the sweep seed
-    regardless of execution order or thread count. A cell that fails with a
-    package error or a linear-algebra error is skipped with a logged warning
-    and listed in `SweepResult.failed` instead of aborting the sweep; any other
-    exception is a bug and propagates."""
-    cells = [(value, vi, r) for vi, value in enumerate(spec.values)
-             for r in range(spec.realizations)]
-
-    def work(cell):
-        value, vi, r = cell
-        try:
-            return run_cell(scenario, spec, value, vi, r)
-        except (IrsmaError, np.linalg.LinAlgError) as exc:
-            _log.warning("cell value=%s realization=%s failed: %r", value, r, exc)
-            return None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(work, cells))
-    else:
-        outputs = [work(c) for c in cells]
-    scheme_rank = {s: i for i, s in enumerate(_CELL_ORDER)}
+def run_sweep(spec: SweepSpec, scenario: Scenario) -> SweepResult:
+    """Run the (value, realization) cells in order; deterministic under the
+    sweep seed. A cell that fails with a package error or a linear-algebra
+    error is skipped with a logged warning and listed in `SweepResult.failed`
+    instead of aborting the sweep; any other exception is a bug and
+    propagates."""
     result = SweepResult(spec=spec)
-    # outputs are in cell order: map keeps the order of its inputs
-    for (value, _, r), recs in zip(cells, outputs):
-        if recs is None:
-            result.failed.append((float(value), r))
-        else:
-            result.records.extend(sorted(recs, key=lambda rec: scheme_rank[rec.scheme]))
+    for vi, value in enumerate(spec.values):
+        for r in range(spec.realizations):
+            try:
+                result.records.extend(run_cell(scenario, spec, value, vi, r))
+            except (IrsmaError, np.linalg.LinAlgError) as exc:
+                _log.warning("cell value=%s realization=%s failed: %r", value, r, exc)
+                result.failed.append((float(value), r))
     return result
 
 

@@ -13,8 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (DegenerateRetractionError, InvalidParameterError,
-                     MultiplierBracketError, SingularMatrixError)
+from .errors import InvalidParameterError, MultiplierBracketError, SingularMatrixError
 from .su_opt import _TINY, _checked_columns, _require_finite, _index_gap
 
 if TYPE_CHECKING:
@@ -25,28 +24,22 @@ if TYPE_CHECKING:
 _MAX_DOUBLINGS = 200
 
 
-def user_rate(h_rows: np.ndarray, w: np.ndarray, k: int, noise_power: float) -> float:
-    """log2(1 + SINR) of user k for stacked cascaded rows (K, N) and W (N, K)."""
+def _user_rates(h_rows: np.ndarray, w: np.ndarray, noise_power: float) -> np.ndarray:
+    """log2(1 + SINR) of every user for stacked cascaded rows (K, N) and W (N, K)."""
     h_rows = np.atleast_2d(np.asarray(h_rows))
     w = np.atleast_2d(np.asarray(w))
     if h_rows.shape[1] != w.shape[0]:
         raise InvalidParameterError("precoder row count does not match antenna count")
-    gains = np.abs(h_rows[k] @ w) ** 2
-    interference = float(np.sum(gains) - gains[k])
-    return float(np.log2(1 + gains[k] / (interference + noise_power)))
-
-
-def sum_rate(h_rows: np.ndarray, w: np.ndarray, noise_power: float) -> float:
-    """Sum over users of `user_rate`, bit for bit, in one pass."""
-    h_rows = np.atleast_2d(np.asarray(h_rows))
-    w = np.atleast_2d(np.asarray(w))
-    if h_rows.shape[1] != w.shape[0]:
-        raise InvalidParameterError("precoder row count does not match antenna count")
-    # one product per row: h_rows @ w rounds differently from user_rate's h_k @ w
+    # one vector-matrix product per row: h_rows @ w rounds differently
     gains = np.abs(np.stack([row @ w for row in h_rows])) ** 2
     signal = np.diagonal(gains)
     interference = np.sum(gains, axis=1) - signal
-    return float(sum(np.log2(1 + signal / (interference + noise_power)).tolist()))
+    return np.log2(1 + signal / (interference + noise_power))
+
+
+def sum_rate(h_rows: np.ndarray, w: np.ndarray, noise_power: float) -> float:
+    """Sum over users of `_user_rates`, in user order."""
+    return float(sum(_user_rates(h_rows, w, noise_power).tolist()))
 
 
 def rzf(h_rows: np.ndarray, reg: float, powers) -> np.ndarray:
@@ -106,9 +99,9 @@ def _wmmse_system(h_rows, chi, kappa):
     return a0, h_rows.conj().T * (chi * kappa)
 
 
-def _wmmse_precoder(h_rows, chi, kappa, mu):
-    a0, rhs = _wmmse_system(h_rows, chi, kappa)
-    a = mu * np.eye(h_rows.shape[1], dtype=complex)
+def _wmmse_precoder(a0, rhs, mu):
+    """The precoder (A0 + mu I)^-1 rhs for the system of `_wmmse_system`."""
+    a = mu * np.eye(a0.shape[0], dtype=complex)
     a += a0
     if mu == 0:
         # a can be rank-deficient (K < N, or a user weight driven to zero);
@@ -117,14 +110,13 @@ def _wmmse_precoder(h_rows, chi, kappa, mu):
     return np.linalg.solve(a, rhs)
 
 
-def _power_profile(h_rows, chi, kappa):
+def _power_profile(a0, rhs):
     """Eigenvalues lam and weights b with ||_wmmse_precoder(mu)||_F^2 =
     sum_j b_j / (lam_j + mu)^2 for every mu > 0.
 
     The precoder is (A0 + mu I)^-1 rhs with A0 = U diag(lam) U^H, so its
     squared norm splits over the eigenvectors: b_j = ||(U^H rhs)_j||^2.
     """
-    a0, rhs = _wmmse_system(h_rows, chi, kappa)
     lam, u = np.linalg.eigh(a0)
     proj = u.conj().T @ rhs
     # a0 is positive semidefinite; clip rounding below zero
@@ -203,11 +195,12 @@ def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float, noise_power: flo
         chi = np.diag(hw) / totals
         kappa = 1.0 / np.real(1.0 - chi.conj() * np.diag(hw))
 
-        lam, b = _power_profile(h_rows, chi, kappa)
+        a0, rhs = _wmmse_system(h_rows, chi, kappa)
+        lam, b = _power_profile(a0, rhs)
         mu = 0.0
         if _pinv_power(lam, b) > power * (1 + 1e-9):
             mu = _power_multiplier(lam, b, power)
-        w_new = _wmmse_precoder(h_rows, chi, kappa, mu)
+        w_new = _wmmse_precoder(a0, rhs, mu)
         rate = sum_rate(h_rows, w_new, noise_power)
         if rate < trace[-1]:
             # finite bisection tolerance at the fixed point; keep the monotone iterate
@@ -277,15 +270,8 @@ def riemannian_project(grad: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return grad - (grad * phi.conj()).real * phi
 
 
-def retract(v: np.ndarray) -> np.ndarray:
-    """Entrywise normalization back onto the unit-modulus set."""
-    mags = np.abs(v)
-    if np.any(mags == 0):
-        raise DegenerateRetractionError("zero entry cannot be normalized")
-    return v / mags
-
-
 def _retract_step(phi, step, eta):
+    """phi + step * eta normalized entrywise onto the unit-modulus set."""
     v = phi + step * eta
     mags = np.abs(v)
     if not mags.all():
@@ -400,7 +386,7 @@ def sequential_position_search(cascade_table: np.ndarray, w: np.ndarray,
         if len(feasible) == 0:
             continue
         # links[c, k, i] = h_k^H w_i with antenna n at candidate c: the
-        # other antennas' part plus antenna n's; rates as in `user_rate`
+        # other antennas' part plus antenna n's; rates as in `_user_rates`
         base = cascade_table[:, others] @ w[keep]  # (K, K)
         links = base[None] + cascade_table[:, feasible].T[:, :, None] * w[n]
         gains = np.abs(links) ** 2

@@ -2,7 +2,8 @@
 
 One master seed drives the whole experiment. Every stochastic draw happens in a
 named substream keyed by (master_seed, *tags) so that schemes compared within a
-realization see identical channels and parallel execution cannot reorder draws.
+realization see identical channels and no cell's draws depend on the cells
+run before it.
 """
 
 from __future__ import annotations

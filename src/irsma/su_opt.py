@@ -130,7 +130,8 @@ class SamplingGrid:
         if sample_spacing <= 0 or min_spacing <= 0:
             raise InvalidParameterError("spacings must be positive")
         num = max(1, int(round(region.length / sample_spacing)))
-        delta = region.length / num
+        # a zero-length region is one point with no step: give it the requested one
+        delta = region.length / num or sample_spacing
         # cell-center placement keeps symmetric fixed layouts on the grid
         offsets = (np.arange(num) + 0.5 - num / 2) * delta
         return cls(region.point(offsets), delta, _index_gap(min_spacing, delta))

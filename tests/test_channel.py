@@ -36,27 +36,27 @@ class TestNuswLos:
     def test_single_element_one_wavelength(self):
         lam = 0.06
         g = IrsGeometry(num_y=1, num_z=1, spacing=0.0)
-        h = channel.nusw_los_vector([lam, 0.0, 0.0], g, lam)
+        h = channel.nusw_los_matrix([lam, 0.0, 0.0], g, lam)[:, 0]
         assert abs(h[0]) == pytest.approx(1 / (4 * np.pi), rel=1e-12)
         assert np.angle(h[0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_half_wavelength(self):
         lam = 0.06
         g = IrsGeometry(num_y=1, num_z=1, spacing=0.0)
-        h = channel.nusw_los_vector([lam / 2, 0.0, 0.0], g, lam)
+        h = channel.nusw_los_matrix([lam / 2, 0.0, 0.0], g, lam)[:, 0]
         assert abs(h[0]) == pytest.approx(1 / (2 * np.pi), rel=1e-12)
         assert abs(np.angle(h[0])) == pytest.approx(np.pi, abs=1e-9)
 
     def test_amplitudes_decrease_with_distance(self, small_geometry):
         lam = 0.06
-        a1 = np.abs(channel.nusw_los_vector([1.0, 0, 0], small_geometry, lam))
-        a2 = np.abs(channel.nusw_los_vector([2.0, 0, 0], small_geometry, lam))
+        a1 = np.abs(channel.nusw_los_matrix([1.0, 0, 0], small_geometry, lam))
+        a2 = np.abs(channel.nusw_los_matrix([2.0, 0, 0], small_geometry, lam))
         assert np.all(a2 < a1)
 
     def test_entry_formula_per_element(self, small_geometry):
         lam = 0.0599584916
         t = np.array([1.3, -0.2, 0.4])
-        h = channel.nusw_los_vector(t, small_geometry, lam)
+        h = channel.nusw_los_matrix(t, small_geometry, lam)[:, 0]
         d = np.linalg.norm(small_geometry.element_positions() - t, axis=1)
         np.testing.assert_allclose(np.abs(h), lam / (4 * np.pi * d), rtol=1e-12)
         np.testing.assert_allclose(
@@ -65,13 +65,13 @@ class TestNuswLos:
     def test_coincident_point_raises(self, small_geometry):
         t = small_geometry.element_positions()[0]
         with pytest.raises(DegenerateGeometryError):
-            channel.nusw_los_vector(t, small_geometry, 0.06)
+            channel.nusw_los_matrix(t, small_geometry, 0.06)
 
     def test_matrix_single_column(self, small_geometry):
+        # one position given as a point, not a (1, 3) array
         t = np.array([2.0, 0.1, -0.1])
         m = channel.nusw_los_matrix([t], small_geometry, 0.06)
-        np.testing.assert_array_equal(
-            m[:, 0], channel.nusw_los_vector(t, small_geometry, 0.06))
+        np.testing.assert_array_equal(m, channel.nusw_los_matrix(t, small_geometry, 0.06))
 
     def test_matrix_column_permutation(self, small_geometry):
         pos = np.array([[2.0, 0, 0], [2.5, 0.1, 0], [3.0, -0.1, 0.2]])
@@ -126,6 +126,20 @@ class TestNearFieldResponse:
         assert out[0] == pytest.approx(1.0, abs=1e-9)
         assert out[1] == pytest.approx(-1.0, abs=1e-9)
 
+    def test_equals_per_point_norm(self, rng):
+        for _ in range(200):
+            pts = rng.uniform(-2, 2, size=(int(rng.integers(1, 50)), 3))
+            source = rng.uniform(-5, 5, size=3)
+            lam = float(rng.uniform(0.01, 0.3))
+            d = np.linalg.norm(pts - source, axis=-1)
+            np.testing.assert_array_equal(channel.near_field_response(pts, source, lam),
+                                          np.exp(2j * np.pi * d / lam))
+
+    def test_coincident_point_raises(self, rng):
+        pts = rng.normal(size=(5, 3))
+        with pytest.raises(DegenerateGeometryError):
+            channel.near_field_response(pts, pts[3], 0.06)
+
 
 class TestMultipath:
     def test_pure_los_identity(self, small_geometry):
@@ -161,8 +175,8 @@ class TestMultipath:
         model = channel.BsIrsModel(small_geometry, 0.06, cs)
         pos = np.array([[2.0, 0, 0], [2.2, 0, 0]])
         full = model.matrix(pos)
-        np.testing.assert_allclose(full[:, 0], model.column(pos[0]), rtol=1e-12)
-        np.testing.assert_allclose(full[:, 1], model.column(pos[1]), rtol=1e-12)
+        np.testing.assert_allclose(full[:, :1], model.matrix(pos[:1]), rtol=1e-12)
+        np.testing.assert_allclose(full[:, 1:], model.matrix(pos[1:]), rtol=1e-12)
 
 
 class TestSampleClusters:
@@ -273,7 +287,7 @@ class TestCascadedRow:
     def test_cophased_magnitude(self, small_geometry, rng):
         from irsma.su_opt import optimal_irs_phase_su
         lam = 0.06
-        h_bi = channel.nusw_los_vector([2.0, 0.5, 0.1], small_geometry, lam)
+        h_bi = channel.nusw_los_matrix([2.0, 0.5, 0.1], small_geometry, lam)[:, 0]
         h_iu = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         phi = optimal_irs_phase_su(h_iu, h_bi)
         row = channel.cascaded_row(h_iu, phi, h_bi[:, None])
@@ -311,7 +325,7 @@ def test_user_direction_draws_azimuth_then_elevation():
 def test_nusw_entry_law_hypothesis(x, y, z, lam):
     g = IrsGeometry(num_y=3, num_z=2, spacing=lam / 2)
     t = np.array([x, y, z])
-    h = channel.nusw_los_vector(t, g, lam)
+    h = channel.nusw_los_matrix(t, g, lam)[:, 0]
     d = np.linalg.norm(g.element_positions() - t, axis=1)
     np.testing.assert_allclose(np.abs(h), lam / (4 * np.pi * d), rtol=1e-10)
     np.testing.assert_allclose(h / np.abs(h), np.exp(2j * np.pi * d / lam), atol=1e-9)

@@ -16,11 +16,18 @@ def _random_rows(rng, k, n, scale=1.0):
     return scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
 
 
+def _reference_user_rate(h_rows, w, k, noise_power):
+    """log2(1 + SINR) of user k alone, from its own row's product."""
+    gains = np.abs(h_rows[k] @ w) ** 2
+    interference = float(np.sum(gains) - gains[k])
+    return float(np.log2(1 + gains[k] / (interference + noise_power)))
+
+
 class TestRates:
     def test_zero_precoder_rate(self, rng):
         h = _random_rows(rng, 2, 3)
         w = np.zeros((3, 2), dtype=complex)
-        assert mu_opt.user_rate(h, w, 0, 1.0) == 0.0
+        np.testing.assert_array_equal(mu_opt._user_rates(h, w, 1.0), [0.0, 0.0])
         assert mu_opt.sum_rate(h, w, 1.0) == 0.0
 
     def test_single_user_mrt_closed_form(self, rng):
@@ -28,7 +35,8 @@ class TestRates:
         p, s2 = 3.0, 0.5
         w = (h.conj().T / np.linalg.norm(h)) * np.sqrt(p)
         expected = np.log2(1 + p * np.linalg.norm(h) ** 2 / s2)
-        assert mu_opt.user_rate(h, w, 0, s2) == pytest.approx(expected, rel=1e-12)
+        assert mu_opt._user_rates(h, w, s2)[0] == pytest.approx(expected, rel=1e-12)
+        assert mu_opt.sum_rate(h, w, s2) == pytest.approx(expected, rel=1e-12)
 
     def test_sinr_homogeneity(self, rng):
         h = _random_rows(rng, 3, 4)
@@ -42,12 +50,13 @@ class TestRates:
     def test_sum_equals_parts(self, rng):
         h = _random_rows(rng, 3, 4)
         w = _random_rows(rng, 3, 4).conj().T
-        parts = sum(mu_opt.user_rate(h, w, k, 1.0) for k in range(3))
+        parts = sum(_reference_user_rate(h, w, k, 1.0) for k in range(3))
         assert mu_opt.sum_rate(h, w, 1.0) == pytest.approx(parts, rel=1e-12)
 
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(InvalidParameterError):
-            mu_opt.user_rate(_random_rows(rng, 2, 3), np.ones((4, 2)), 0, 1.0)
+        for rates in (mu_opt._user_rates, mu_opt.sum_rate):
+            with pytest.raises(InvalidParameterError):
+                rates(_random_rows(rng, 2, 3), np.ones((4, 2)), 1.0)
 
 
 class TestRzf:
@@ -124,7 +133,7 @@ class TestFarFieldRates:
                                         [-1, 0, 0], beta, lam)
         rows = np.vstack([channel.cascaded_row(h_iu[i], phi, h_bi) for i in range(k)])
         w = mu_opt.rzf(rows, s2, powers)
-        pipeline = np.array([mu_opt.user_rate(rows, w, i, s2) for i in range(k)])
+        pipeline = mu_opt._user_rates(rows, w, s2)
         closed = mu_opt.rzf_rate_far_field(q, powers, n, s2)
         np.testing.assert_allclose(pipeline, closed, rtol=1e-8)
 
@@ -277,20 +286,30 @@ class TestManifoldPrimitives:
         assert np.max(np.abs(np.real(t * np.conj(phi)))) <= 1e-10
 
     def test_retract_hand_case(self):
-        out = mu_opt.retract(np.array([2.0, -3j]))
+        # phi + step * eta = [2, -3j]
+        out = mu_opt._retract_step(np.array([1.0 + 0j, -1j]), 0.5, np.array([2.0, -4j]))
         np.testing.assert_allclose(out, [1.0, -1j], atol=1e-12)
 
     def test_retract_unit_modulus(self, rng):
-        v = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        out = mu_opt.retract(v)
+        phi = np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
+        eta = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        out = mu_opt._retract_step(phi, 0.7, eta)
         np.testing.assert_allclose(np.abs(out), 1.0, atol=1e-12)
-        unit = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
-        np.testing.assert_allclose(mu_opt.retract(unit), unit, atol=1e-12)
+        np.testing.assert_allclose(mu_opt._retract_step(phi, 0.0, eta), phi, atol=1e-12)
 
-    def test_retract_zero_entry(self):
-        from irsma.errors import DegenerateRetractionError
-        with pytest.raises(DegenerateRetractionError):
-            mu_opt.retract(np.array([0.0 + 0j, 1.0]))
+    def test_retract_zero_entry(self, rng):
+        # an entry whose step lands on zero keeps its previous phase
+        phi = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
+        eta = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        dead = [1, 4]
+        eta[dead] = -2.0 * phi[dead]  # phi + 0.5 * eta is exactly 0 there
+        out = mu_opt._retract_step(phi, 0.5, eta)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(np.abs(out), 1.0, atol=1e-12)
+        np.testing.assert_array_equal(out[dead], phi[dead])
+        live = [0, 2, 3, 5]
+        v = phi[live] + 0.5 * eta[live]
+        np.testing.assert_array_equal(out[live], v / np.abs(v))
 
 
 class TestManifoldCg:
@@ -538,9 +557,10 @@ def _reference_wmmse(h_rows, w_init, power, noise_power, tol=1e-6, max_iter=200)
         totals = np.sum(np.abs(hw) ** 2, axis=1) + noise_power
         chi = np.diag(hw) / totals
         kappa = 1.0 / np.real(1.0 - chi.conj() * np.diag(hw))
+        a0, rhs = mu_opt._wmmse_system(h_rows, chi, kappa)
 
         def total_power(mu):
-            return float(np.sum(np.abs(mu_opt._wmmse_precoder(h_rows, chi, kappa, mu)) ** 2))
+            return float(np.sum(np.abs(mu_opt._wmmse_precoder(a0, rhs, mu)) ** 2))
 
         if total_power(0.0) <= power * (1 + 1e-9):
             mu = 0.0
@@ -560,7 +580,7 @@ def _reference_wmmse(h_rows, w_init, power, noise_power, tol=1e-6, max_iter=200)
                     hi = mu
             else:
                 mu = hi
-        w_new = mu_opt._wmmse_precoder(h_rows, chi, kappa, mu)
+        w_new = mu_opt._wmmse_precoder(a0, rhs, mu)
         rate = mu_opt.sum_rate(h_rows, w_new, noise_power)
         if rate < trace[-1]:
             break
@@ -598,7 +618,7 @@ def _reference_wmmse_pinv_first(h_rows, w_init, power, noise_power, tol=1e-6,
     tests its norm, bisects the multiplier on numpy sums and adds the rates
     user by user."""
     def rate_of(w):
-        return float(sum(mu_opt.user_rate(h_rows, w, k, noise_power)
+        return float(sum(_reference_user_rate(h_rows, w, k, noise_power)
                          for k in range(h_rows.shape[0])))
 
     w = np.asarray(w_init, dtype=complex).copy()
@@ -609,10 +629,11 @@ def _reference_wmmse_pinv_first(h_rows, w_init, power, noise_power, tol=1e-6,
         chi = np.diag(hw) / totals
         kappa = 1.0 / np.real(1.0 - chi.conj() * np.diag(hw))
 
-        w_new = mu_opt._wmmse_precoder(h_rows, chi, kappa, 0.0)
+        a0, rhs = mu_opt._wmmse_system(h_rows, chi, kappa)
+        w_new = mu_opt._wmmse_precoder(a0, rhs, 0.0)
         if float(np.sum(np.abs(w_new) ** 2)) > power * (1 + 1e-9):
-            lam, b = mu_opt._power_profile(h_rows, chi, kappa)
-            w_new = mu_opt._wmmse_precoder(h_rows, chi, kappa,
+            lam, b = mu_opt._power_profile(a0, rhs)
+            w_new = mu_opt._wmmse_precoder(a0, rhs,
                                            _reference_power_multiplier(lam, b, power))
         rate = rate_of(w_new)
         if rate < trace[-1]:
@@ -706,11 +727,12 @@ class TestRewriteEquivalence:
             kappa = rng.uniform(0.5, 3.0, k)
             if zero_weight:
                 chi[1] = 0.0
-            lam, b = mu_opt._power_profile(h, chi, kappa)
+            a0, rhs = mu_opt._wmmse_system(h, chi, kappa)
+            lam, b = mu_opt._power_profile(a0, rhs)
             for scale in (1e-3, 1e-1, 1.0, 10.0, 1e3):
                 mu = scale * float(np.max(lam))
                 eig = float(np.sum(b / (lam + mu) ** 2))
-                full = float(np.sum(np.abs(mu_opt._wmmse_precoder(h, chi, kappa, mu)) ** 2))
+                full = float(np.sum(np.abs(mu_opt._wmmse_precoder(a0, rhs, mu)) ** 2))
                 assert eig == pytest.approx(full, rel=1e-10)
 
     def test_wmmse_matches_full_solve_bisection(self, rng):
@@ -764,23 +786,25 @@ class TestRewriteEquivalence:
             kappa = rng.uniform(0.5, 3.0, k)
             if zero_weight:
                 chi[1] = 0.0
-            lam, b = mu_opt._power_profile(h, chi, kappa)
-            full = float(np.sum(np.abs(mu_opt._wmmse_precoder(h, chi, kappa, 0.0)) ** 2))
+            a0, rhs = mu_opt._wmmse_system(h, chi, kappa)
+            lam, b = mu_opt._power_profile(a0, rhs)
+            full = float(np.sum(np.abs(mu_opt._wmmse_precoder(a0, rhs, 0.0)) ** 2))
             eig = mu_opt._pinv_power(lam, b)
             assert eig == pytest.approx(full, rel=1e-12)
             for power in (0.5 * full, 2.0 * full, full * (1 - 1e-12) / (1 + 1e-9),
                           full * (1 + 1e-12) / (1 + 1e-9)):
                 assert (eig > power * (1 + 1e-9)) == (full > power * (1 + 1e-9))
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", range(1, 9))
     def test_sum_rate_is_sum_of_user_rates(self, rng, k):
         for _ in range(100):
-            n = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 9))
             h = _random_rows(rng, k, n, scale=10.0 ** rng.uniform(-3, 3))
             w = _random_rows(rng, k, n).conj().T
             s2 = 10.0 ** rng.uniform(-3, 1)
-            assert mu_opt.sum_rate(h, w, s2) == \
-                sum(mu_opt.user_rate(h, w, j, s2) for j in range(k))
+            ref = [_reference_user_rate(h, w, j, s2) for j in range(k)]
+            assert mu_opt._user_rates(h, w, s2).tolist() == ref
+            assert mu_opt.sum_rate(h, w, s2) == sum(ref)
 
     def test_wmmse_matches_pinv_first_iteration(self, rng):
         # powers up to 1e4 make the unconstrained precoder feasible on some
@@ -808,7 +832,8 @@ class TestRewriteEquivalence:
             hw = h @ w0
             chi = np.diag(hw) / (np.sum(np.abs(hw) ** 2, axis=1) + 1.0)
             kappa = 1.0 / np.real(1.0 - chi.conj() * np.diag(hw))
-            full = float(np.sum(np.abs(mu_opt._wmmse_precoder(h, chi, kappa, 0.0)) ** 2))
+            full = float(np.sum(np.abs(
+                mu_opt._wmmse_precoder(*mu_opt._wmmse_system(h, chi, kappa), 0.0)) ** 2))
             p = full / (1 + excess)
             w, _ = mu_opt.wmmse(h, w0, p, 1.0, max_iter=1)
             w_ref, _ = _reference_wmmse_pinv_first(h, w0, p, 1.0, max_iter=1)

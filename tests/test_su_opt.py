@@ -81,7 +81,7 @@ class TestOptimalPhase:
     def test_matches_closed_form_gain(self, small_geometry, rng):
         lam = 0.06
         t = np.array([2.0, 0.3, -0.2])
-        h_bi = channel.nusw_los_vector(t, small_geometry, lam)
+        h_bi = channel.nusw_los_matrix(t, small_geometry, lam)[:, 0]
         h_iu = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         phi = su_opt.optimal_irs_phase_su(h_iu, h_bi)
         cascade = channel.cascaded_row(h_iu, phi, h_bi[:, None])[0]
@@ -201,10 +201,21 @@ class TestSamplingGrid:
         region = TransmitRegion((5.0, 5.0, 0.0), (1.0, 0.0, 0.0), 0.6)
         grid = su_opt.SamplingGrid.from_region(region, 0.006, 0.03)
         assert grid.num_points == 100
-        offsets = [region.offset_of(p) for p in grid.points]
+        offsets = (grid.points - region.center_array) @ region.axis_array
         steps = np.diff(offsets)
         np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
         assert grid.min_gap == 5
+
+    def test_zero_length_region_is_one_point(self):
+        region = TransmitRegion((5.0, 5.0, 0.0), (1.0, 0.0, 0.0), 0.0)
+        grid = su_opt.SamplingGrid.from_region(region, 0.006, 0.03)
+        assert grid.num_points == 1
+        np.testing.assert_array_equal(grid.points, [region.center_array])
+        assert grid.spacing == 0.006
+        assert grid.min_gap == 5
+        assert su_opt.fpa_indices(grid, 1) == [0]
+        with pytest.raises(InfeasibleSpacingError):
+            su_opt.fpa_indices(grid, 2)
 
     def test_min_gap_guarantees_continuous_spacing(self):
         region = TransmitRegion((5.0, 5.0, 0.0), (1.0, 0.0, 0.0), 0.6)
@@ -218,7 +229,7 @@ class TestSamplingGrid:
         grid = su_opt.SamplingGrid.from_region(region, s.sample_spacing, s.min_spacing)
         idx = su_opt.fpa_indices(grid, s.num_mas)
         # symmetric about the region center with spacing >= min_spacing
-        offs = np.array([region.offset_of(grid.points[i]) for i in idx])
+        offs = (grid.points[idx] - region.center_array) @ region.axis_array
         np.testing.assert_allclose(offs + offs[::-1], 0.0, atol=1e-9)
         assert np.all(np.diff(offs) >= s.min_spacing - 1e-9)
 
