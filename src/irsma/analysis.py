@@ -76,12 +76,7 @@ def _worst_equivalence_gap(scenario: Scenario, dist, num_seeds: int,
     amps = np.empty((num_seeds, geometry.num_elements))  # |h_iu| of each seed
     for s in range(num_seeds):
         rng = substream(scenario.master_seed, "equiv", int(dist * 1000), s)
-        d_user = rng.uniform(*scenario.user_distance_range)
-        direction = channel.draw_user_direction(rng, scenario.user_azimuth_range,
-                                                scenario.user_elevation_range)
-        amps[s] = np.abs(channel.rician_iu_channel(rng, geometry, d_user, direction,
-                                                   scenario.rician_factor,
-                                                   scenario.pathloss_exponent, lam))
+        amps[s] = np.abs(channel._draw_user(rng, scenario, geometry))
     t_fpa = su_opt.optimal_single_ma_position(region)
     worst = 0.0
     for amp, gains in zip(amps, _screened_gains(region.point(offsets),
@@ -131,13 +126,7 @@ def verify_far_field_no_gain(scenario: Scenario, num_apvs: int = 100,
     geometry = scenario.geometry()
     k = scenario.num_users
     arrival = np.array([1.0, 0.0, 0.0])
-    h_iu = np.vstack([
-        channel.rician_iu_channel(rng, geometry, rng.uniform(*scenario.user_distance_range),
-                                  channel.draw_user_direction(
-                                      rng, scenario.user_azimuth_range,
-                                      scenario.user_elevation_range),
-                                  scenario.rician_factor, scenario.pathloss_exponent, lam)
-        for _ in range(k)])
+    h_iu = np.vstack([channel._draw_user(rng, scenario, geometry) for _ in range(k)])
     phi = su_opt.random_reflection(rng, geometry.num_elements)
     beta = lam / (4 * np.pi * scenario.bs_distance) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     powers = np.full(k, scenario.transmit_power / k)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import IrsGeometry
+from .config import IrsGeometry, Scenario
 from .errors import DegenerateGeometryError, InvalidParameterError
 
 
@@ -187,6 +187,15 @@ def rician_iu_channel(rng: np.random.Generator, geometry: IrsGeometry,
     mix = (np.sqrt(rician_factor / (1 + rician_factor)) * h_los
            + np.sqrt(1 / (1 + rician_factor)) * h_nlos)
     return wavelength / (4 * np.pi) * user_distance ** (-pathloss_exponent / 2) * mix
+
+
+def _draw_user(rng: np.random.Generator, scenario: Scenario, geometry: IrsGeometry):
+    """One user's `rician_iu_channel`: distance, direction, then fading."""
+    distance = rng.uniform(*scenario.user_distance_range)
+    direction = draw_user_direction(rng, scenario.user_azimuth_range,
+                                    scenario.user_elevation_range)
+    return rician_iu_channel(rng, geometry, distance, direction, scenario.rician_factor,
+                             scenario.pathloss_exponent, scenario.wavelength)
 
 
 def cascaded_row(h_iu: np.ndarray, phi: np.ndarray, h_bi: np.ndarray) -> np.ndarray:

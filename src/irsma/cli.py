@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analysis, harness, su_opt
 from .config import Scenario, load_config, scenario_from_dict
-from .errors import InfeasibleSpacingError
+from .errors import IrsmaError
 from .rng import substream
 
 _log = logging.getLogger(__name__)
@@ -35,8 +35,8 @@ def _outdir(args) -> Path:
 
 def cmd_sweep(args) -> int:
     """Run the sweep and write its records. Returns 2, having written
-    nothing, when the antennas cannot fit at some swept value, and 1 when any
-    cell failed."""
+    nothing, when `run_sweep` rejects the sweep before its first cell, and 1
+    when any cell failed at run time."""
     scenario, data = _load(args)
     sweep_cfg = dict(data.get("sweep", {}))
     if args.realizations is not None:
@@ -46,11 +46,11 @@ def cmd_sweep(args) -> int:
     sweep_cfg.setdefault("seed", scenario.master_seed)
     spec = harness.sweep_spec_from_dict(sweep_cfg)
     try:
-        harness._check_layouts_fit(spec, scenario)
-    except InfeasibleSpacingError as exc:
+        # a failed cell is caught inside; only the load-time rejection gets here
+        result = harness.run_sweep(spec, scenario)
+    except IrsmaError as exc:
         _log.error("sweep rejected: %s", exc)
         return 2
-    result = harness.run_sweep(spec, scenario)
     out = _outdir(args)
     result.to_csv(out / "records.csv")
     result.summary_csv(out / "summary.csv")

@@ -136,6 +136,7 @@ class Scenario:
             raise InvalidParameterError("spacings must be positive")
         object.__setattr__(self, "bs_direction", tuple(_unit(self.bs_direction)))
         object.__setattr__(self, "region_axis", tuple(_unit(self.region_axis)))
+        self.region()  # its checks (a non-negative length) run at load
 
     @property
     def wavelength(self) -> float:
@@ -157,12 +158,8 @@ def scenario_from_dict(d: dict) -> Scenario:
     unknown = set(d) - known
     if unknown:
         raise InvalidParameterError(f"unknown scenario keys: {sorted(unknown)}")
-    kwargs = dict(d)
-    for key in ("region_axis", "bs_direction", "user_distance_range",
-                "user_azimuth_range", "user_elevation_range", "scatterer_box_size"):
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = tuple(kwargs[key])
-    return Scenario(**kwargs)
+    # YAML gives lists; every vector field of a Scenario is a tuple
+    return Scenario(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
 def load_config(path) -> dict:

@@ -28,7 +28,10 @@ MA_RPS = "MA_RPS"
 FPA_RPS = "FPA_RPS"
 ALL_SCHEMES = (PROPOSED, FPA, AS, MA_RPS, FPA_RPS)
 
-SWEEPABLE = ("bs_irs_distance", "region_length", "num_paths")
+# sweep parameter -> (the Scenario field it sets, the type of its values)
+SWEEPABLE = {"bs_irs_distance": ("bs_distance", float),
+             "region_length": ("region_length", float),
+             "num_paths": ("num_paths", int)}
 
 _log = logging.getLogger(__name__)
 
@@ -64,13 +67,10 @@ def sweep_spec_from_dict(d: dict) -> SweepSpec:
 
 
 def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
-    if parameter == "bs_irs_distance":
-        return scenario.replace(bs_distance=float(value))
-    if parameter == "region_length":
-        return scenario.replace(region_length=float(value))
-    if parameter == "num_paths":
-        return scenario.replace(num_paths=int(value))
-    raise InvalidParameterError(f"unknown sweep parameter {parameter!r}")
+    if parameter not in SWEEPABLE:
+        raise InvalidParameterError(f"unknown sweep parameter {parameter!r}")
+    name, kind = SWEEPABLE[parameter]
+    return scenario.replace(**{name: kind(value)})
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,8 @@ class Realization:
 def draw_realization(scenario: Scenario, rng: np.random.Generator) -> Realization:
     geometry = scenario.geometry()
     lam = scenario.wavelength
-    h_iu = np.vstack([
-        channel.rician_iu_channel(
-            rng, geometry, rng.uniform(*scenario.user_distance_range),
-            channel.draw_user_direction(rng, scenario.user_azimuth_range,
-                                        scenario.user_elevation_range),
-            scenario.rician_factor, scenario.pathloss_exponent, lam)
-        for _ in range(scenario.num_users)])
+    h_iu = np.vstack([channel._draw_user(rng, scenario, geometry)
+                      for _ in range(scenario.num_users)])
     clusters = None
     if scenario.num_paths > 0:
         region_center = scenario.region().center_array
@@ -147,14 +142,16 @@ def cell_context(scenario: Scenario, realization: Realization) -> CellContext:
 
 
 def _check_layouts_fit(spec: SweepSpec, scenario: Scenario) -> None:
-    """Raise InfeasibleSpacingError unless the fixed layout of `num_mas`
-    antennas fits, at every swept value, on each grid the swept schemes use:
-    the coarse one for AS, the fine one for the rest. Every cell at such a
-    value would fail, so the sweep is rejected before its first cell. Private,
-    so that tracers wrapping every public harness function leave it alone."""
+    """Raise unless, at every swept value, the scenario builds and the fixed
+    layout of `num_mas` antennas fits on each grid the swept schemes use (the
+    coarse one for AS, the fine one for the rest). Private, so that tracers
+    wrapping every public harness function leave it alone."""
     used = {"coarse" if s == AS else "fine" for s in spec.schemes}
     for value in spec.values:
-        scen = apply_parameter(scenario, spec.parameter, value)
+        try:
+            scen = apply_parameter(scenario, spec.parameter, value)
+        except InvalidParameterError as exc:
+            raise InvalidParameterError(f"{exc} at {spec.parameter}={value}") from exc
         for name, grid in zip(("fine", "coarse"), _grids(scen)):
             if name not in used:
                 continue
@@ -295,10 +292,12 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
 
 def run_sweep(spec: SweepSpec, scenario: Scenario) -> SweepResult:
     """Run the (value, realization) cells in order; deterministic under the
-    sweep seed. A cell that fails with a package error or a linear-algebra
-    error is skipped with a logged warning and listed in `SweepResult.failed`
-    instead of aborting the sweep; any other exception is a bug and
-    propagates."""
+    sweep seed. A sweep whose scenario cannot be built, or whose antennas
+    cannot fit, at some swept value raises before its first cell. Past that,
+    a cell that fails with a package error or a linear-algebra error is
+    skipped with a logged warning and listed in `SweepResult.failed` instead
+    of aborting the sweep; any other exception is a bug and propagates."""
+    _check_layouts_fit(spec, scenario)
     result = SweepResult(spec=spec)
     for vi, value in enumerate(spec.values):
         for r in range(spec.realizations):

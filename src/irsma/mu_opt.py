@@ -14,7 +14,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParameterError, MultiplierBracketError, SingularMatrixError
-from .su_opt import _TINY, _checked_columns, _require_finite, _index_gap
+from .su_opt import (_MAX_OUTER, _OUTER_TOL, _TINY, _checked_columns, _index_gap,
+                     _require_finite)
 
 if TYPE_CHECKING:
     from .su_opt import SamplingGrid
@@ -22,6 +23,9 @@ if TYPE_CHECKING:
 # Doublings of the multiplier bracket's upper end (starting at 1) before the
 # search gives up; 2**200 is far beyond any multiplier of a physical channel.
 _MAX_DOUBLINGS = 200
+# Armijo sufficient-decrease constant and step shrink of `manifold_cg`
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
 
 
 def _user_rates(h_rows: np.ndarray, w: np.ndarray, noise_power: float) -> np.ndarray:
@@ -295,7 +299,6 @@ class ManifoldTrace:
 
 def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
                 grad_tol: float = 1e-6, max_iter: int = 500,
-                armijo_c: float = 1e-4, backtrack: float = 0.5,
                 max_backtracks: int = 30) -> tuple[np.ndarray, ManifoldTrace]:
     """Polak-Ribiere conjugate gradient on the unit-modulus manifold with an
     Armijo line search. The objective (negative sum rate) never increases on
@@ -328,10 +331,10 @@ def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
         for _ in range(max_backtracks):
             cand = _retract_step(phi, step, eta)
             f_cand = neg_sum_rate(cand, r, noise_power)
-            if f_cand <= f + armijo_c * step * slope:
+            if f_cand <= f + _ARMIJO_C * step * slope:
                 accepted = True
                 break
-            step *= backtrack
+            step *= _BACKTRACK
         if not accepted:
             trace.exit = "line_search"
             return phi, trace
@@ -412,8 +415,7 @@ class MuSolution:
 
 def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices,
                   power: float, noise_power: float, *, min_spacing: float,
-                  w_init=None, tol: float = 1e-3, max_outer: int = 50,
-                  optimize_phi: bool = True,
+                  w_init=None, optimize_phi: bool = True,
                   optimize_positions: bool = True) -> MuSolution:
     """Alternate precoding (WMMSE), reflection (manifold CG) and positions
     (sequential grid search); the sum-rate trace is non-decreasing.
@@ -448,7 +450,7 @@ def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices
 
     trace = [sum_rate(table[:, indices], w, noise_power)]
     iterations = 0
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         iterations += 1
         h = table[:, indices]
         w, _ = wmmse(h, w, power, noise_power)
@@ -461,7 +463,7 @@ def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices
                                                  indices, noise_power)
         rate = sum_rate(table[:, indices], w, noise_power)
         trace.append(rate)
-        if abs(trace[-1] - trace[-2]) <= tol * max(abs(trace[-2]), _TINY):
+        if abs(trace[-1] - trace[-2]) <= _OUTER_TOL * max(abs(trace[-2]), _TINY):
             break
     return MuSolution(w=w, phi=phi, positions=grid.points[indices], indices=indices,
                       sum_rate=trace[-1], trace=trace, iterations=iterations)

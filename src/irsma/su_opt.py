@@ -15,6 +15,11 @@ from .errors import (DegenerateChannelError, DegenerateGeometryError,
                      InfeasibleSpacingError, InvalidParameterError)
 
 _TINY = 1e-300
+# Relative gain at which a BCD sweep, or an outer iteration of either
+# alternating loop (here and in mu_opt), ends its loop; the outer loops' cap
+_BCD_TOL = 1e-3
+_OUTER_TOL = 1e-3
+_MAX_OUTER = 50
 
 
 def reflection_from_phases(phases) -> np.ndarray:
@@ -130,8 +135,8 @@ class SamplingGrid:
         if sample_spacing <= 0 or min_spacing <= 0:
             raise InvalidParameterError("spacings must be positive")
         num = max(1, int(round(region.length / sample_spacing)))
-        # a zero-length region is one point with no step: give it the requested one
-        delta = region.length / num or sample_spacing
+        # a one-point grid has no step: give it the requested one
+        delta = region.length / num if num > 1 else sample_spacing
         # cell-center placement keeps symmetric fixed layouts on the grid
         offsets = (np.arange(num) + 0.5 - num / 2) * delta
         return cls(region.point(offsets), delta, _index_gap(min_spacing, delta))
@@ -180,8 +185,7 @@ def graph_position_select(weights, num_select: int, min_gap: int) -> list[int]:
 _FLAT_INNER = 1e-12
 
 
-def bcd_irs(h_iu, h_bi, phi_init, tol: float = 1e-3,
-            max_sweeps: int = 100) -> tuple[np.ndarray, list[float]]:
+def bcd_irs(h_iu, h_bi, phi_init, max_sweeps: int = 100) -> tuple[np.ndarray, list[float]]:
     """Element-wise coordinate ascent on the cascaded-channel power
     f = ||total||^2, total = sum_m phi_m g_m, rows g_m = conj(h_iu[m]) h_bi[m].
 
@@ -224,7 +228,7 @@ def bcd_irs(h_iu, h_bi, phi_init, tol: float = 1e-3,
                 value += (2 * (mag - (p.conjugate() * inner).real)
                           + (1 - abs(p) ** 2) * norms[m])
             trace.append(value)
-        if value - sweep_start <= tol * max(abs(sweep_start), _TINY):
+        if value - sweep_start <= _BCD_TOL * max(abs(sweep_start), _TINY):
             break
     return np.array(phases, dtype=complex), trace
 
@@ -259,8 +263,7 @@ class SuSolution:
 
 def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
                    init_indices, power: float, noise_power: float, *,
-                   tol_bcd: float = 1e-3, tol_outer: float = 1e-3,
-                   max_outer: int = 50, optimize_phi: bool = True,
+                   optimize_phi: bool = True,
                    optimize_positions: bool = True) -> SuSolution:
     """Alternate reflection BCD and optimal grid placement with matched transmit
     beamforming; the SNR trace is non-decreasing. `grid_columns` (M, L) holds
@@ -279,17 +282,17 @@ def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
 
     trace = [objective(phi, indices)]
     iterations = 0
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         iterations += 1
         if optimize_phi:
-            phi, _ = bcd_irs(h_iu, grid_columns[:, indices], phi, tol=tol_bcd)
+            phi, _ = bcd_irs(h_iu, grid_columns[:, indices], phi)
         gamma1 = objective(phi, indices)
         if optimize_positions:
             weights = np.abs((h_iu.conj() * phi) @ grid_columns) ** 2
             indices = graph_position_select(weights, num_mas, grid.min_gap)
         gamma2 = objective(phi, indices)
         trace.append(gamma2)
-        if abs(gamma2 - gamma1) <= tol_outer * max(gamma1, _TINY):
+        if abs(gamma2 - gamma1) <= _OUTER_TOL * max(gamma1, _TINY):
             break
 
     h_sel = grid_columns[:, indices]

@@ -251,6 +251,21 @@ class TestRicianIuChannel:
             channel.rician_iu_channel(np.random.default_rng(0), small_geometry,
                                       0.0, [1, 0, 0], 2.0, 2.8, 0.06)
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_draw_user_is_distance_direction_fading(self, seed):
+        s = Scenario(irs_num_y=5, irs_num_z=3, rician_factor=2.0, pathloss_exponent=2.2)
+        geometry = s.geometry()
+        rng = substream(seed, "user")
+        d = rng.uniform(*s.user_distance_range)
+        u = channel.draw_user_direction(rng, s.user_azimuth_range, s.user_elevation_range)
+        want = [channel.rician_iu_channel(rng, geometry, d, u, s.rician_factor,
+                                          s.pathloss_exponent, s.wavelength),
+                rng.random()]  # and the stream continues where it did
+        rng = substream(seed, "user")
+        got = [channel._draw_user(rng, s, geometry), rng.random()]
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
 
 class TestFarField:
     def test_rank_one_and_norm(self, small_geometry, rng):

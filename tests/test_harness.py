@@ -32,6 +32,10 @@ def small_result(scenario, small_spec):
     return harness.run_sweep(small_spec, scenario)
 
 
+def _no_cell(*args):
+    raise AssertionError("a cell ran")
+
+
 class TestSweepSpec:
     def test_unknown_parameter(self):
         with pytest.raises(InvalidParameterError):
@@ -184,16 +188,23 @@ class TestRunSweep:
         metrics = {r[3] for r in rows[1:]}
         assert metrics == {"sum_rate", "iterations"}
 
-    def test_failed_cell_is_skipped(self, small_spec, caplog):
-        # zero-length region with 4 antennas cannot fit: every cell fails
+    def test_unfit_layout_rejected_before_first_cell(self, monkeypatch):
+        # a 0.01 m region cannot hold 4 antennas, so every cell would fail
+        monkeypatch.setattr(harness, "run_cell", _no_cell)
         bad = Scenario(irs_num_y=6, irs_num_z=6, region_length=0.01, master_seed=0)
-        with caplog.at_level(logging.WARNING, logger="irsma.harness"):
-            res = harness.run_sweep(
-                harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,),
-                                  realizations=1, seed=0), bad)
-        assert res.records == []
-        assert "failed" in caplog.text
-        assert res.failed == [(2.0, 0)]
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,),
+                                 realizations=1, seed=0)
+        with pytest.raises(InfeasibleSpacingError,
+                           match="2-point fine grid at bs_irs_distance=2.0"):
+            harness.run_sweep(spec, bad)
+
+    def test_negative_length_rejected_before_first_cell(self, scenario, monkeypatch):
+        monkeypatch.setattr(harness, "run_cell", _no_cell)
+        spec = harness.SweepSpec(parameter="region_length", values=(0.3, -0.1),
+                                 realizations=1)
+        with pytest.raises(InvalidParameterError,
+                           match="non-negative at region_length=-0.1$"):
+            harness.run_sweep(spec, scenario)
 
     def test_one_failed_cell_is_logged(self, scenario, monkeypatch, caplog):
         original = harness.cell_context
@@ -379,12 +390,12 @@ class TestCli:
         assert not out.exists()
         assert "do not fit on the 1-point fine grid at region_length=0.0" in \
             caplog.records[0].getMessage()
-        # as a library call, the cells at 0 m are listed as failed
+        # a library call raises the same rejection
         spec = harness.SweepSpec(parameter="region_length", values=(0.0, 0.3),
                                  realizations=1, schemes=(harness.FPA,))
-        res = harness.run_sweep(spec, Scenario(irs_num_y=6, irs_num_z=6))
-        assert res.failed == [(0.0, 0)]
-        assert [(r.scheme, r.param) for r in res.records] == [(harness.FPA, 0.3)]
+        with pytest.raises(InfeasibleSpacingError,
+                           match="1-point fine grid at region_length=0.0"):
+            harness.run_sweep(spec, Scenario(irs_num_y=6, irs_num_z=6))
 
     def test_scenario_num_realizations_rejected_at_load(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -392,11 +403,32 @@ class TestCli:
         with pytest.raises(InvalidParameterError, match="num_realizations"):
             cli_main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
 
-    def test_infeasible_layout_rejected_at_load(self, tmp_path, monkeypatch, caplog):
-        def no_cell(*args):
-            raise AssertionError("a cell ran")
+    def test_negative_swept_length_rejected_at_load(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(harness, "run_cell", _no_cell)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "scenario: {irs_num_y: 6, irs_num_z: 6}\n"
+            "sweep: {parameter: region_length, values: [-0.1, 0.3], realizations: 1}\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
+        assert caplog.records[0].getMessage() == (
+            "sweep rejected: region length must be non-negative at region_length=-0.1")
 
-        monkeypatch.setattr(harness, "run_cell", no_cell)
+    @pytest.mark.parametrize("command", ["verify", "profile", "convergence"])
+    def test_negative_region_length_rejected_at_load(self, tmp_path, command):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scenario: {irs_num_y: 6, irs_num_z: 6, region_length: -0.1}\n")
+        out = tmp_path / "out"
+        with pytest.raises(InvalidParameterError, match="region length"):
+            cli_main([command, "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
+
+    def test_infeasible_layout_rejected_at_load(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(harness, "run_cell", _no_cell)
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(
             "scenario: {irs_num_y: 6, irs_num_z: 6, num_mas: 30}\n"
@@ -411,19 +443,23 @@ class TestCli:
             "sweep rejected: 30 antennas 5 grid steps apart do not fit on the "
             "100-point fine grid at bs_irs_distance=2.0")
 
-    def test_layout_check_covers_only_grids_in_use(self, scenario):
+    def test_layout_check_covers_only_grids_in_use(self, scenario, monkeypatch):
         # a 0.11 m region holds 4 antennas on the fine grid but only 2 on the
         # coarse one, which antenna selection (AS) alone uses
+        cells = []
+        monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args) or [])
         scen = scenario.replace(region_length=0.11)
         spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,),
-                                 schemes=(harness.FPA, harness.PROPOSED))
-        harness._check_layouts_fit(spec, scen)
+                                 schemes=(harness.FPA, harness.PROPOSED), realizations=1)
+        assert harness.run_sweep(spec, scen).failed == []
+        assert len(cells) == 1
         with pytest.raises(InfeasibleSpacingError, match="coarse grid"):
-            harness._check_layouts_fit(dataclasses.replace(spec, schemes=(harness.AS,)), scen)
+            harness.run_sweep(dataclasses.replace(spec, schemes=(harness.AS,)), scen)
         too_short = harness.SweepSpec(parameter="region_length", values=(0.6, 0.05),
-                                      schemes=(harness.FPA,))
+                                      schemes=(harness.FPA,), realizations=1)
         with pytest.raises(InfeasibleSpacingError, match="region_length=0.05"):
-            harness._check_layouts_fit(too_short, scenario)
+            harness.run_sweep(too_short, scenario)
+        assert len(cells) == 1
 
     def test_failed_cell_sets_exit_status(self, tmp_path, monkeypatch, caplog):
         original = harness.cell_context

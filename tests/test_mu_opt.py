@@ -521,7 +521,7 @@ class TestAoMultiUser:
         with pytest.raises(InvalidParameterError):
             mu_opt.ao_multi_user(grid=grid, init_indices=idx0, power=s.transmit_power,
                                  noise_power=s.noise_power, min_spacing=s.min_spacing,
-                                 max_outer=1, **args)
+                                 **args)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,99 @@
+"""Property tests over small random instances: K = 1-4 users (K > N included),
+N = 1-3 antennas, a 4x4 surface, 0-8 scattered paths, and transmit regions
+down to the shortest length that still holds the fixed layout."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from irsma import harness, mu_opt, su_opt
+from irsma.config import Scenario
+from irsma.errors import InfeasibleSpacingError
+from irsma.rng import substream
+
+HALF_WAVELENGTH = Scenario().wavelength / 2  # the default minimum spacing
+TRACE_RTOL = 1e-9
+ORDER_TOL = 1e-9
+
+
+@st.composite
+def instances(draw):
+    num_mas = draw(st.integers(1, 3))
+    # the fixed layout spans (N - 1) half wavelengths; draws a little shorter
+    # are rejected at load and skipped. Whole numbers of half wavelengths put
+    # the coarse grid on the fine one.
+    edge = (num_mas - 1) * HALF_WAVELENGTH
+    length = draw(st.one_of(
+        st.floats(max(edge - 0.02, 0.0), edge + 0.3),
+        st.integers(max(num_mas - 2, 0), num_mas + 9).map(lambda n: n * HALF_WAVELENGTH)))
+    return Scenario(irs_num_y=4, irs_num_z=4, num_users=draw(st.integers(1, 4)),
+                    num_mas=num_mas, num_paths=draw(st.integers(0, 8)),
+                    region_length=length, bs_distance=draw(st.floats(2.0, 8.0)),
+                    master_seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _non_decreasing(trace) -> bool:
+    t = np.asarray(trace)
+    return bool(np.all(np.diff(t) >= -TRACE_RTOL * np.abs(t[:-1])))
+
+
+def _coarse_on_fine(scenario) -> bool:
+    fine, coarse = harness._grids(scenario)
+    d = np.linalg.norm(coarse.points[:, None, :] - fine.points[None, :, :], axis=2)
+    return bool(np.all(d.min(axis=1) <= 1e-12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=instances())
+def test_solvers_keep_their_invariants(scenario):
+    rng = substream(scenario.master_seed, "property")
+    context = harness.cell_context(scenario, harness.draw_realization(scenario, rng))
+    grid, columns = context.fine, context.fine_columns
+    try:
+        idx0 = su_opt.fpa_indices(grid, scenario.num_mas)
+    except InfeasibleSpacingError:
+        assume(False)
+    h_iu = context.realization.h_iu
+    phi0 = su_opt.random_reflection(rng, h_iu.shape[1])
+    power, noise = scenario.transmit_power, scenario.noise_power
+    mu = mu_opt.ao_multi_user(h_iu, columns, grid, phi0, idx0, power, noise,
+                              min_spacing=scenario.min_spacing)
+    su = su_opt.ao_single_user(h_iu[0], columns, grid, phi0, idx0, power, noise)
+    for sol in (mu, su):
+        assert _non_decreasing(sol.trace)
+        np.testing.assert_allclose(np.abs(sol.phi), 1.0, rtol=0, atol=1e-9)
+        assert np.all(np.diff(np.sort(sol.indices)) >= grid.min_gap)
+    assert np.sum(np.abs(mu.w) ** 2) <= power * (1 + 1e-6)
+    assert np.sum(np.abs(su.beamformer) ** 2) <= 1 + 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=instances())
+def test_cell_orderings(scenario):
+    spec = harness.SweepSpec(parameter="num_paths", values=(scenario.num_paths,),
+                             realizations=1, seed=scenario.master_seed)
+    try:
+        result = harness.run_sweep(spec, scenario)
+    except InfeasibleSpacingError:
+        assume(False)
+    assert result.failed == []
+    rate = {r.scheme: r.rate for r in result.records}
+    assert rate[harness.MA_RPS] >= rate[harness.FPA_RPS] - ORDER_TOL
+    # PROPOSED starts from AS's positions only where the coarse grid lies on the
+    # fine one; elsewhere it can end below AS (test_proposed_below_as_off_grid)
+    if _coarse_on_fine(scenario):
+        assert rate[harness.PROPOSED] >= max(rate[harness.FPA], rate[harness.AS]) - ORDER_TOL
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a 0.2 m region's coarse grid is not on its fine grid, so "
+                          "PROPOSED's warm start from AS moves the antennas")
+def test_proposed_below_as_off_grid():
+    scenario = Scenario(irs_num_y=4, irs_num_z=4, num_users=2, num_mas=2,
+                        region_length=0.2, bs_distance=3.0)
+    if _coarse_on_fine(scenario):
+        pytest.fail("the instance no longer has its coarse grid off the fine one")
+    spec = harness.SweepSpec(parameter="num_paths", values=(0,), realizations=1, seed=5)
+    rate = {r.scheme: r.rate for r in harness.run_sweep(spec, scenario).records}
+    assert rate[harness.PROPOSED] >= rate[harness.AS] - ORDER_TOL

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -217,6 +218,14 @@ class TestSamplingGrid:
         with pytest.raises(InfeasibleSpacingError):
             su_opt.fpa_indices(grid, 2)
 
+    @pytest.mark.parametrize("length", [5e-324, 1e-300, 0.004])
+    def test_short_region_is_one_point_with_the_requested_step(self, length):
+        # 5e-324 / 1 as the step made min_spacing / step overflow
+        region = TransmitRegion((5.0, 5.0, 0.0), (1.0, 0.0, 0.0), length)
+        grid = su_opt.SamplingGrid.from_region(region, 0.006, 0.03)
+        np.testing.assert_array_equal(grid.points, [region.center_array])
+        assert (grid.spacing, grid.min_gap) == (0.006, 5)
+
     def test_min_gap_guarantees_continuous_spacing(self):
         region = TransmitRegion((5.0, 5.0, 0.0), (1.0, 0.0, 0.0), 0.6)
         grid = su_opt.SamplingGrid.from_region(region, 0.007, 0.03)
@@ -261,6 +270,35 @@ class TestSamplingGrid:
         region = TransmitRegion((5.0, 0.0, 0.0))
         with pytest.raises(InvalidParameterError):
             su_opt.SamplingGrid.from_region(region, 0.0, 0.03)
+
+
+class TestScenario:
+    def test_negative_region_length_rejected(self):
+        with pytest.raises(InvalidParameterError, match="region length"):
+            Scenario(region_length=-0.1)
+        with pytest.raises(InvalidParameterError, match="region length"):
+            Scenario().replace(region_length=-1e-9)
+        assert Scenario(region_length=0.0).region().length == 0.0
+
+    def test_yaml_lists_become_tuples(self):
+        data = yaml.safe_load(
+            "region_axis: [0.0, 1.0, 0.0]\n"
+            "bs_direction: [1.0, 0.0, 0.0]\n"
+            "user_distance_range: [20.0, 40.0]\n"
+            "user_azimuth_range: [-0.5, 0.5]\n"
+            "user_elevation_range: [-0.25, 0.25]\n"
+            "scatterer_box_size: [1.0, 2.0, 3.0]\n"
+            "num_paths: 2\n")
+        as_tuples = dict(region_axis=(0.0, 1.0, 0.0), bs_direction=(1.0, 0.0, 0.0),
+                         user_distance_range=(20.0, 40.0), user_azimuth_range=(-0.5, 0.5),
+                         user_elevation_range=(-0.25, 0.25),
+                         scatterer_box_size=(1.0, 2.0, 3.0), num_paths=2)
+        assert sum(isinstance(v, list) for v in data.values()) == 6
+        scenario = scenario_from_dict(data)
+        assert scenario == Scenario(**as_tuples) == scenario_from_dict(as_tuples)
+        for key in as_tuples:
+            assert type(getattr(scenario, key)) is type(as_tuples[key])
+        hash(scenario)  # every field hashable, as a frozen dataclass needs
 
 
 class TestGraphPositionSelect:
