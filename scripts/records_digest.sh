@@ -2,8 +2,9 @@
 # Print one sha256 per output file of the five shipped sweeps
 # (--realizations 2 --seed 0), of `irsma verify --seed 0`, of `irsma profile`
 # on the single-user equivalence config and of `irsma convergence` on the
-# default and the single-user scenario (all --seed 0), with BLAS on one
-# thread. Run it on two commits and diff the output to check that a change
+# default and the single-user scenario (all --seed 0), and of `irsma verify`
+# at seeds 1000, 1002 and 7000, with BLAS on one thread. The extra verify
+# seeds catch last-digit drift in the closed-form gains that seed 0 misses. Run it on two commits and diff the output to check that a change
 # keeps the outputs of all four subcommands byte-identical.
 # Usage: scripts/records_digest.sh [OUT_DIR]   (default: a fresh temp dir)
 set -euo pipefail
@@ -18,6 +19,10 @@ for cfg in single_user_multipath_sweep multi_user_los_sweep \
         --seed 0 --out "$OUT/$cfg" > "$OUT/$cfg.stdout"
 done
 python -m irsma.cli verify --seed 0 --out "$OUT/verify" > "$OUT/verify.stdout"
+for seed in 1000 1002 7000; do
+    python -m irsma.cli verify --seed "$seed" --out "$OUT/verify_$seed" \
+        > "$OUT/verify_$seed.stdout"
+done
 SU=configs/single_user_equivalence.yaml
 python -m irsma.cli profile --config "$SU" --seed 0 --out "$OUT/profile" \
     > "$OUT/profile.stdout"

@@ -77,19 +77,20 @@ def _worst_equivalence_gap(scenario: Scenario, dist, num_seeds: int,
     for s in range(num_seeds):
         rng = substream(scenario.master_seed, "equiv", int(dist * 1000), s)
         amps[s] = np.abs(channel._draw_user(rng, scenario, geometry))
-    t_fpa = su_opt.optimal_single_ma_position(region)
+    g_fpa = su_opt.gain_closed_form(su_opt.optimal_single_ma_position(region), geometry,
+                                    amps, lam)
     worst = 0.0
-    for amp, gains in zip(amps, _screened_gains(region.point(offsets),
-                                                geometry.element_positions(), amps, lam)):
-        g_fpa = su_opt.gain_closed_form(t_fpa, geometry, amp, lam)
-        worst = max(worst, abs(float(np.max(gains)) - g_fpa) / g_fpa)
+    for g, gains in zip(g_fpa, _screened_gains(region.point(offsets),
+                                               geometry.element_positions(), amps, lam)):
+        worst = max(worst, abs(float(np.max(gains)) - g) / g)
     return worst
 
 
 def _screened_gains(points, elements, amps, wavelength: float) -> list[np.ndarray]:
     """Co-phased gains, one array per row of `amps` (|h| of one draw), exactly
     as on a dense profile but only at the points that pass a screen."""
-    sums = (1 / channel._distance_matrix(points, elements)) @ amps.T
+    recip = channel._distance_matrix(points, elements)
+    sums = np.divide(1.0, recip, out=recip) @ amps.T
     gains = []
     for amp, col in zip(amps, sums.T):
         # Each term of sum_m |h_m| / d_m is >= 0, so the product above and numpy's

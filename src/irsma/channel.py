@@ -17,13 +17,26 @@ from .errors import DegenerateGeometryError, InvalidParameterError
 
 
 def _distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) distances as ((dx^2 + dy^2) + dz^2), one axis at a time:
-    the same sums as a per-pair norm, without a (len(a), len(b), 3) temporary."""
-    d = np.zeros((len(a), len(b)))
+    """(len(a), len(b)) distances as sqrt((dx^2 + dy^2) + dz^2), the sums of a
+    per-pair norm. An axis on which one side's points all share a coordinate (a
+    region along x, a surface in x = 0) is squared as a vector and broadcast: it
+    differs from the outer difference only in the sign of a zero, which squaring
+    drops. One-point sides skip those tests, which would cost more than they save."""
+    n, m = len(a), len(b)
+    test = min(n, m) >= 2
+    squares = []
     for axis in range(3):
-        diff = np.subtract.outer(a[:, axis], b[:, axis])
+        ai, bi = a[:, axis], b[:, axis]
+        if test and (bi == bi[0]).all():
+            diff = (ai - bi[0])[:, None]
+        elif test and (ai == ai[0]).all():
+            diff = (ai[0] - bi)[None, :]
+        else:
+            diff = np.subtract.outer(ai, bi)
         diff *= diff
-        d += diff
+        squares.append(diff)
+    d = np.add(squares[0], squares[1], out=np.empty((n, m)))
+    d += squares[2]
     return np.sqrt(d, out=d)
 
 

@@ -35,18 +35,18 @@ def _outdir(args) -> Path:
 
 def cmd_sweep(args) -> int:
     """Run the sweep and write its records. Returns 2, having written
-    nothing, when `run_sweep` rejects the sweep before its first cell, and 1
-    when any cell failed at run time."""
-    scenario, data = _load(args)
-    sweep_cfg = dict(data.get("sweep", {}))
-    if args.realizations is not None:
-        sweep_cfg["realizations"] = args.realizations
-    if args.seed is not None:
-        sweep_cfg["seed"] = args.seed
-    sweep_cfg.setdefault("seed", scenario.master_seed)
-    spec = harness.sweep_spec_from_dict(sweep_cfg)
+    nothing, when the scenario, the sweep section or `run_sweep` rejects the
+    sweep before its first cell, and 1 when any cell failed at run time."""
+    # `run_sweep` catches a failed cell; only load-time rejections get here
     try:
-        # a failed cell is caught inside; only the load-time rejection gets here
+        scenario, data = _load(args)
+        sweep_cfg = dict(data.get("sweep", {}))
+        if args.realizations is not None:
+            sweep_cfg["realizations"] = args.realizations
+        if args.seed is not None:
+            sweep_cfg["seed"] = args.seed
+        sweep_cfg.setdefault("seed", scenario.master_seed)
+        spec = harness.sweep_spec_from_dict(sweep_cfg)
         result = harness.run_sweep(spec, scenario)
     except IrsmaError as exc:
         _log.error("sweep rejected: %s", exc)

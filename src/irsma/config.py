@@ -9,6 +9,7 @@ Flattened element/channel indexing is z-major everywhere in the package:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,12 +51,19 @@ class IrsGeometry:
         return float(np.hypot(self.num_y, self.num_z) * self.spacing)
 
     def element_positions(self) -> np.ndarray:
-        """(M, 3) element coordinates, z-major flattening, centered at origin."""
+        """(M, 3) element coordinates, z-major flattening, centered at origin;
+        built once per geometry and read-only."""
+        return self._elements
+
+    @functools.cached_property  # in the instance __dict__, outside eq and hash
+    def _elements(self) -> np.ndarray:
         y_off = (np.arange(self.num_y) - (self.num_y - 1) / 2.0) * self.spacing
         z_off = (np.arange(self.num_z) - (self.num_z - 1) / 2.0) * self.spacing
         yy = np.tile(y_off, self.num_z)
         zz = np.repeat(z_off, self.num_y)
-        return np.column_stack([np.zeros_like(yy), yy, zz])
+        elements = np.column_stack([np.zeros_like(yy), yy, zz])
+        elements.flags.writeable = False
+        return elements
 
 
 @dataclass(frozen=True)

@@ -59,12 +59,16 @@ def optimal_irs_phase_su(h_iu, h_bi) -> np.ndarray:
     return reflection_from_phases(phases)
 
 
-def gain_closed_form(t, geometry: IrsGeometry, h_iu, wavelength: float) -> float:
-    """End-to-end power gain under co-phased reflection: (lam/4pi)^2 (sum |h|/D)^2."""
+def gain_closed_form(t, geometry: IrsGeometry, h_iu, wavelength: float) -> float | np.ndarray:
+    """End-to-end power gain under co-phased reflection: (lam/4pi)^2 (sum |h|/D)^2;
+    one gain per row when `h_iu` stacks several (S, M) draws."""
     d = np.linalg.norm(geometry.element_positions() - np.asarray(t, dtype=float), axis=1)
     if np.any(d <= 0):
         raise DegenerateGeometryError("antenna coincides with a reflecting element")
-    return float((wavelength / (4 * np.pi)) ** 2 * np.sum(np.abs(h_iu) / d) ** 2)
+    sums = np.sum(np.abs(h_iu) / d, axis=-1)
+    # each row squared as a scalar (libm pow), which rounds unlike an array's ** 2
+    gains = [float((wavelength / (4 * np.pi)) ** 2 * s ** 2) for s in np.atleast_1d(sums)]
+    return gains[0] if sums.ndim == 0 else np.array(gains)
 
 
 def _h_radial(t, geometry: IrsGeometry, h_iu) -> float:

@@ -1,5 +1,7 @@
 """Channel synthesis: spherical-wave LoS, multipath, Rician and far-field models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,77 @@ class TestNearFieldResponse:
         pts = rng.normal(size=(5, 3))
         with pytest.raises(DegenerateGeometryError):
             channel.near_field_response(pts, pts[3], 0.06)
+
+
+def _reference_distance_matrix(a, b):
+    """The kernel as three full outer differences summed into zeros."""
+    d = np.zeros((len(a), len(b)))
+    for axis in range(3):
+        diff = np.subtract.outer(a[:, axis], b[:, axis])
+        diff *= diff
+        d += diff
+    return np.sqrt(d, out=d)
+
+
+_COORD = st.one_of(st.floats(-50, 50), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _points(draw):
+    """(n, 3) points, 0 <= n <= 6, each axis free, shared by every point, or a
+    mix of 0.0 and -0.0: clouds, lines along each axis, the x = 0 plane, one
+    point and no point all come out of it."""
+    n = draw(st.integers(0, 6))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["free", "shared", "zeros"]),
+                              min_size=3, max_size=3)):
+        if kind == "shared":
+            cols.append([draw(_COORD)] * n)
+        else:
+            coord = _COORD if kind == "free" else st.sampled_from([0.0, -0.0])
+            cols.append(draw(st.lists(coord, min_size=n, max_size=n)))
+    return np.array(cols, dtype=float).reshape(3, n).T.copy()
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestDistanceMatrix:
+    @settings(max_examples=400, deadline=None)
+    @given(a=_points(), b=_points())
+    def test_bit_identical_to_outer_loop(self, a, b):
+        _assert_same_bits(channel._distance_matrix(a, b), _reference_distance_matrix(a, b))
+
+    def test_region_against_surface(self):
+        # the shapes of the equivalence battery and of the channel columns: a
+        # region along x (shared y and z) against a surface in x = 0
+        s = Scenario(irs_num_y=25, irs_num_z=25)
+        elements = s.geometry().element_positions()
+        points = s.region().point(np.linspace(-0.3, 0.3, 1001))
+        for a, b in ((points, elements), (elements, points), (elements, points[:1]),
+                     (points[:1], elements), (elements, points[:0]), (points[:0], elements)):
+            _assert_same_bits(channel._distance_matrix(a, b), _reference_distance_matrix(a, b))
+
+
+class TestElementPositions:
+    def test_built_once_and_read_only(self, small_geometry):
+        e = small_geometry.element_positions()
+        assert small_geometry.element_positions() is e
+        with pytest.raises(ValueError):
+            e[0, 0] = 1.0
+        off = (np.arange(4) - 1.5) * 0.03
+        np.testing.assert_array_equal(
+            e, np.column_stack([np.zeros(16), np.tile(off, 4), np.repeat(off, 4)]))
+
+    def test_replaced_geometry_builds_its_own(self, small_geometry):
+        e = small_geometry.element_positions()
+        same = dataclasses.replace(small_geometry)
+        assert same == small_geometry and hash(same) == hash(small_geometry)
+        assert same.element_positions() is not e
+        np.testing.assert_array_equal(same.element_positions(), e)
+        assert dataclasses.replace(small_geometry, num_y=5).element_positions().shape == (20, 3)
 
 
 class TestMultipath:

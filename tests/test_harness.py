@@ -427,6 +427,30 @@ class TestCli:
             cli_main([command, "--config", str(cfg), "--out", str(out)])
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ("sweep: {parameter: bogus, values: [1.0]}",
+         "unknown sweep parameter 'bogus'"),
+        ("sweep: {parameter: bs_irs_distance, values: [2.0], bogus: 1}",
+         "unknown sweep keys: ['bogus']"),
+        ("scenario: {region_length: -0.1}\n"
+         "sweep: {parameter: bs_irs_distance, values: [2.0]}",
+         "region length must be non-negative"),
+        ("scenario: {bogus: 1}\nsweep: {parameter: bs_irs_distance, values: [2.0]}",
+         "unknown scenario keys: ['bogus']"),
+    ], ids=["bogus_parameter", "unknown_sweep_key", "bad_scenario_value",
+            "unknown_scenario_key"])
+    def test_bad_sweep_config_rejected_with_status_2(self, tmp_path, caplog, config,
+                                                    message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config + "\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
+        assert caplog.records[0].getMessage() == f"sweep rejected: {message}"
+
     def test_infeasible_layout_rejected_at_load(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(harness, "run_cell", _no_cell)
         cfg = tmp_path / "cfg.yaml"

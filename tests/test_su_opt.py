@@ -14,6 +14,7 @@ from irsma.config import (IrsGeometry, Scenario, TransmitRegion, load_config,
                           scenario_from_dict)
 from irsma.errors import (DegenerateChannelError, DegenerateGeometryError,
                           InfeasibleSpacingError, InvalidParameterError)
+from irsma.rng import substream
 
 
 def _random_channels(rng, m, n):
@@ -118,6 +119,28 @@ class TestGainForms:
         approx, _ = su_opt.gain_radial_approx(t, g, h_iu, s.wavelength)
         exact = su_opt.gain_closed_form(t, g, h_iu, s.wavelength)
         assert abs(approx - exact) / exact <= 0.01
+
+    def test_stacked_rows_equal_row_calls(self, small_geometry):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(9, 16)) + 1j * rng.normal(size=(9, 16))
+        t = [1.7, 0.2, -0.1]
+        stacked = su_opt.gain_closed_form(t, small_geometry, rows, 0.06)
+        singles = [su_opt.gain_closed_form(t, small_geometry, r, 0.06) for r in rows]
+        assert all(type(g) is float for g in singles)
+        assert stacked.shape == (9,) and stacked.tolist() == singles
+
+    def test_rows_squared_as_scalars(self):
+        # (sum |h|/D)^2 of this row is 6.831211651086144e-06 as a scalar ** 2
+        # (libm pow) but ...145e-06 as an array ** 2 (a product); the
+        # equivalence reports carry the scalar square
+        scenario = Scenario(master_seed=1000, irs_num_y=25, irs_num_z=25)
+        geometry = scenario.geometry()
+        amps = np.abs([channel._draw_user(substream(1000, "equiv", 6000, s), scenario,
+                                          geometry) for s in range(10)])
+        t = su_opt.optimal_single_ma_position(scenario.replace(bs_distance=6.0).region())
+        gains = su_opt.gain_closed_form(t, geometry, amps, scenario.wavelength)
+        assert gains[9] == 1.5551755164024864e-10
+        assert su_opt.gain_closed_form(t, geometry, amps[9], scenario.wavelength) == gains[9]
 
     def test_gain_decreasing_along_axis(self, small_geometry):
         lam = 0.06
