@@ -3,9 +3,12 @@
 # (--realizations 2 --seed 0), of `irsma verify --seed 0`, of `irsma profile`
 # on the single-user equivalence config and of `irsma convergence` on the
 # default and the single-user scenario (all --seed 0), and of `irsma verify`
-# at seeds 1000, 1002 and 7000, with BLAS on one thread. The extra verify
-# seeds catch last-digit drift in the closed-form gains that seed 0 misses. Run it on two commits and diff the output to check that a change
-# keeps the outputs of all four subcommands byte-identical.
+# at seeds 1000, 1002 and 7000. The extra verify seeds catch last-digit drift
+# in the closed-form gains that seed 0 misses. Run it on two commits and diff
+# the output to check that a change keeps the outputs of all four subcommands
+# byte-identical. The outputs do not depend on the BLAS thread count; the pin
+# to one thread stays so that the digests compare with those of older
+# commits, whose sweeps rounded differently on more threads.
 # Usage: scripts/records_digest.sh [OUT_DIR]   (default: a fresh temp dir)
 set -euo pipefail
 cd "$(dirname "$0")/.."

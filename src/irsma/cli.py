@@ -34,23 +34,18 @@ def _outdir(args) -> Path:
 
 
 def cmd_sweep(args) -> int:
-    """Run the sweep and write its records. Returns 2, having written
-    nothing, when the scenario, the sweep section or `run_sweep` rejects the
-    sweep before its first cell, and 1 when any cell failed at run time."""
-    # `run_sweep` catches a failed cell; only load-time rejections get here
-    try:
-        scenario, data = _load(args)
-        sweep_cfg = dict(data.get("sweep", {}))
-        if args.realizations is not None:
-            sweep_cfg["realizations"] = args.realizations
-        if args.seed is not None:
-            sweep_cfg["seed"] = args.seed
-        sweep_cfg.setdefault("seed", scenario.master_seed)
-        spec = harness.sweep_spec_from_dict(sweep_cfg)
-        result = harness.run_sweep(spec, scenario)
-    except IrsmaError as exc:
-        _log.error("sweep rejected: %s", exc)
-        return 2
+    """Run the sweep and write its records. Returns 1 when any cell failed
+    at run time; `run_sweep` catches a failed cell, so an `IrsmaError` that
+    escapes is a rejection before the first cell."""
+    scenario, data = _load(args)
+    sweep_cfg = dict(data.get("sweep", {}))
+    if args.realizations is not None:
+        sweep_cfg["realizations"] = args.realizations
+    if args.seed is not None:
+        sweep_cfg["seed"] = args.seed
+    sweep_cfg.setdefault("seed", scenario.master_seed)
+    spec = harness.sweep_spec_from_dict(sweep_cfg)
+    result = harness.run_sweep(spec, scenario)
     out = _outdir(args)
     result.to_csv(out / "records.csv")
     result.summary_csv(out / "summary.csv")
@@ -66,8 +61,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     scenario, _ = _load(args)
-    out = _outdir(args)
     reports = analysis.verify_all(scenario)
+    out = _outdir(args)
     ok = True
     for i, report in enumerate(reports):
         print(report.to_text())
@@ -80,7 +75,6 @@ def cmd_verify(args) -> int:
 def cmd_profile(args) -> int:
     """Gain fluctuation along the transmit region, optimized vs random phases."""
     scenario, _ = _load(args)
-    out = _outdir(args)
     rng = substream(scenario.master_seed, "profile")
     scen = scenario.replace(num_users=1)
     realization = harness.draw_realization(scen, rng)
@@ -98,7 +92,7 @@ def cmd_profile(args) -> int:
     offsets, gains, spreads = analysis.fluctuation_profile(
         h_iu, (sol.phi, phi_rand), realization.bs_irs, scen.region(),
         resolution=args.resolution)
-    with open(out / "profile.csv", "w", newline="") as fh:
+    with open(_outdir(args) / "profile.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["reflection", "offset_m", "gain"])
         for label, gain, spread in zip(labels, gains, spreads):
@@ -111,7 +105,6 @@ def cmd_profile(args) -> int:
 def cmd_convergence(args) -> int:
     """Dump the outer-loop rate trace of the joint optimizer on one draw."""
     scenario, _ = _load(args)
-    out = _outdir(args)
     rng = substream(scenario.master_seed, "convergence")
     realization = harness.draw_realization(scenario, rng)
     context = harness.cell_context(scenario, realization)
@@ -120,7 +113,7 @@ def cmd_convergence(args) -> int:
         trace = [float(np.log2(1 + g)) for g in sol.trace]
     else:
         trace = sol.trace
-    with open(out / "convergence.csv", "w", newline="") as fh:
+    with open(_outdir(args) / "convergence.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "sum_rate"])
         for i, v in enumerate(trace):
@@ -154,8 +147,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Each computes everything before it writes, so an
+    `IrsmaError` that escapes it (a config that cannot run) has written
+    nothing: it is logged as one error, and the status is 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except IrsmaError as exc:
+        _log.error("%s rejected: %s", args.command, exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InvalidParameterError, MultiplierBracketError, SingularMatrixError
-from .su_opt import (_MAX_OUTER, _OUTER_TOL, _TINY, _checked_columns, _index_gap,
-                     _require_finite)
+from .su_opt import (_MAX_OUTER, _OUTER_TOL, _TINY, _checked_columns, _grid_product,
+                     _index_gap, _require_finite)
 
 if TYPE_CHECKING:
     from .su_opt import SamplingGrid
@@ -436,7 +436,7 @@ def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices
     grid_columns = _checked_columns(grid_columns, grid)
 
     def cascades(phi_cur):
-        return (h_iu.conj() * phi_cur) @ grid_columns  # (K, L)
+        return _grid_product(h_iu.conj() * phi_cur, grid_columns)  # (K, L)
 
     table = cascades(phi)
     if w_init is None:

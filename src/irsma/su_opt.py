@@ -252,6 +252,36 @@ def _checked_columns(grid_columns, grid: SamplingGrid) -> np.ndarray:
     return grid_columns
 
 
+# OpenBLAS (0.3.31) runs a complex vector-matrix product on more than one
+# thread from 4,096 matrix entries, and its threaded kernels round unlike the
+# one-thread kernel. Its complex kernels take the columns in groups of 4, so a
+# block of a multiple of 4 columns rounds each output as the one-call product
+# does; any other width changes the last bits of the block's tail columns.
+# numpy sends a one-column product to another BLAS routine, which rounds
+# unlike a column of a wider product, so a last block of one column joins the
+# block before it.
+_BLOCK_ENTRIES = 4095
+_COLUMN_GROUP = 4
+
+
+def _grid_product(x, grid_columns: np.ndarray) -> np.ndarray:
+    """x @ grid_columns for x (M,) or (K, M), one column block per BLAS call.
+
+    Each block holds fewer than 4,096 entries (for M below 820), so every
+    call stays on the calling thread: the result is the one-thread product
+    bit for bit, whatever the BLAS thread count, and no BLAS thread is woken
+    to spin through the Python work that follows."""
+    m, num_points = grid_columns.shape
+    # room for the one extra column a joined last block takes
+    width = _COLUMN_GROUP * max(1, (_BLOCK_ENTRIES // m - 1) // _COLUMN_GROUP)
+    starts = list(range(0, num_points, width))
+    if len(starts) > 1 and starts[-1] == num_points - 1:
+        starts.pop()
+    ends = starts[1:] + [num_points]
+    return np.concatenate([x @ grid_columns[:, a:b] for a, b in zip(starts, ends)],
+                          axis=-1)
+
+
 @dataclass
 class SuSolution:
     """Outcome of the single-user alternating loop."""
@@ -281,7 +311,7 @@ def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
     scale = power / noise_power
 
     def objective(phi_cur, idx):
-        row = (h_iu.conj() * phi_cur) @ grid_columns[:, idx]
+        row = _grid_product(h_iu.conj() * phi_cur, grid_columns[:, idx])
         return scale * float(np.linalg.norm(row) ** 2)
 
     trace = [objective(phi, indices)]
@@ -292,7 +322,7 @@ def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
             phi, _ = bcd_irs(h_iu, grid_columns[:, indices], phi)
         gamma1 = objective(phi, indices)
         if optimize_positions:
-            weights = np.abs((h_iu.conj() * phi) @ grid_columns) ** 2
+            weights = np.abs(_grid_product(h_iu.conj() * phi, grid_columns)) ** 2
             indices = graph_position_select(weights, num_mas, grid.min_gap)
         gamma2 = objective(phi, indices)
         trace.append(gamma2)

@@ -3,7 +3,9 @@
 import csv
 import dataclasses
 import logging
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +298,34 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert len(list(out.glob("verify_*.csv"))) == 4
 
+    def test_records_independent_of_blas_threads(self, tmp_path):
+        """A sweep writes the same records with BLAS on one thread as with
+        the thread count OpenBLAS picks. On the 15x15 surface and the
+        100-point grid, each product against the grid columns exceeds the
+        4,096 entries from which OpenBLAS threads a product."""
+        configs = {
+            "multi_user": "sweep: {parameter: bs_irs_distance, values: [3.0], "
+                          "realizations: 1}",
+            "single_user": "scenario: {num_users: 1, num_paths: 8}\n"
+                           "sweep: {parameter: bs_irs_distance, values: [3.0], "
+                           "realizations: 2}",
+        }
+        blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        threaded = {k: v for k, v in os.environ.items() if k not in blas_vars}
+        threaded["PYTHONPATH"] = str(Path(harness.__file__).resolve().parents[1])
+        for name, text in configs.items():
+            cfg = tmp_path / f"{name}.yaml"
+            cfg.write_text(text + "\n")
+            records = []
+            for label, env in (("one", dict(threaded, OPENBLAS_NUM_THREADS="1")),
+                               ("default", threaded)):
+                out = tmp_path / f"{name}_{label}"
+                subprocess.run([sys.executable, "-m", "irsma.cli", "sweep", "--config",
+                                str(cfg), "--out", str(out)], env=env, check=True,
+                               capture_output=True, timeout=120)
+                records.append((out / "records.csv").read_bytes())
+            assert records[0] == records[1], name
+
     def test_profile_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("scenario: {irs_num_y: 6, irs_num_z: 6}\n")
@@ -397,11 +427,17 @@ class TestCli:
                            match="1-point fine grid at region_length=0.0"):
             harness.run_sweep(spec, Scenario(irs_num_y=6, irs_num_z=6))
 
-    def test_scenario_num_realizations_rejected_at_load(self, tmp_path):
+    def test_scenario_num_realizations_rejected_at_load(self, tmp_path, caplog):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("scenario: {num_realizations: 5}\n")
-        with pytest.raises(InvalidParameterError, match="num_realizations"):
-            cli_main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main(["verify", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
+        assert caplog.records[0].getMessage() == (
+            "verify rejected: unknown scenario keys: ['num_realizations']")
 
     def test_negative_swept_length_rejected_at_load(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(harness, "run_cell", _no_cell)
@@ -419,13 +455,17 @@ class TestCli:
             "sweep rejected: region length must be non-negative at region_length=-0.1")
 
     @pytest.mark.parametrize("command", ["verify", "profile", "convergence"])
-    def test_negative_region_length_rejected_at_load(self, tmp_path, command):
+    def test_negative_region_length_rejected_at_load(self, tmp_path, caplog, command):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("scenario: {irs_num_y: 6, irs_num_z: 6, region_length: -0.1}\n")
         out = tmp_path / "out"
-        with pytest.raises(InvalidParameterError, match="region length"):
-            cli_main([command, "--config", str(cfg), "--out", str(out)])
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
         assert not out.exists()
+        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
+        assert caplog.records[0].getMessage() == (
+            f"{command} rejected: region length must be non-negative")
 
     @pytest.mark.parametrize("config, message", [
         ("sweep: {parameter: bogus, values: [1.0]}",

@@ -1,12 +1,15 @@
 """Single-user SNR maximization: closed forms, BCD, placement DP, outer loop."""
 
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irsma import channel, harness, su_opt
@@ -647,3 +650,63 @@ def test_graph_select_optimal_hypothesis(data):
          for c in itertools.combinations(range(num_points), num_select)
          if all(b - a >= min_gap for a, b in zip(c, c[1:]))))
     assert sum(w[i] for i in got) == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+# Reads "k m l" lines, each followed by the raw complex128 bytes of x ((m,)
+# when k is 0, else (k, m)) and of the (m, l) columns, and answers with the
+# bytes of x @ columns.
+_PRODUCT_WORKER = """
+import sys
+import numpy as np
+stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+for line in stdin:
+    k, m, l = map(int, line.split())
+    x = np.frombuffer(stdin.read(16 * max(k, 1) * m), complex)
+    x = x.reshape((k, m) if k else (m,))
+    columns = np.frombuffer(stdin.read(16 * m * l), complex).reshape(m, l)
+    stdout.write((x @ columns).tobytes())
+    stdout.flush()
+"""
+
+
+@pytest.fixture(scope="module")
+def one_thread_product():
+    """x @ columns computed in a child process with BLAS on one thread."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    with subprocess.Popen([sys.executable, "-c", _PRODUCT_WORKER], env=env,
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE) as proc:
+        def product(x, columns):
+            k = x.shape[0] if x.ndim == 2 else 0
+            m, num_cols = columns.shape
+            proc.stdin.write(f"{k} {m} {num_cols}\n".encode())
+            proc.stdin.write(x.tobytes())
+            proc.stdin.write(columns.tobytes())
+            proc.stdin.flush()
+            out = proc.stdout.read(16 * max(k, 1) * num_cols)
+            return np.frombuffer(out, complex).reshape(x.shape[:-1] + (num_cols,))
+
+        yield product  # leaving the block closes the pipes and waits for the child
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 4), m=st.integers(1, 700), num_cols=st.integers(1, 1001),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(k=3, m=225, num_cols=100, seed=0)  # multi-user cascade table
+@example(k=0, m=225, num_cols=100, seed=1)  # single-user position weights
+@example(k=0, m=625, num_cols=7, seed=2)  # objective, 25x25 surface
+@example(k=4, m=700, num_cols=1001, seed=3)  # a one-column tail
+@example(k=0, m=225, num_cols=17, seed=4)
+def test_grid_product_is_one_thread_product(one_thread_product, k, m, num_cols, seed):
+    """The blocked product equals the one-call product on one BLAS thread bit
+    for bit, whatever the thread count of this process; k = 0 is a 1-D x."""
+    group = su_opt._COLUMN_GROUP
+    width = group * max(1, (su_opt._BLOCK_ENTRIES // m - 1) // group)
+    assume(num_cols % width != 0)
+    rng = np.random.default_rng(seed)
+    shape = (k, m) if k else (m,)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    columns = rng.standard_normal((m, num_cols)) + 1j * rng.standard_normal((m, num_cols))
+    got = su_opt._grid_product(x, columns)
+    want = one_thread_product(x, columns)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
