@@ -6,9 +6,10 @@
 # at seeds 1000, 1002 and 7000. The extra verify seeds catch last-digit drift
 # in the closed-form gains that seed 0 misses. Run it on two commits and diff
 # the output to check that a change keeps the outputs of all four subcommands
-# byte-identical. The outputs do not depend on the BLAS thread count; the pin
-# to one thread stays so that the digests compare with those of older
-# commits, whose sweeps rounded differently on more threads.
+# byte-identical. The outputs of all four subcommands do not depend on the
+# BLAS thread count (tests/test_harness.py checks each); the pin to one
+# thread stays so that the digests compare with those of older commits, whose
+# sweeps rounded differently on more threads.
 # Usage: scripts/records_digest.sh [OUT_DIR]   (default: a fresh temp dir)
 set -euo pipefail
 cd "$(dirname "$0")/.."

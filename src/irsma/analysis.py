@@ -73,10 +73,9 @@ def _worst_equivalence_gap(scenario: Scenario, dist, num_seeds: int,
     lam = scenario.wavelength
     region = scenario.replace(bs_distance=float(dist)).region()
     offsets = np.linspace(-region.length / 2, region.length / 2, grid_points)
-    amps = np.empty((num_seeds, geometry.num_elements))  # |h_iu| of each seed
-    for s in range(num_seeds):
-        rng = substream(scenario.master_seed, "equiv", int(dist * 1000), s)
-        amps[s] = np.abs(channel._draw_user(rng, scenario, geometry))
+    rngs = [substream(scenario.master_seed, "equiv", int(dist * 1000), s)
+            for s in range(num_seeds)]
+    amps = np.abs(channel._draw_users(rngs, scenario, geometry))  # |h_iu| of each seed
     g_fpa = su_opt.gain_closed_form(su_opt.optimal_single_ma_position(region), geometry,
                                     amps, lam)
     worst = 0.0
@@ -90,9 +89,9 @@ def _screened_gains(points, elements, amps, wavelength: float) -> list[np.ndarra
     """Co-phased gains, one array per row of `amps` (|h| of one draw), exactly
     as on a dense profile but only at the points that pass a screen."""
     recip = channel._distance_matrix(points, elements)
-    sums = np.divide(1.0, recip, out=recip) @ amps.T
+    sums = su_opt._grid_product(amps, np.divide(1.0, recip, out=recip).T)
     gains = []
-    for amp, col in zip(amps, sums.T):
+    for amp, col in zip(amps, sums):
         # Each term of sum_m |h_m| / d_m is >= 0, so the product above and numpy's
         # pairwise row sum below stay within about (M + 3) u of the exact sum,
         # relative (u = 2^-53; < 1e-12 for M <= 1e4). The best row thus always passes,
@@ -127,7 +126,7 @@ def verify_far_field_no_gain(scenario: Scenario, num_apvs: int = 100,
     geometry = scenario.geometry()
     k = scenario.num_users
     arrival = np.array([1.0, 0.0, 0.0])
-    h_iu = np.vstack([channel._draw_user(rng, scenario, geometry) for _ in range(k)])
+    h_iu = channel._draw_users([rng] * k, scenario, geometry)
     phi = su_opt.random_reflection(rng, geometry.num_elements)
     beta = lam / (4 * np.pi * scenario.bs_distance) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     powers = np.full(k, scenario.transmit_power / k)
@@ -168,8 +167,8 @@ def fluctuation_profile(h_iu, phis, bs_irs: channel.BsIrsModel, region: Transmit
     (offsets, per-reflection gains, per-reflection max-min spreads in dB)."""
     offsets = np.linspace(-region.length / 2, region.length / 2, resolution)
     cols = bs_irs.matrix(region.point(offsets))
-    gains = [np.abs((np.asarray(h_iu).conj() * np.asarray(phi)) @ cols) ** 2
-             for phi in phis]
+    gains = [np.abs(su_opt._grid_product(np.asarray(h_iu).conj() * np.asarray(phi),
+                                         cols)) ** 2 for phi in phis]
     spreads = [float(10 * np.log10(np.max(g) / np.min(g))) for g in gains]
     return offsets, gains, spreads
 

@@ -186,29 +186,48 @@ def draw_user_direction(rng: np.random.Generator, azimuth_range,
     return np.array([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)])
 
 
+def _rician_rows(geometry: IrsGeometry, distances, directions, normals,
+                 rician_factor: float, pathloss_exponent: float, wavelength: float):
+    """Rician surface-to-user rows (K, M) from K distances, unit directions and
+    (2, M) standard normal pairs: plane-wave LoS mixed with CN(0, 1) fading,
+    times the path loss. Each direction gets its own vector-matrix product, as
+    a (K, 3) matrix product would round unlike a one-user build."""
+    h_los = np.exp(2j * np.pi * geometry.element_positions()
+                   @ np.asarray(directions, dtype=float)[:, :, None] / wavelength)[:, :, 0]
+    h_nlos = (normals[:, 0] + 1j * normals[:, 1]) / np.sqrt(2)
+    mix = (np.sqrt(rician_factor / (1 + rician_factor)) * h_los
+           + np.sqrt(1 / (1 + rician_factor)) * h_nlos)
+    scale = [wavelength / (4 * np.pi) * d ** (-pathloss_exponent / 2) for d in distances]
+    return np.array(scale)[:, None] * mix
+
+
 def rician_iu_channel(rng: np.random.Generator, geometry: IrsGeometry,
                       user_distance: float, user_direction, rician_factor: float,
                       pathloss_exponent: float, wavelength: float) -> np.ndarray:
     """Rician surface-to-user channel with plane-wave LoS component, (M,)."""
-    if user_distance <= 0:
-        raise InvalidParameterError("user distance must be positive")
+    if user_distance <= 0 or wavelength <= 0:
+        raise InvalidParameterError("user distance and wavelength must be positive")
     if rician_factor < 0:
         raise InvalidParameterError("rician factor must be >= 0")
-    m = geometry.num_elements
-    h_los = plane_wave_response(geometry.element_positions(), user_direction, wavelength)
-    h_nlos = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2)
-    mix = (np.sqrt(rician_factor / (1 + rician_factor)) * h_los
-           + np.sqrt(1 / (1 + rician_factor)) * h_nlos)
-    return wavelength / (4 * np.pi) * user_distance ** (-pathloss_exponent / 2) * mix
+    direction = np.asarray(user_direction, dtype=float)
+    if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
+        raise InvalidParameterError("direction must be unit-norm")
+    normals = rng.standard_normal((1, 2, geometry.num_elements))
+    return _rician_rows(geometry, [user_distance], direction[None], normals,
+                        rician_factor, pathloss_exponent, wavelength)[0]
 
 
-def _draw_user(rng: np.random.Generator, scenario: Scenario, geometry: IrsGeometry):
-    """One user's `rician_iu_channel`: distance, direction, then fading."""
-    distance = rng.uniform(*scenario.user_distance_range)
-    direction = draw_user_direction(rng, scenario.user_azimuth_range,
-                                    scenario.user_elevation_range)
-    return rician_iu_channel(rng, geometry, distance, direction, scenario.rician_factor,
-                             scenario.pathloss_exponent, scenario.wavelength)
+def _draw_users(rngs, scenario: Scenario, geometry: IrsGeometry) -> np.ndarray:
+    """`rician_iu_channel` rows (K, M), one user per generator of `rngs` (the
+    same generator may recur): each draws distance, direction, then fading."""
+    distances, directions, normals = [], [], []
+    for rng in rngs:
+        distances.append(rng.uniform(*scenario.user_distance_range))
+        directions.append(draw_user_direction(rng, scenario.user_azimuth_range,
+                                              scenario.user_elevation_range))
+        normals.append(rng.standard_normal((2, geometry.num_elements)))
+    return _rician_rows(geometry, distances, directions, np.array(normals),
+                        scenario.rician_factor, scenario.pathloss_exponent, scenario.wavelength)
 
 
 def cascaded_row(h_iu: np.ndarray, phi: np.ndarray, h_bi: np.ndarray) -> np.ndarray:

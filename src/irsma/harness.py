@@ -84,8 +84,7 @@ class Realization:
 def draw_realization(scenario: Scenario, rng: np.random.Generator) -> Realization:
     geometry = scenario.geometry()
     lam = scenario.wavelength
-    h_iu = np.vstack([channel._draw_user(rng, scenario, geometry)
-                      for _ in range(scenario.num_users)])
+    h_iu = channel._draw_users([rng] * scenario.num_users, scenario, geometry)
     clusters = None
     if scenario.num_paths > 0:
         region_center = scenario.region().center_array

@@ -83,17 +83,13 @@ def mrt_rate_no_irs(path_gains, responses, powers, noise_power: float) -> np.nda
     `responses` is (N, K) with per-user unit-modulus columns; the correlation
     |v_k^H v_i|^2 / N^2 couples users, so these rates do depend on positions.
     """
-    beta = np.asarray(path_gains)
+    gains = np.abs(np.asarray(path_gains)) ** 2
     v = np.atleast_2d(np.asarray(responses))
     powers = np.asarray(powers, dtype=float)
-    n = v.shape[0]
-    corr = np.abs(v.conj().T @ v) ** 2 / n ** 2  # (K, K)
-    rates = []
-    for k in range(len(beta)):
-        interf = float(np.sum(powers * corr[k]) - powers[k] * corr[k, k])
-        sig = powers[k] * np.abs(beta[k]) ** 2
-        rates.append(np.log2(1 + sig / (np.abs(beta[k]) ** 2 * interf + noise_power)))
-    return np.asarray(rates)
+    # (K, K): p_i |v_k^H v_i|^2 / N^2, the power user k receives from user i's beam
+    received = np.abs(v.conj().T @ v) ** 2 / v.shape[0] ** 2 * powers
+    interference = np.sum(received, axis=1) - np.diagonal(received)
+    return np.log2(1 + powers * gains / (gains * interference + noise_power))
 
 
 def _wmmse_system(h_rows, chi, kappa):

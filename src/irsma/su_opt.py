@@ -270,7 +270,9 @@ def _grid_product(x, grid_columns: np.ndarray) -> np.ndarray:
     Each block holds fewer than 4,096 entries (for M below 820), so every
     call stays on the calling thread: the result is the one-thread product
     bit for bit, whatever the BLAS thread count, and no BLAS thread is woken
-    to spin through the Python work that follows."""
+    to spin through the Python work that follows. A real (S, M) x, such as the
+    verify screen's (50, 625) draw amplitudes, makes each block S * M * width
+    multiply-adds, which OpenBLAS keeps on one thread up to about 750,000."""
     m, num_points = grid_columns.shape
     # room for the one extra column a joined last block takes
     width = _COLUMN_GROUP * max(1, (_BLOCK_ENTRIES // m - 1) // _COLUMN_GROUP)

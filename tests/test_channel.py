@@ -323,21 +323,46 @@ class TestRicianIuChannel:
         with pytest.raises(InvalidParameterError):
             channel.rician_iu_channel(np.random.default_rng(0), small_geometry,
                                       0.0, [1, 0, 0], 2.0, 2.8, 0.06)
+        # and each other checked input
+        for kwargs in ({"wavelength": 0.0}, {"rician_factor": -1.0},
+                       {"user_direction": [1, 1, 0]}):
+            args = dict(user_distance=30.0, user_direction=[1, 0, 0], rician_factor=2.0,
+                        pathloss_exponent=2.8, wavelength=0.06)
+            with pytest.raises(InvalidParameterError):
+                channel.rician_iu_channel(np.random.default_rng(0), small_geometry,
+                                          **dict(args, **kwargs))
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     def test_draw_user_is_distance_direction_fading(self, seed):
+        """Each row of `_draw_users` is, bit for bit, the `rician_iu_channel`
+        of a distance and a direction drawn first from the row's generator,
+        whether each row has its own generator or all share one."""
         s = Scenario(irs_num_y=5, irs_num_z=3, rician_factor=2.0, pathloss_exponent=2.2)
         geometry = s.geometry()
-        rng = substream(seed, "user")
-        d = rng.uniform(*s.user_distance_range)
-        u = channel.draw_user_direction(rng, s.user_azimuth_range, s.user_elevation_range)
-        want = [channel.rician_iu_channel(rng, geometry, d, u, s.rician_factor,
-                                          s.pathloss_exponent, s.wavelength),
-                rng.random()]  # and the stream continues where it did
-        rng = substream(seed, "user")
-        got = [channel._draw_user(rng, s, geometry), rng.random()]
-        np.testing.assert_array_equal(got[0], want[0])
-        assert got[1] == want[1]
+
+        def one_user(rng):
+            d = rng.uniform(*s.user_distance_range)
+            u = channel.draw_user_direction(rng, s.user_azimuth_range,
+                                            s.user_elevation_range)
+            return channel.rician_iu_channel(rng, geometry, d, u, s.rician_factor,
+                                             s.pathloss_exponent, s.wavelength)
+
+        def streams():
+            return [substream(seed, "user", i) for i in range(4)]
+
+        want = np.array([one_user(rng) for rng in streams()])
+        got = channel._draw_users(streams(), s, geometry)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+        for k in (1, 3):
+            rng = substream(seed, "shared", k)
+            want = [one_user(rng) for _ in range(k)] + [rng.random()]
+            rng = substream(seed, "shared", k)
+            got = channel._draw_users([rng] * k, s, geometry)
+            assert got.shape == (k, geometry.num_elements)
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          np.array(want[:k]).view(np.uint64))
+            assert rng.random() == want[k]  # and the stream continues where it did
 
 
 class TestFarField:

@@ -38,6 +38,15 @@ def _no_cell(*args):
     raise AssertionError("a cell ran")
 
 
+def _default_blas_env() -> dict:
+    """This environment with `src` importable and no BLAS thread variable, so
+    that OpenBLAS picks its own thread count."""
+    blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = str(Path(harness.__file__).resolve().parents[1])
+    return env
+
+
 class TestSweepSpec:
     def test_unknown_parameter(self):
         with pytest.raises(InvalidParameterError):
@@ -310,9 +319,7 @@ class TestCli:
                            "sweep: {parameter: bs_irs_distance, values: [3.0], "
                            "realizations: 2}",
         }
-        blas_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-        threaded = {k: v for k, v in os.environ.items() if k not in blas_vars}
-        threaded["PYTHONPATH"] = str(Path(harness.__file__).resolve().parents[1])
+        threaded = _default_blas_env()
         for name, text in configs.items():
             cfg = tmp_path / f"{name}.yaml"
             cfg.write_text(text + "\n")
@@ -325,6 +332,27 @@ class TestCli:
                                capture_output=True, timeout=120)
                 records.append((out / "records.csv").read_bytes())
             assert records[0] == records[1], name
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--seed", "1000"],
+        ["profile", "--config", "configs/single_user_equivalence.yaml"],
+        ["convergence"],
+    ], ids=["verify", "profile", "convergence"])
+    def test_outputs_independent_of_blas_threads(self, tmp_path, args):
+        """`verify`, `profile` and `convergence` print and write the same
+        bytes with BLAS on one thread as with the thread count OpenBLAS picks."""
+        threaded = _default_blas_env()
+        outputs = []
+        for label, env in (("one", dict(threaded, OPENBLAS_NUM_THREADS="1")),
+                           ("default", threaded)):
+            out = tmp_path / label
+            proc = subprocess.run([sys.executable, "-m", "irsma.cli", *args, "--out",
+                                   str(out)], env=env, capture_output=True, timeout=120,
+                                  cwd=Path(__file__).resolve().parents[1])
+            assert proc.returncode == 0, proc.stderr
+            files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+            outputs.append((proc.stdout, files))
+        assert outputs[0][1] and outputs[0] == outputs[1]
 
     def test_profile_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -561,3 +589,39 @@ class TestCli:
         assert rows[0] == ["iteration", "sum_rate"]
         rates = [float(r[1]) for r in rows[1:]]
         assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
+
+
+_THREAD_CPU_PROBE = """
+import time
+from irsma import analysis, harness
+from irsma.config import Scenario
+
+spec = harness.SweepSpec(parameter="bs_irs_distance", values=(3.0,), realizations=1)
+jobs = {
+    "verify": lambda: analysis.verify_all(Scenario()),
+    "multi_user_los": lambda: harness.run_cell(Scenario(), spec, 3.0, 0, 0),
+    "single_user_multipath": lambda: harness.run_cell(
+        Scenario(num_users=1, num_paths=8), spec, 3.0, 0, 0),
+}
+# the BLAS workers that start with numpy spin for about 0.1 s before they sleep
+time.sleep(0.5)
+for name, job in jobs.items():
+    process, main = time.process_time(), time.thread_time()
+    job()
+    main = time.thread_time() - main
+    print(name, time.process_time() - process - main, main)
+"""
+
+
+def test_no_cpu_outside_calling_thread():
+    """A verify battery, a multi-user LoS cell and a single-user multipath cell
+    run on the calling thread: with the thread count OpenBLAS picks, all other
+    threads of the process together spend at most 5 % of the main thread's CPU."""
+    proc = subprocess.run([sys.executable, "-c", _THREAD_CPU_PROBE], env=_default_blas_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        _, other, main = line.split()
+        assert float(other) <= 0.05 * float(main), line

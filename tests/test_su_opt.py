@@ -138,8 +138,8 @@ class TestGainForms:
         # equivalence reports carry the scalar square
         scenario = Scenario(master_seed=1000, irs_num_y=25, irs_num_z=25)
         geometry = scenario.geometry()
-        amps = np.abs([channel._draw_user(substream(1000, "equiv", 6000, s), scenario,
-                                          geometry) for s in range(10)])
+        amps = np.abs(channel._draw_users([substream(1000, "equiv", 6000, s)
+                                           for s in range(10)], scenario, geometry))
         t = su_opt.optimal_single_ma_position(scenario.replace(bs_distance=6.0).region())
         gains = su_opt.gain_closed_form(t, geometry, amps, scenario.wavelength)
         assert gains[9] == 1.5551755164024864e-10
