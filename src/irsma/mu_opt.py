@@ -8,6 +8,7 @@ scores all feasible candidates of an antenna in one batched evaluation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -34,10 +35,11 @@ def _user_rates(h_rows: np.ndarray, w: np.ndarray, noise_power: float) -> np.nda
     w = np.atleast_2d(np.asarray(w))
     if h_rows.shape[1] != w.shape[0]:
         raise InvalidParameterError("precoder row count does not match antenna count")
-    # one vector-matrix product per row: h_rows @ w rounds differently
-    gains = np.abs(np.stack([row @ w for row in h_rows])) ** 2
-    signal = np.diagonal(gains)
-    interference = np.sum(gains, axis=1) - signal
+    # per-row (1, N) @ (N, K) products, stacked: (K, N) @ (N, K) rounds
+    # differently, and test_sum_rate_is_sum_of_user_rates pins these bits
+    gains = np.abs((h_rows[:, None, :] @ w)[:, 0, :]) ** 2
+    signal = gains.diagonal()
+    interference = np.add.reduce(gains, 1) - signal
     return np.log2(1 + signal / (interference + noise_power))
 
 
@@ -95,8 +97,8 @@ def mrt_rate_no_irs(path_gains, responses, powers, noise_power: float) -> np.nda
 def _wmmse_system(h_rows, chi, kappa):
     """A0 = H^H diag(|chi|^2 kappa) H and rhs = H^H diag(chi kappa): the
     precoder for multiplier mu solves (A0 + mu I) W = rhs."""
-    a0 = (h_rows.conj().T * (np.abs(chi) ** 2 * kappa)) @ h_rows
-    return a0, h_rows.conj().T * (chi * kappa)
+    h_herm = h_rows.conj().T
+    return (h_herm * (np.abs(chi) ** 2 * kappa)) @ h_rows, h_herm * (chi * kappa)
 
 
 def _wmmse_precoder(a0, rhs, mu):
@@ -120,7 +122,7 @@ def _power_profile(a0, rhs):
     lam, u = np.linalg.eigh(a0)
     proj = u.conj().T @ rhs
     # a0 is positive semidefinite; clip rounding below zero
-    return np.maximum(lam, 0.0), np.sum(proj.real ** 2 + proj.imag ** 2, axis=1)
+    return np.maximum(lam, 0.0), np.add.reduce(proj.real ** 2 + proj.imag ** 2, 1)
 
 
 def _pinv_power(lam, b):
@@ -128,7 +130,7 @@ def _pinv_power(lam, b):
     returns it): the minimum-norm precoder inverts only the eigenvalues that
     np.linalg.pinv keeps, those above 1e-15 lam_max."""
     kept = lam > 1e-15 * lam[-1]
-    return float(np.sum(b[kept] / lam[kept] ** 2))
+    return float(np.add.reduce(b[kept] / lam[kept] ** 2))
 
 
 def _power_multiplier(lam, b, power):
@@ -179,8 +181,9 @@ def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float, noise_power: flo
     tells whether the minimum-norm precoder at multiplier 0 already meets the
     power budget; if not, it turns the power into a scalar function of the
     multiplier, which is bisected. The precoder is then solved once for the
-    chosen multiplier. Returns the final W and the sum-rate trace, which is
-    non-decreasing.
+    chosen multiplier, and scaled down to the budget if the solve overshoots
+    it by more than 1e-6. Returns the final W and the sum-rate trace, which
+    is non-decreasing.
     """
     h_rows = np.atleast_2d(np.asarray(h_rows))
     if not np.all(np.isfinite(h_rows)):
@@ -191,9 +194,9 @@ def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float, noise_power: flo
     trace = [sum_rate(h_rows, w, noise_power)]
     for _ in range(max_iter):
         hw = h_rows @ w  # (K, K): hw[k, i] = h_k^H w_i
-        totals = np.sum(np.abs(hw) ** 2, axis=1) + noise_power
-        chi = np.diag(hw) / totals
-        kappa = 1.0 / np.real(1.0 - chi.conj() * np.diag(hw))
+        own = hw.diagonal()
+        chi = own / (np.add.reduce(np.abs(hw) ** 2, 1) + noise_power)
+        kappa = 1.0 / (1.0 - chi.conj() * own).real
 
         a0, rhs = _wmmse_system(h_rows, chi, kappa)
         lam, b = _power_profile(a0, rhs)
@@ -201,6 +204,10 @@ def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float, noise_power: flo
         if _pinv_power(lam, b) > power * (1 + 1e-9):
             mu = _power_multiplier(lam, b, power)
         w_new = _wmmse_precoder(a0, rhs, mu)
+        excess = np.vdot(w_new, w_new).real / power
+        if excess > 1 + 1e-6:
+            # an ill-conditioned solve can miss the power the eigenvalues give
+            w_new /= math.sqrt(excess)
         rate = sum_rate(h_rows, w_new, noise_power)
         if rate < trace[-1]:
             # finite bisection tolerance at the fixed point; keep the monotone iterate
@@ -225,22 +232,18 @@ def interaction_vectors(h_iu: np.ndarray, h_bi: np.ndarray, w: np.ndarray) -> np
     return h_iu.conj()[:, None, :] * np.ascontiguousarray(hw.T)[None, :, :]
 
 
-def _links(phi: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """z[k, i] = sum_m phi_m r[k, i, m], as one (K*K, M) @ (M,) product."""
-    k = r.shape[0]
-    return (r.reshape(k * k, -1) @ phi).reshape(k, k)
-
-
 def neg_sum_rate(phi: np.ndarray, r: np.ndarray, noise_power: float) -> float:
     """Objective minimized on the manifold: negative sum rate in nats.
 
     The effective link of precoder i at user k is sum_m phi_m r[k,i,m], which
-    matches the cascade h_iu^H diag(phi) H w exactly.
+    matches the cascade h_iu^H diag(phi) H w exactly; the links z[k, i] are
+    one (K*K, M) @ (M,) product.
     """
-    p = np.abs(_links(phi, r)) ** 2
-    total = p.sum(axis=1) + noise_power
+    k = r.shape[0]
+    p = np.abs((r.reshape(k * k, -1) @ phi).reshape(k, k)) ** 2
+    total = np.add.reduce(p, 1) + noise_power
     interf = total - p.diagonal()
-    return float(-(np.log(total) - np.log(interf)).sum())
+    return -float(np.add.reduce(np.log(total) - np.log(interf)))
 
 
 def euclidean_grad_f2(phi: np.ndarray, r: np.ndarray, noise_power: float) -> np.ndarray:
@@ -250,23 +253,21 @@ def euclidean_grad_f2(phi: np.ndarray, r: np.ndarray, noise_power: float) -> np.
     Re{d^H grad}, which is what the finite-difference tests check.
     """
     k = r.shape[0]
-    z = _links(phi, r)
+    z = (r.reshape(k * k, -1) @ phi).reshape(k, k)
     p = np.abs(z) ** 2
-    total = p.sum(axis=1) + noise_power
+    total = np.add.reduce(p, 1) + noise_power
     interf = total - p.diagonal()
     # d|phi^T r|^2 / d phi* = conj(r) (r^T phi) = conj(r) * z, so the gradient
     # is -2 sum_{k,i} c[k,i] conj(r[k,i]) with c = z (1/total_k - [i!=k]/interf_k)
     inv_total = 1.0 / total
     c = z * (inv_total - 1.0 / interf)[:, None]
-    c.flat[::k + 1] = z.diagonal() * inv_total
+    c.ravel()[::k + 1] = z.diagonal() * inv_total
     return -2.0 * (c.conj().ravel() @ r.reshape(k * k, -1)).conj()
 
 
 def riemannian_project(grad: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the tangent space at phi.
-
-    The same formula carries a tangent vector to the tangent space at phi, so
-    it also serves as the vector transport."""
+    """Orthogonal projection onto the tangent space at phi; the same formula
+    carries a tangent vector there, so it is also the vector transport."""
     return grad - (grad * phi.conj()).real * phi
 
 
@@ -274,12 +275,17 @@ def _retract_step(phi, step, eta):
     """phi + step * eta normalized entrywise onto the unit-modulus set."""
     v = phi + step * eta
     mags = np.abs(v)
-    if not mags.all():
+    if np.count_nonzero(mags) < mags.size:
         zero = mags == 0
         # measure-zero event: keep the previous phase for the dead entries
         v = np.where(zero, phi, v)
-        mags = np.where(zero, 1.0, mags)
-    return v / mags
+        mags[zero] = 1.0
+    return np.divide(v, mags, out=v)
+
+
+def _norm(v):
+    """np.linalg.norm's formula for a complex vector, without its dispatch."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
 
 
 @dataclass
@@ -305,51 +311,51 @@ def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
     transported to the new point, rescaled from the gradient to the new
     search direction (twice the last step when s.y <= 0)."""
     _require_finite(h_iu=h_iu, h_bi=h_bi, w=w, phi_init=phi_init)
-    r = interaction_vectors(h_iu, h_bi, w)
-    phi = np.asarray(phi_init, dtype=complex).copy()
+    phi = np.asarray(phi_init, dtype=complex)
+    if not phi.all():
+        raise InvalidParameterError("phi_init has a zero entry, which has no phase")
     phi = phi / np.abs(phi)
+    r = interaction_vectors(h_iu, h_bi, w)
 
     f = neg_sum_rate(phi, r, noise_power)
     grad = riemannian_project(euclidean_grad_f2(phi, r, noise_power), phi)
     eta = -grad
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = _norm(grad)
     trace = ManifoldTrace([f], [gnorm])
     step = 1.0
 
     for _ in range(max_iter):
         if gnorm <= grad_tol:
             break
-        slope = float(np.real(np.vdot(grad, eta)))
+        slope = np.vdot(grad, eta).real
         if slope >= 0:  # not a descent direction: restart
             eta = -grad
             slope = -gnorm ** 2
-        accepted = False
         for _ in range(max_backtracks):
             cand = _retract_step(phi, step, eta)
             f_cand = neg_sum_rate(cand, r, noise_power)
             if f_cand <= f + _ARMIJO_C * step * slope:
-                accepted = True
                 break
             step *= _BACKTRACK
-        if not accepted:
+        else:
             trace.exit = "line_search"
             return phi, trace
-        phi_new = cand
-        grad_new = riemannian_project(euclidean_grad_f2(phi_new, r, noise_power), phi_new)
-        grad_prev = riemannian_project(grad, phi_new)
-        eta_prev = riemannian_project(eta, phi_new)
-        tau = float(np.real(np.vdot(grad_new, grad_new - grad_prev))) / max(gnorm ** 2, _TINY)
-        tau = max(0.0, tau)
-        eta = -grad_new + tau * eta_prev
-        phi, grad, f = phi_new, grad_new, f_cand
-        gnorm = float(np.linalg.norm(grad))
+        # riemannian_project at the new point, inlined to share one conj
+        cand_conj = cand.conj()
+        grad_new = euclidean_grad_f2(cand, r, noise_power)
+        grad_new -= (grad_new * cand_conj).real * cand
+        eta_prev = eta - (eta * cand_conj).real * cand
+        y = grad_new - (grad - (grad * cand_conj).real * cand)
+        tau = max(0.0, np.vdot(grad_new, y).real / max(gnorm ** 2, _TINY))
+        eta = tau * eta_prev - grad_new
+        phi, grad, f = cand, grad_new, f_cand
+        gnorm = _norm(grad)
         trace.objective.append(f)
         trace.grad_norm.append(gnorm)
         s_vec = step * eta_prev
-        sy = float(np.real(np.vdot(s_vec, grad_new - grad_prev)))
+        sy = np.vdot(s_vec, y).real
         if sy > 0:
-            step = (float(np.real(np.vdot(s_vec, s_vec))) / sy
-                    * gnorm / max(float(np.linalg.norm(eta)), _TINY))
+            step = np.vdot(s_vec, s_vec).real / sy * gnorm / max(_norm(eta), _TINY)
         else:
             step *= 2.0
     trace.exit = "tol" if gnorm <= grad_tol else "max_iter"

@@ -192,6 +192,20 @@ class TestWmmse:
             _, trace = mu_opt.wmmse(h, w0, p, s2)
             assert np.all(np.diff(trace) >= -1e-10)
 
+    def test_power_budget_on_ill_conditioned_system(self):
+        # three users, three antennas and a 74x channel scale: near the fixed
+        # point A0 + mu I has condition ~1e10, and without the scaling the
+        # solved precoder exceeds the power its eigenvalues give by 1.3e-6
+        rng = np.random.default_rng(9)
+        scale = 10.0 ** rng.uniform(1, 2)
+        h_iu, h_bi = _random_rows(rng, 3, 4, scale), _random_rows(rng, 4, 3, scale)
+        h = (h_iu.conj() * np.exp(1j * rng.uniform(0, 2 * np.pi, 4))) @ h_bi
+        w0 = h.conj().T / np.linalg.norm(h, axis=1) * np.sqrt(1 / 3)
+        w, trace = mu_opt.wmmse(h, w0, 1.0, 1.0)
+        assert len(trace) > 6
+        assert np.sum(np.abs(w) ** 2) <= 1 + 1e-6
+        assert np.all(np.diff(trace) >= 0)
+
     def test_nonfinite_rejected(self):
         h = np.array([[np.nan + 0j, 1.0]])
         with pytest.raises(InvalidParameterError):
@@ -321,6 +335,13 @@ class TestManifoldCg:
         args[arg].flat[0] = np.inf if arg == "w" else np.nan
         with pytest.raises(InvalidParameterError):
             mu_opt.manifold_cg(noise_power=0.3, **args)
+
+    def test_zero_phase_entry_rejected(self, rng):
+        # a zero entry has no phase; normalizing it would give NaN phases
+        h_iu, h_bi, w, _, phi = _interaction_setup(rng, k=2, n=2, m=8)
+        phi[3] = 0.0
+        with pytest.raises(InvalidParameterError, match="zero entry"):
+            mu_opt.manifold_cg(h_iu, h_bi, w, phi, 0.3)
 
     def test_descent_on_random_instances(self, rng):
         for _ in range(100):
@@ -680,6 +701,89 @@ def _reference_step_one_cg(h_iu, h_bi, w, phi_init, noise_power, max_iter=500):
     return f
 
 
+def _reference_cg_objective(phi, r, noise_power):
+    k = r.shape[0]
+    p = np.abs((r.reshape(k * k, -1) @ phi).reshape(k, k)) ** 2
+    total = p.sum(axis=1) + noise_power
+    interf = total - p.diagonal()
+    return float(-(np.log(total) - np.log(interf)).sum())
+
+
+def _reference_cg_gradient(phi, r, noise_power):
+    k = r.shape[0]
+    z = (r.reshape(k * k, -1) @ phi).reshape(k, k)
+    p = np.abs(z) ** 2
+    total = p.sum(axis=1) + noise_power
+    interf = total - p.diagonal()
+    inv_total = 1.0 / total
+    c = z * (inv_total - 1.0 / interf)[:, None]
+    c.flat[::k + 1] = z.diagonal() * inv_total
+    return -2.0 * (c.conj().ravel() @ r.reshape(k * k, -1)).conj()
+
+
+def _reference_manifold_cg(h_iu, h_bi, w, phi_init, noise_power, grad_tol=1e-6,
+                           max_iter=500, max_backtracks=30):
+    """The Barzilai-Borwein CG with every vector projected on its own, norms
+    from np.linalg.norm and a fresh array for each operation; returns the
+    phases, objective trace, gradient-norm trace and exit reason."""
+    def project(v, phi):
+        return v - (v * phi.conj()).real * phi
+
+    def retract(phi, step, eta):
+        v = phi + step * eta
+        mags = np.abs(v)
+        if not mags.all():
+            zero = mags == 0
+            v = np.where(zero, phi, v)
+            mags = np.where(zero, 1.0, mags)
+        return v / mags
+
+    r = mu_opt.interaction_vectors(h_iu, h_bi, w)
+    phi = np.asarray(phi_init, dtype=complex).copy()
+    phi = phi / np.abs(phi)
+    f = _reference_cg_objective(phi, r, noise_power)
+    grad = project(_reference_cg_gradient(phi, r, noise_power), phi)
+    eta = -grad
+    gnorm = float(np.linalg.norm(grad))
+    objective, grad_norm = [f], [gnorm]
+    step = 1.0
+    for _ in range(max_iter):
+        if gnorm <= grad_tol:
+            break
+        slope = float(np.real(np.vdot(grad, eta)))
+        if slope >= 0:
+            eta = -grad
+            slope = -gnorm ** 2
+        accepted = False
+        for _ in range(max_backtracks):
+            cand = retract(phi, step, eta)
+            f_cand = _reference_cg_objective(cand, r, noise_power)
+            if f_cand <= f + 1e-4 * step * slope:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            return phi, objective, grad_norm, "line_search"
+        grad_new = project(_reference_cg_gradient(cand, r, noise_power), cand)
+        grad_prev = project(grad, cand)
+        eta_prev = project(eta, cand)
+        tau = float(np.real(np.vdot(grad_new, grad_new - grad_prev))) / max(gnorm ** 2, 1e-300)
+        tau = max(0.0, tau)
+        eta = -grad_new + tau * eta_prev
+        phi, grad, f = cand, grad_new, f_cand
+        gnorm = float(np.linalg.norm(grad))
+        objective.append(f)
+        grad_norm.append(gnorm)
+        s_vec = step * eta_prev
+        sy = float(np.real(np.vdot(s_vec, grad_new - grad_prev)))
+        if sy > 0:
+            step = (float(np.real(np.vdot(s_vec, s_vec))) / sy
+                    * gnorm / max(float(np.linalg.norm(eta)), 1e-300))
+        else:
+            step *= 2.0
+    return phi, objective, grad_norm, "tol" if gnorm <= grad_tol else "max_iter"
+
+
 def _reference_position_search(table, points, w, min_spacing, init, noise_power,
                                sweeps=1):
     """One sum_rate call per feasible candidate."""
@@ -820,6 +924,38 @@ class TestRewriteEquivalence:
             np.testing.assert_array_equal(w, w_ref)
             np.testing.assert_array_equal(trace, trace_ref)
 
+    @staticmethod
+    def _cg_instances(rng):
+        """Random instances (K = 1-4, N = 1-4, M = 4-60, channel scales over
+        four decades), each run to its default stop, to a max_iter of 1-5
+        and with one trial step per search, then the five line-of-sight
+        cells of TestManifoldCgConvergence."""
+        for i in range(60):
+            k, n, m = (int(v) for v in rng.integers((1, 1, 4), (5, 5, 61)))
+            scale = 10.0 ** rng.uniform(-2, 2)
+            h_iu = _random_rows(rng, k, m, scale)
+            h_bi = _random_rows(rng, m, n)
+            w = _random_rows(rng, k, n).conj().T
+            phi0 = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+            kwargs = ({}, {"max_iter": int(rng.integers(1, 6))},
+                      {"max_backtracks": 1, "grad_tol": 0.0})[i % 3]
+            yield (h_iu, h_bi, w, phi0, float(rng.uniform(0.05, 2.0))), kwargs
+        for args in TestManifoldCgConvergence._cells():
+            yield args, {}
+
+    def test_manifold_cg_matches_reference_loop_bit_for_bit(self, rng):
+        exits = []
+        for args, kwargs in self._cg_instances(rng):
+            phi, trace = mu_opt.manifold_cg(*args, **kwargs)
+            ref_phi, ref_objective, ref_grad_norm, ref_exit = _reference_manifold_cg(
+                *args, **kwargs)
+            assert phi.tobytes() == ref_phi.tobytes()
+            assert np.array(trace.objective).tobytes() == np.array(ref_objective).tobytes()
+            assert np.array(trace.grad_norm).tobytes() == np.array(ref_grad_norm).tobytes()
+            assert trace.exit == ref_exit
+            exits.append(trace.exit)
+        assert set(exits) == {"tol", "max_iter", "line_search"}
+
     @pytest.mark.parametrize("excess", [0.5e-9, 2e-9])
     def test_power_test_keeps_its_slack(self, rng, excess):
         # the unconstrained precoder exceeds the budget by `excess`: within
@@ -924,43 +1060,51 @@ class TestManifoldCgConvergence:
             assert trace.objective[-1] <= _reference_step_one_cg(*args)
 
 
-class TestWmmseCallPattern:
-    """Per-iteration cost of WMMSE, counted on the calls that two
+@pytest.fixture(scope="module")
+def los_solver_calls():
+    """The arguments of every `wmmse` and `manifold_cg` call that two
     line-of-sight sweep cells (K=3, N=4, M=225, at 2 and 6 m) make."""
+    base = Scenario(num_users=3, num_paths=0, master_seed=0)
+    spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 6.0),
+                             realizations=1, seed=3)
+    calls = {"wmmse": [], "manifold_cg": []}
 
-    @pytest.fixture(scope="class")
-    def instances(self):
-        base = Scenario(num_users=3, num_paths=0, master_seed=0)
-        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 6.0),
-                                 realizations=1, seed=3)
-        calls = []
-        wmmse = mu_opt.wmmse
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
 
-        def recording(*args, **kwargs):
-            calls.append(args)
-            return wmmse(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(mu_opt, name, recording(name, getattr(mu_opt, name)))
+        for vi, value in enumerate(spec.values):
+            harness.run_cell(base, spec, value, vi, 0)
+    return calls
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mu_opt, "wmmse", recording)
-            for vi, value in enumerate(spec.values):
-                harness.run_cell(base, spec, value, vi, 0)
-        return calls
+
+def _counting(events, name, fn):
+    def wrapper(*args, **kwargs):
+        events.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestWmmseCallPattern:
+    """Per-iteration cost of WMMSE, counted on the calls of `los_solver_calls`."""
+
+    @pytest.fixture
+    def instances(self, los_solver_calls):
+        return los_solver_calls["wmmse"]
 
     def test_one_eigh_and_one_precoder_per_iteration(self, instances, monkeypatch):
         events = []
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                events.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
-
         # pinv's own eigendecomposition goes through numpy's internals, so
         # "eigh" counts only the calls WMMSE makes itself
         for owner, name in ((np.linalg, "eigh"), (np.linalg, "pinv"),
                             (mu_opt, "_wmmse_precoder"), (mu_opt, "_power_multiplier"),
                             (mu_opt, "sum_rate")):
-            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+            monkeypatch.setattr(owner, name, _counting(events, name, getattr(owner, name)))
         kinds = []
         for args in instances:
             events.clear()
@@ -976,3 +1120,37 @@ class TestWmmseCallPattern:
             ("eigh", "_power_multiplier", "_wmmse_precoder", "sum_rate"),
             ("eigh", "_wmmse_precoder", "pinv", "sum_rate"),
         }
+
+
+class TestManifoldCgCallPattern:
+    """Objective and gradient evaluations of the CG, counted on the calls of
+    `los_solver_calls`, on the same calls stopped after 3 steps and on the
+    same calls with one trial step per search. The benchmark's tracer derives
+    the CG's `obj_evals`, `grad_evals` and `backtracks` from these counts."""
+
+    def test_one_objective_per_trial_and_one_gradient_per_point(self, los_solver_calls,
+                                                                 monkeypatch):
+        events = []
+        for name in ("neg_sum_rate", "euclidean_grad_f2", "_retract_step"):
+            monkeypatch.setattr(mu_opt, name, _counting(events, name, getattr(mu_opt, name)))
+        exits = set()
+        for args in los_solver_calls["manifold_cg"]:
+            for kwargs in ({}, {"max_iter": 3}, {"max_backtracks": 1, "grad_tol": 0.0}):
+                events.clear()
+                _, trace = mu_opt.manifold_cg(*args, **kwargs)
+                exits.add(trace.exit)
+                trials = events.count("_retract_step")
+                assert events.count("neg_sum_rate") == 1 + trials
+                assert events.count("euclidean_grad_f2") == len(trace.objective)
+                # the start point's objective and gradient, then per search
+                # one retraction and one objective per trial, and a gradient
+                # at the accepted point
+                assert events[:2] == ["neg_sum_rate", "euclidean_grad_f2"]
+                body = "".join({"_retract_step": "t", "neg_sum_rate": "f",
+                                "euclidean_grad_f2": "g"}[e] for e in events[2:])
+                searches = body.split("g")
+                assert searches[-1] == ("" if trace.exit != "line_search"
+                                        else "tf" * kwargs.get("max_backtracks", 30))
+                assert len(searches) - 1 == len(trace.objective) - 1
+                assert all(len(t) >= 2 and t == "tf" * (len(t) // 2) for t in searches[:-1])
+        assert exits == {"tol", "max_iter", "line_search"}

@@ -1,6 +1,10 @@
-"""Property tests over small random instances: K = 1-4 users (K > N included),
-N = 1-3 antennas, a 4x4 surface, 0-8 scattered paths, and transmit regions
-down to the shortest length that still holds the fixed layout."""
+"""Property tests over small random instances.
+
+The outer loops and whole cells run on K = 1-4 users (K > N included), N =
+1-3 antennas, a 4x4 surface, 0-8 scattered paths, and transmit regions down
+to the shortest length that still holds the fixed layout. The inner solvers
+(WMMSE, the manifold CG and the single-user BCD) run on their own on random
+channels with K = 1-6 users, N = 1-5 antennas and M = 4-64 elements."""
 
 import numpy as np
 import pytest
@@ -66,6 +70,55 @@ def test_solvers_keep_their_invariants(scenario):
         assert np.all(np.diff(np.sort(sol.indices)) >= grid.min_gap)
     assert np.sum(np.abs(mu.w) ** 2) <= power * (1 + 1e-6)
     assert np.sum(np.abs(su.beamformer) ** 2) <= 1 + 1e-6
+
+
+@st.composite
+def channels(draw):
+    """Gaussian user-surface rows h_iu (K, M) and surface-BS matrix h_bi (M,
+    N), a random precoder (N, K) and random unit-modulus phases (M,); the
+    channel scale spans four decades."""
+    k, n, m = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(4, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.floats(-2.0, 2.0))
+
+    def gaussian(*shape):
+        return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    return (gaussian(k, m), gaussian(m, n), gaussian(n, k) / scale,
+            np.exp(1j * rng.uniform(0, 2 * np.pi, m)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(channel=channels(), power=st.floats(0.1, 100.0), noise=st.floats(1e-3, 10.0))
+def test_wmmse_keeps_its_invariants(channel, power, noise):
+    h_iu, h_bi, _, phi = channel
+    h = (h_iu.conj() * phi) @ h_bi  # cascaded rows (K, N)
+    w0 = h.conj().T / np.linalg.norm(h, axis=1) * np.sqrt(power / h.shape[0])
+    w, trace = mu_opt.wmmse(h, w0, power, noise)
+    assert np.all(np.diff(trace) >= 0)
+    assert np.sum(np.abs(w) ** 2) <= power * (1 + 1e-6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(channel=channels(), noise=st.floats(1e-3, 10.0), max_iter=st.integers(1, 60))
+def test_manifold_cg_keeps_its_invariants(channel, noise, max_iter):
+    h_iu, h_bi, w, phi0 = channel
+    phi, trace = mu_opt.manifold_cg(h_iu, h_bi, w, phi0, noise, max_iter=max_iter)
+    assert np.all(np.diff(trace.objective) <= 0)
+    np.testing.assert_allclose(np.abs(phi), 1.0, rtol=0, atol=1e-9)
+    steps, converged = len(trace.objective) - 1, trace.grad_norm[-1] <= 1e-6
+    assert len(trace.grad_norm) == steps + 1 and steps <= max_iter
+    assert trace.exit == ("tol" if converged else
+                          "max_iter" if steps == max_iter else "line_search")
+
+
+@settings(max_examples=100, deadline=None)
+@given(channel=channels())
+def test_bcd_irs_trace_non_decreasing(channel):
+    h_iu, h_bi, _, phi0 = channel
+    phi, trace = su_opt.bcd_irs(h_iu[0], h_bi, phi0)
+    assert _non_decreasing(trace)
+    np.testing.assert_allclose(np.abs(phi), 1.0, rtol=0, atol=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
