@@ -8,7 +8,7 @@ position array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,15 +129,19 @@ def sample_clusters(rng: np.random.Generator, num_paths: int, box_center, box_si
 
 
 def multipath_bs_irs(positions, geometry: IrsGeometry, clusters: ClusterSet,
-                     wavelength: float) -> np.ndarray:
-    """LoS component plus rank-1 scattered components, (M, N)."""
+                     wavelength: float, los: np.ndarray | None = None) -> np.ndarray:
+    """LoS component (`los`, if already built) plus rank-1 scattered ones, (M, N)."""
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    h = clusters.los_ratio * nusw_los_matrix(positions, geometry, wavelength)
+    # A fresh LoS temporary of 256 KiB or more is scaled in place by numpy's
+    # temporary elision, as los * ratio, which rounds unlike ratio * los: the
+    # copy keeps a shared `los` on the rounding the records were made with.
+    h = clusters.los_ratio * (nusw_los_matrix(positions, geometry, wavelength)
+                              if los is None else los.copy())
     elements = geometry.element_positions()
     for c in clusters.clusters:
         a = near_field_response(elements, c.scatterer_array, wavelength)
         b = near_field_response(positions, c.scatterer_array, wavelength)
-        h = h + c.power_ratio * c.gain * np.outer(a, b)
+        h += c.power_ratio * c.gain * np.outer(a, b)
     return h
 
 
@@ -145,17 +149,29 @@ def multipath_bs_irs(positions, geometry: IrsGeometry, clusters: ClusterSet,
 class BsIrsModel:
     """Channel between antenna positions and the surface; columns are per-antenna.
 
-    ``clusters=None`` means a pure LoS channel (unit LoS ratio).
+    ``clusters=None`` means a pure LoS channel (unit LoS ratio). Models of one
+    geometry and wavelength may share `_los_cache`, a dict from position sets
+    to their LoS columns, built on first use and read-only: a LoS-only model
+    returns them as they are, a multipath one scales a copy.
     """
 
     geometry: IrsGeometry
     wavelength: float
     clusters: ClusterSet | None = None
+    _los_cache: dict | None = field(default=None, compare=False, repr=False)
 
     def matrix(self, positions) -> np.ndarray:
-        if self.clusters is None:
-            return nusw_los_matrix(positions, self.geometry, self.wavelength)
-        return multipath_bs_irs(positions, self.geometry, self.clusters, self.wavelength)
+        cache, los = self._los_cache, None
+        if cache is not None:
+            key = np.atleast_2d(np.asarray(positions, dtype=float)).tobytes()
+            if key not in cache:
+                cache[key] = nusw_los_matrix(positions, self.geometry, self.wavelength)
+                cache[key].flags.writeable = False
+            los = cache[key]
+        if self.clusters is not None:
+            return multipath_bs_irs(positions, self.geometry, self.clusters,
+                                    self.wavelength, los)
+        return nusw_los_matrix(positions, self.geometry, self.wavelength) if los is None else los
 
 
 def plane_wave_response(points, direction, wavelength: float) -> np.ndarray:

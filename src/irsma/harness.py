@@ -2,7 +2,9 @@
 
 Within one (parameter value, realization) cell every scheme consumes the same
 channel realization, and each sampling grid's channel columns are built once
-per cell (`CellContext`); randomized initial points come from named substreams,
+per cell (`CellContext`). Their line-of-sight part depends only on the swept
+value, so a sweep builds it once per value and grid, and every realization at
+that value reuses it. Randomized initial points come from named substreams,
 so every cell is a pure function of the sweep seed and its indices.
 """
 
@@ -81,7 +83,9 @@ class Realization:
     bs_irs: channel.BsIrsModel
 
 
-def draw_realization(scenario: Scenario, rng: np.random.Generator) -> Realization:
+def draw_realization(scenario: Scenario, rng: np.random.Generator,
+                     los_cache: dict | None = None) -> Realization:
+    """One cell's channels; draws of one scenario may share `los_cache`."""
     geometry = scenario.geometry()
     lam = scenario.wavelength
     h_iu = channel._draw_users([rng] * scenario.num_users, scenario, geometry)
@@ -91,7 +95,7 @@ def draw_realization(scenario: Scenario, rng: np.random.Generator) -> Realizatio
         clusters = channel.sample_clusters(
             rng, scenario.num_paths, region_center / 2, scenario.scatterer_box_size,
             lam, region_center)
-    return Realization(h_iu=h_iu, bs_irs=channel.BsIrsModel(geometry, lam, clusters))
+    return Realization(h_iu, channel.BsIrsModel(geometry, lam, clusters, los_cache))
 
 
 @dataclass
@@ -107,7 +111,8 @@ class CellContext:
     """Everything the schemes of one cell share: the channel draw, the fine
     grid (antenna selection AS uses the coarse one) and each grid's channel
     columns, (M, L). The coarse columns are built on first use, so a cell
-    without AS never builds them."""
+    without AS never builds them. In a sweep, their LoS part is built once per
+    swept value (a LoS-only cell's columns are then shared and read-only)."""
 
     realization: Realization
     fine: su_opt.SamplingGrid
@@ -259,10 +264,10 @@ _CELL_ORDER = (FPA_RPS, MA_RPS, FPA, AS, PROPOSED)
 
 
 def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
-             realization_index: int) -> list[Record]:
+             realization_index: int, los_cache: dict | None = None) -> list[Record]:
     scen = apply_parameter(scenario, spec.parameter, value)
     chan_rng = substream(spec.seed, "chan", spec.parameter, value_index, realization_index)
-    realization = draw_realization(scen, chan_rng)
+    realization = draw_realization(scen, chan_rng, los_cache)
     context = cell_context(scen, realization)
     rps_phi = su_opt.random_reflection(
         substream(spec.seed, "rps", value_index, realization_index),
@@ -299,9 +304,10 @@ def run_sweep(spec: SweepSpec, scenario: Scenario) -> SweepResult:
     _check_layouts_fit(spec, scenario)
     result = SweepResult(spec=spec)
     for vi, value in enumerate(spec.values):
+        los_cache = {}  # one value's LoS columns, kept for its realizations only
         for r in range(spec.realizations):
             try:
-                result.records.extend(run_cell(scenario, spec, value, vi, r))
+                result.records.extend(run_cell(scenario, spec, value, vi, r, los_cache))
             except (IrsmaError, np.linalg.LinAlgError) as exc:
                 _log.warning("cell value=%s realization=%s failed: %r", value, r, exc)
                 result.failed.append((float(value), r))

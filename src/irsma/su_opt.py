@@ -5,6 +5,7 @@ alternating loop."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,25 +214,27 @@ def bcd_irs(h_iu, h_bi, phi_init, max_sweeps: int = 100) -> tuple[np.ndarray, li
             f"h_iu {h_iu.shape}, h_bi {h_bi.shape}, phi_init {phi.shape}")
     g = h_iu.conj()[:, None] * h_bi  # rows g_m
     norms = np.sum(np.abs(g) ** 2, axis=1).tolist()
-    rows, rows_conj = g.tolist(), g.conj().tolist()
+    # per element: index, g_m, conj(g_m), ||g_m||^2 and its flat threshold
+    elements = [(m, row, row_conj, norm, _FLAT_INNER * norm) for m, (row, row_conj, norm)
+                in enumerate(zip(g.tolist(), g.conj().tolist(), norms))]
     total_vec = phi @ g
     value = float(np.linalg.norm(total_vec) ** 2)
     total, phases = total_vec.tolist(), phi.tolist()
     trace = [value]
+    append = trace.append
     for _ in range(max_sweeps):
         sweep_start = value
-        for m in range(len(phases)):
+        for m, row, row_conj, norm, flat in elements:
             p = phases[m]
-            inner = sum([t * c for t, c in zip(total, rows_conj[m])]) - p * norms[m]
+            inner = sum(map(operator.mul, total, row_conj)) - p * norm
             mag = abs(inner)
-            if mag > _FLAT_INNER * norms[m]:
+            if mag > flat:
                 q = inner / mag
                 step = q - p
-                total = [t + step * x for t, x in zip(total, rows[m])]
+                total = [t + step * x for t, x in zip(total, row)]
                 phases[m] = q
-                value += (2 * (mag - (p.conjugate() * inner).real)
-                          + (1 - abs(p) ** 2) * norms[m])
-            trace.append(value)
+                value += 2 * (mag - (p.conjugate() * inner).real) + (1 - abs(p) ** 2) * norm
+            append(value)
         if value - sweep_start <= _BCD_TOL * max(abs(sweep_start), _TINY):
             break
     return np.array(phases, dtype=complex), trace

@@ -143,6 +143,53 @@ class TestCellContext:
         assert sorted(r.scheme for r in records) == sorted(schemes)
         assert len(matrix_calls) == 1
 
+    @pytest.mark.parametrize("num_paths", [8, 0], ids=["multipath", "los"])
+    def test_sweep_shares_los_columns_per_value(self, monkeypatch, num_paths):
+        # The default 15x15 surface makes the fine grid's (225, 100) columns
+        # 352 KiB, above numpy's 256 KiB temporary-elision threshold, so the
+        # multipath columns built on a shared LoS must still round as a model
+        # without the shared LoS, which scales a fresh LoS temporary, does.
+        contexts, los_builds = [], []
+        original_context, original_los = harness.cell_context, channel.nusw_los_matrix
+
+        def recording(scen, realization):
+            contexts.append(original_context(scen, realization))
+            return contexts[-1]
+
+        def counting(positions, geometry, wavelength):
+            los_builds.append(len(positions))
+            return original_los(positions, geometry, wavelength)
+
+        monkeypatch.setattr(harness, "cell_context", recording)
+        monkeypatch.setattr(channel, "nusw_los_matrix", counting)
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 4.0),
+                                 realizations=3, seed=5)
+        result = harness.run_sweep(spec, Scenario(num_users=1, num_paths=num_paths))
+        assert not result.failed and len(contexts) == 6
+        # fine then coarse, once per value for its three realizations
+        assert los_builds == [100, 20, 100, 20]
+        caches = [ctx.realization.bs_irs._los_cache for ctx in contexts]
+        assert all(c is caches[0] for c in caches[:3])
+        assert all(c is caches[3] for c in caches[3:]) and caches[3] is not caches[0]
+        for ctx in contexts:
+            bs_irs = ctx.realization.bs_irs
+            alone = channel.BsIrsModel(bs_irs.geometry, bs_irs.wavelength, bs_irs.clusters)
+            assert ctx.fine_columns.nbytes > 256 * 1024
+            for points, columns in ((ctx.fine.points, ctx.fine_columns),
+                                    (ctx.coarse.points, ctx.coarse_columns)):
+                assert columns.tobytes() == alone.matrix(points).tobytes()
+            for shared in bs_irs._los_cache.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    shared[0, 0] = 0
+            if num_paths == 0:
+                with pytest.raises(ValueError, match="read-only"):
+                    ctx.fine_columns[0, 0] = 0
+
+    def test_cell_on_its_own_builds_private_columns(self, scenario):
+        ctx = _context(scenario)
+        assert ctx.realization.bs_irs._los_cache is None
+        ctx.fine_columns[0, 0] = 0  # nothing shared, so writable
+
 
 class TestRunScheme:
     def test_unknown_scheme(self, scenario):

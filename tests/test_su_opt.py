@@ -494,12 +494,43 @@ def _reference_bcd_irs(h_iu, h_bi, phi_init, tol=1e-3, max_sweeps=100):
     return phi, trace, sweeps
 
 
+def _scalar_bcd_irs(h_iu, h_bi, phi_init, max_sweeps=100):
+    """`bcd_irs`'s Python-scalar element loop written plainly: rows looked up
+    by index, each inner product summed from a list comprehension. The same
+    floating-point operations in the same order, so `bcd_irs` must match it
+    bit for bit. Returns (phi, trace)."""
+    g = h_iu.conj()[:, None] * h_bi
+    norms = np.sum(np.abs(g) ** 2, axis=1).tolist()
+    rows, rows_conj = g.tolist(), g.conj().tolist()
+    total_vec = np.asarray(phi_init, dtype=complex) @ g
+    value = float(np.linalg.norm(total_vec) ** 2)
+    total, phases = total_vec.tolist(), np.asarray(phi_init, dtype=complex).tolist()
+    trace = [value]
+    for _ in range(max_sweeps):
+        sweep_start = value
+        for m in range(len(phases)):
+            p = phases[m]
+            inner = sum([t * c for t, c in zip(total, rows_conj[m])]) - p * norms[m]
+            mag = abs(inner)
+            if mag > 1e-12 * norms[m]:
+                q = inner / mag
+                step = q - p
+                total = [t + step * x for t, x in zip(total, rows[m])]
+                phases[m] = q
+                value += (2 * (mag - (p.conjugate() * inner).real)
+                          + (1 - abs(p) ** 2) * norms[m])
+            trace.append(value)
+        if value - sweep_start <= 1e-3 * max(abs(sweep_start), 1e-300):
+            break
+    return np.array(phases, dtype=complex), trace
+
+
 def _random_bcd_instances(count=240):
-    """Every M in 1..40 with N in 1..4, each with no zero rows, zero user
-    entries or zero BS rows."""
+    """Every M in 1..40, each with six of N in 1..8; a third with no zero
+    rows, a third with zero user entries and a third with zero BS rows."""
     rng = np.random.default_rng(606)
     for i in range(count):
-        m, n = 1 + i % 40, 1 + (i // 40) % 4
+        m, n = 1 + i % 40, 1 + (i // 40 + i) % 8
         h_iu, h_bi = _random_channels(rng, m, n)
         if i % 3 == 1:
             h_iu[rng.random(m) < 0.5] = 0
@@ -523,6 +554,9 @@ def _cell_bcd_instances():
 
 def _assert_bcd_matches_reference(h_iu, h_bi, phi0):
     phi, trace = su_opt.bcd_irs(h_iu, h_bi, phi0)
+    scalar_phi, scalar_trace = _scalar_bcd_irs(h_iu, h_bi, phi0)
+    assert phi.tobytes() == scalar_phi.tobytes()
+    assert trace == scalar_trace
     ref_phi, ref_trace, sweeps = _reference_bcd_irs(h_iu, h_bi, phi0)
     m = len(phi0)
     assert len(trace) == len(ref_trace) == 1 + m * sweeps
@@ -540,6 +574,7 @@ class TestBcdMatchesNumpyLoop:
     def test_random_instances(self):
         instances = list(_random_bcd_instances())
         assert {len(phi0) for _, _, phi0 in instances} == set(range(1, 41))
+        assert {h_bi.shape[1] for _, h_bi, _ in instances} == set(range(1, 9))
         for h_iu, h_bi, phi0 in instances:
             _assert_bcd_matches_reference(h_iu, h_bi, phi0)
 
