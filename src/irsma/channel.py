@@ -8,6 +8,7 @@ position array.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,18 +129,24 @@ def sample_clusters(rng: np.random.Generator, num_paths: int, box_center, box_si
     return ClusterSet(complex(ratios[0]), tuple(clusters))
 
 
+def _surface_responses(geometry: IrsGeometry, clusters: ClusterSet, wavelength: float) -> list:
+    """Each cluster's (M,) response over the surface elements."""
+    return [near_field_response(geometry.element_positions(), c.scatterer_array, wavelength)
+            for c in clusters.clusters]
+
+
 def multipath_bs_irs(positions, geometry: IrsGeometry, clusters: ClusterSet,
-                     wavelength: float, los: np.ndarray | None = None) -> np.ndarray:
-    """LoS component (`los`, if already built) plus rank-1 scattered ones, (M, N)."""
+                     wavelength: float, los: np.ndarray | None = None,
+                     surface: list[np.ndarray] | None = None) -> np.ndarray:
+    """LoS component plus rank-1 scattered ones, (M, N), from `los` and `surface` if built."""
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     # A fresh LoS temporary of 256 KiB or more is scaled in place by numpy's
     # temporary elision, as los * ratio, which rounds unlike ratio * los: the
     # copy keeps a shared `los` on the rounding the records were made with.
     h = clusters.los_ratio * (nusw_los_matrix(positions, geometry, wavelength)
                               if los is None else los.copy())
-    elements = geometry.element_positions()
-    for c in clusters.clusters:
-        a = near_field_response(elements, c.scatterer_array, wavelength)
+    surface = surface or _surface_responses(geometry, clusters, wavelength)
+    for c, a in zip(clusters.clusters, surface):
         b = near_field_response(positions, c.scatterer_array, wavelength)
         h += c.power_ratio * c.gain * np.outer(a, b)
     return h
@@ -160,6 +167,10 @@ class BsIrsModel:
     clusters: ClusterSet | None = None
     _los_cache: dict | None = field(default=None, compare=False, repr=False)
 
+    @functools.cached_property  # built once for all position sets
+    def _surface(self) -> list[np.ndarray]:
+        return _surface_responses(self.geometry, self.clusters, self.wavelength)
+
     def matrix(self, positions) -> np.ndarray:
         cache, los = self._los_cache, None
         if cache is not None:
@@ -170,7 +181,7 @@ class BsIrsModel:
             los = cache[key]
         if self.clusters is not None:
             return multipath_bs_irs(positions, self.geometry, self.clusters,
-                                    self.wavelength, los)
+                                    self.wavelength, los, self._surface)
         return nusw_los_matrix(positions, self.geometry, self.wavelength) if los is None else los
 
 

@@ -4,7 +4,7 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irsma import analysis, channel, harness, su_opt
@@ -45,6 +45,23 @@ def _dense_equivalence_gaps(scen, distances, num_seeds, grid_points):
             worst = max(worst, abs(float(np.max(gains)) - g_fpa) / g_fpa)
         expected.append(worst)
     return expected
+
+
+def _dense_screen(points, elements, amps, wavelength):
+    """The equivalence screen before its coarse pass: one distance row and one
+    screened sum per grid point, and the exact rows of each draw's passes."""
+    recip = channel._distance_matrix(points, elements)
+    sums = su_opt._grid_product(amps, np.divide(1.0, recip, out=recip).T)
+    gains = []
+    for amp, col in zip(amps, sums):
+        rows = points[col >= (1 - 1e-9) * col.max()]
+        d = np.linalg.norm(rows[:, None, :] - elements[None, :, :], axis=2)
+        gains.append((wavelength / (4 * np.pi)) ** 2 * np.sum(amp / d, axis=1) ** 2)
+    return gains
+
+
+_UNIT_VECTORS = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 0.1)
 
 
 class TestReportObject:
@@ -91,13 +108,27 @@ class TestSingleMaEquivalence:
 
     @settings(max_examples=100, deadline=None)
     @given(num_y=st.integers(1, 8), num_z=st.integers(1, 8),
-           region_length=st.floats(0.0, 1.0), grid_points=st.integers(1, 301),
+           region_length=st.floats(0.0, 1.0), grid_points=st.integers(1, 1001),
            dist=st.floats(0.5, 8.0), num_seeds=st.integers(1, 6),
-           rician_factor=st.sampled_from([0.0, 1e6]), seed=st.integers(0, 2 ** 16))
+           rician_factor=st.sampled_from([0.0, 1e6]), seed=st.integers(0, 2 ** 16),
+           region_axis=st.one_of(st.just((1.0, 0.0, 0.0)), _UNIT_VECTORS),
+           bs_direction=st.one_of(st.just(Scenario().bs_direction), st.tuples(
+               st.floats(0.1, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
     def test_screen_equals_dense_profile(self, num_y, num_z, region_length, grid_points,
-                                         dist, num_seeds, rician_factor, seed):
+                                         dist, num_seeds, rician_factor, seed,
+                                         region_axis, bs_direction):
+        # the gap bound is geometric, so it holds on any line: oblique regions
+        # and directions, and grids from one point to the battery's 1001
         scen = Scenario(irs_num_y=num_y, irs_num_z=num_z, region_length=region_length,
-                        rician_factor=rician_factor, master_seed=seed, num_mas=1)
+                        rician_factor=rician_factor, master_seed=seed, num_mas=1,
+                        region_axis=region_axis, bs_direction=bs_direction)
+        # an element on the region makes the gains infinite (and the fixed
+        # antenna's gain raise), so the segment keeps 1 mm from every element
+        a, b = scen.replace(bs_distance=dist).region().point([-region_length / 2,
+                                                              region_length / 2])
+        e, seg = scen.geometry().element_positions() - a, b - a
+        t = np.clip(e @ seg / (seg @ seg or 1.0), 0.0, 1.0)
+        assume(np.min(np.linalg.norm(e - t[:, None] * seg, axis=1)) > 1e-3)
         rep = analysis.verify_single_ma_equivalence(
             scen, distances=(dist,), num_seeds=num_seeds, grid_points=grid_points)
         assert [c.value for c in rep.checks] == _dense_equivalence_gaps(
@@ -121,6 +152,36 @@ class TestSingleMaEquivalence:
             dense = (lam / (4 * np.pi)) ** 2 * np.sum(amp / d, axis=1) ** 2
             assert sorted(gains) == sorted(dense[199:201])
             assert np.max(gains) == np.max(dense)
+
+    @pytest.mark.parametrize("size, num_seeds", [(25, 50), (15, 10)])
+    def test_battery_screen_builds_few_rows(self, monkeypatch, size, num_seeds):
+        # the battery's two checks at all six distances: the coarse pass skips
+        # the gaps that cannot hold a draw's best point, and every draw keeps the
+        # dense screen's passing rows and gains, bit for bit
+        scen = Scenario(irs_num_y=size, irs_num_z=size, num_mas=1)
+        geometry, lam = scen.geometry(), scen.wavelength
+        elements = geometry.element_positions()
+        cases = []
+        for dist in (1, 2, 3, 4, 5, 6):
+            region = scen.replace(bs_distance=float(dist)).region()
+            points = region.point(np.linspace(-region.length / 2, region.length / 2, 1001))
+            rngs = [substream(scen.master_seed, "equiv", dist * 1000, s)
+                    for s in range(num_seeds)]
+            amps = np.abs(channel._draw_users(rngs, scen, geometry))
+            cases.append((points, amps, _dense_screen(points, elements, amps, lam)))
+        rows, original = [], channel._distance_matrix
+
+        def counting(a, b):
+            rows.append(len(a))
+            return original(a, b)
+
+        monkeypatch.setattr(channel, "_distance_matrix", counting)
+        for points, amps, dense in cases:
+            screened = analysis._screened_gains(points, elements, amps, lam)
+            assert len(screened) == num_seeds
+            for want, got in zip(dense, screened):
+                assert got.tobytes() == want.tobytes()
+        assert rows and max(rows) <= 128
 
     def test_deterministic(self, scenario):
         a = analysis.verify_single_ma_equivalence(scenario, distances=(2,),

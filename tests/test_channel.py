@@ -251,6 +251,32 @@ class TestMultipath:
         np.testing.assert_allclose(full[:, :1], model.matrix(pos[:1]), rtol=1e-12)
         np.testing.assert_allclose(full[:, 1:], model.matrix(pos[1:]), rtol=1e-12)
 
+    def test_surface_responses_built_once(self, small_geometry, rng, monkeypatch):
+        cs = channel.sample_clusters(rng, 3, [1.0, 1.0, 0.0], (2, 2, 2), 0.06,
+                                     [2.0, 2.0, 0.0])
+        fine = np.array([[2.0, 0, 0], [2.1, 0, 0], [2.2, 0, 0]])
+        elements = small_geometry.element_positions()
+        expected = []
+        for p in (fine, fine[::2]):  # every response built anew per grid
+            h = cs.los_ratio * channel.nusw_los_matrix(p, small_geometry, 0.06)
+            for c in cs.clusters:
+                h += c.power_ratio * c.gain * np.outer(
+                    channel.near_field_response(elements, c.scatterer_array, 0.06),
+                    channel.near_field_response(p, c.scatterer_array, 0.06))
+            expected.append(h)
+        calls, original = [], channel.near_field_response
+
+        def counting(points, source, wavelength):
+            calls.append(len(np.atleast_2d(points)))
+            return original(points, source, wavelength)
+
+        monkeypatch.setattr(channel, "near_field_response", counting)
+        model = channel.BsIrsModel(small_geometry, 0.06, cs)
+        for p, want in zip((fine, fine[::2]), expected):
+            assert model.matrix(p).tobytes() == want.tobytes()
+        # each path's 16-element surface side once, its antenna side per grid
+        assert calls == [16] * 3 + [3] * 3 + [2] * 3
+
 
 class TestSampleClusters:
     def test_l0_second_moment(self):
