@@ -9,7 +9,9 @@
 # byte-identical. The outputs of all four subcommands do not depend on the
 # BLAS thread count (tests/test_harness.py checks each); the pin to one
 # thread stays so that the digests compare with those of older commits, whose
-# sweeps rounded differently on more threads.
+# sweeps rounded differently on more threads. tests/data/records/digests.txt
+# is its output at the last change that moved the records on purpose, and
+# tests/test_records.py runs the same commands in-process against it.
 # Usage: scripts/records_digest.sh [OUT_DIR]   (default: a fresh temp dir)
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -1,11 +1,13 @@
 """Single-user SNR maximization: closed forms, element-wise BCD for the surface
 phases, optimal grid placement via dynamic programming, and the outer
-alternating loop."""
+alternating loop. The BCD sweep is generated once per antenna count N and
+works on N unpacked local scalars: on Python 3.11 each comprehension is a
+function frame, which a generic loop would make once per element update."""
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,6 +192,41 @@ def graph_position_select(weights, num_select: int, min_gap: int) -> list[int]:
 _FLAT_INNER = 1e-12
 
 
+# One BCD sweep for rows of length N, with `total`, each row and its conjugate
+# unpacked into locals t0.., r.., c... The leading `0 +` starts the inner
+# product as `sum()` does, which turns a -0.0 part into +0.0.
+_SWEEP_SOURCE = """
+def sweep(total, phases, elements, value, append):
+    [{t}] = total
+    for m, [{r}], [{c}], norm, flat in elements:
+        p = phases[m]
+        inner = (0{dot}) - p * norm
+        mag = abs(inner)
+        if mag > flat:
+            q = inner / mag
+            s = q - p
+{update}
+            phases[m] = q
+            value += 2 * (mag - (p.conjugate() * inner).real) + (1 - abs(p) ** 2) * norm
+        append(value)
+    return [{t}], value
+"""
+
+
+@functools.cache
+def _bcd_sweep(n: int):
+    """The sweep kernel for rows of length `n`, compiled once per `n`: it
+    updates `phases` in place, appends the objective after each element and
+    returns the new `total` and objective."""
+    names = {v: ", ".join(f"{v}{i}" for i in range(n)) for v in "trc"}
+    source = _SWEEP_SOURCE.format(
+        dot="".join(f" + t{i} * c{i}" for i in range(n)),
+        update="\n".join(f"            t{i} = t{i} + s * r{i}" for i in range(n)), **names)
+    namespace: dict = {}
+    exec(compile(source, f"<bcd sweep, N={n}>", "exec"), namespace)
+    return namespace["sweep"]
+
+
 def bcd_irs(h_iu, h_bi, phi_init, max_sweeps: int = 100) -> tuple[np.ndarray, list[float]]:
     """Element-wise coordinate ascent on the cascaded-channel power
     f = ||total||^2, total = sum_m phi_m g_m, rows g_m = conj(h_iu[m]) h_bi[m].
@@ -197,7 +234,10 @@ def bcd_irs(h_iu, h_bi, phi_init, max_sweeps: int = 100) -> tuple[np.ndarray, li
     Element m moves to its closed-form optimum q = inner / |inner|, with
     inner = (total - phi_m g_m) . g_m^H. The loop runs on Python complex
     scalars, in the rank-N form inner = total . g_m^H - phi_m ||g_m||^2, and
-    updates total += (q - phi_m) g_m.
+    updates total += (q - phi_m) g_m. Each sweep runs in a kernel generated
+    once per N (`_bcd_sweep`) that spells out these N-term sums over local
+    variables: on Python 3.11 a comprehension is a function frame of its own,
+    and a generic loop would make one per element update.
 
     Returns the reflection vector and the objective trace: f(phi_init), then
     one entry per element update (1 + M * sweeps entries). Each entry adds the
@@ -221,20 +261,10 @@ def bcd_irs(h_iu, h_bi, phi_init, max_sweeps: int = 100) -> tuple[np.ndarray, li
     value = float(np.linalg.norm(total_vec) ** 2)
     total, phases = total_vec.tolist(), phi.tolist()
     trace = [value]
-    append = trace.append
+    sweep = _bcd_sweep(len(total))
     for _ in range(max_sweeps):
         sweep_start = value
-        for m, row, row_conj, norm, flat in elements:
-            p = phases[m]
-            inner = sum(map(operator.mul, total, row_conj)) - p * norm
-            mag = abs(inner)
-            if mag > flat:
-                q = inner / mag
-                step = q - p
-                total = [t + step * x for t, x in zip(total, row)]
-                phases[m] = q
-                value += 2 * (mag - (p.conjugate() * inner).real) + (1 - abs(p) ** 2) * norm
-            append(value)
+        total, value = sweep(total, phases, elements, value, trace.append)
         if value - sweep_start <= _BCD_TOL * max(abs(sweep_start), _TINY):
             break
     return np.array(phases, dtype=complex), trace
@@ -326,10 +356,12 @@ def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
         if optimize_phi:
             phi, _ = bcd_irs(h_iu, grid_columns[:, indices], phi)
         gamma1 = objective(phi, indices)
+        previous = indices
         if optimize_positions:
             weights = np.abs(_grid_product(h_iu.conj() * phi, grid_columns)) ** 2
             indices = graph_position_select(weights, num_mas, grid.min_gap)
-        gamma2 = objective(phi, indices)
+        # the same phases on the same positions give gamma1 bit for bit
+        gamma2 = gamma1 if indices == previous else objective(phi, indices)
         trace.append(gamma2)
         if abs(gamma2 - gamma1) <= _OUTER_TOL * max(gamma1, _TINY):
             break

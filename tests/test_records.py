@@ -1,0 +1,121 @@
+"""The shipped sweeps' outputs, byte for byte.
+
+Runs the commands of `scripts/records_digest.sh` in-process and compares the
+sha256 of every output file with `tests/data/records/digests.txt` (the
+script's own output), and each sweep's `records.csv` with the copy stored
+next to it. When a records file differs, the message tabulates the drift per
+config, scheme and swept value. The reference was made with numpy 2.4.6 on
+OpenBLAS 0.3.31; a BLAS kernel that rounds differently fails these tests by
+design, and the table shows whether the drift is rounding or behaviour.
+
+After a change that moves the records on purpose, refresh the reference
+with `scripts/records_digest.sh OUT > tests/data/records/digests.txt` and copy
+each `OUT/<config>/records.csv` to `tests/data/records/<config>.csv`.
+"""
+
+import contextlib
+import csv
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from irsma.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = Path(__file__).parent / "data" / "records"
+SWEEPS = ("single_user_multipath_sweep", "multi_user_los_sweep",
+          "multi_user_multipath_sweep", "region_length_sweep", "path_count_sweep")
+EQUIVALENCE = str(ROOT / "configs" / "single_user_equivalence.yaml")
+
+
+def _commands():
+    """(output name, argv) in the script's order; each command's standard
+    output goes to `<name>.stdout` and its files to `<name>/`."""
+    for cfg in SWEEPS:
+        yield cfg, ["sweep", "--config", str(ROOT / "configs" / f"{cfg}.yaml"),
+                    "--realizations", "2", "--seed", "0"]
+    yield "verify", ["verify", "--seed", "0"]
+    for seed in (1000, 1002, 7000):
+        yield f"verify_{seed}", ["verify", "--seed", str(seed)]
+    yield "profile", ["profile", "--config", EQUIVALENCE, "--seed", "0"]
+    yield "convergence", ["convergence", "--seed", "0"]
+    yield "convergence_single_user", ["convergence", "--config", EQUIVALENCE,
+                                      "--seed", "0"]
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("records")
+    for name, argv in _commands():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            status = cli_main(argv + ["--out", str(out / name)])
+        assert status == 0, f"{name} exited with {status}"
+        (out / f"{name}.stdout").write_text(stdout.getvalue())
+    return out
+
+
+def _digest_lines(out: Path) -> list[str]:
+    """`sha256sum` lines of every file under `out`, as the script prints them."""
+    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    return [f"{hashlib.sha256((out / f).read_bytes()).hexdigest()}  ./{f}" for f in files]
+
+
+def _rows(text: str) -> dict:
+    return {tuple(row[:4]): row[4] for row in csv.reader(io.StringIO(text))
+            if row[0] != "scheme"}
+
+
+def drift_table(changed: dict) -> str:
+    """One line per config, scheme and swept value with a changed row: the
+    rows that differ (or exist on one side only) and the largest |delta rate|
+    over the rates present on both sides. `changed` maps a config to its
+    (reference, new) records text."""
+    lines = [f"{'config':28s} {'scheme':9s} {'value':>6s} {'rows':>9s}  max |delta rate|"]
+    for cfg, (want_text, got_text) in changed.items():
+        want, got = _rows(want_text), _rows(got_text)
+        groups: dict = {}
+        for key in sorted(want.keys() | got.keys()):
+            group = groups.setdefault(key[:2], [0, 0, 0.0])
+            group[0] += 1
+            if want.get(key) != got.get(key):
+                group[1] += 1
+                if key[3] == "sum_rate" and key in want and key in got:
+                    group[2] = max(group[2], abs(float(got[key]) - float(want[key])))
+        for (scheme, value), (total, diff, delta) in groups.items():
+            if diff:
+                lines.append(f"{cfg:28s} {scheme:9s} {value:>6s} {diff:>4d} of {total:<2d} "
+                             f" {delta:.3g}")
+    return "\n".join(lines)
+
+
+def test_records_match_reference(outputs):
+    changed = {}
+    for cfg in SWEEPS:
+        want = (REFERENCE / f"{cfg}.csv").read_text()
+        got = (outputs / cfg / "records.csv").read_text()
+        if got != want:
+            changed[cfg] = (want, got)
+    assert not changed, "records drifted from tests/data/records:\n" + drift_table(changed)
+
+
+def test_output_digests_match_reference(outputs):
+    want = (REFERENCE / "digests.txt").read_text().splitlines()
+    got = _digest_lines(outputs)
+    assert len(want) == 41
+    differ = sorted(set(want) ^ set(got), key=lambda line: line[66:])
+    assert got == want, "output digests differ (- reference, + now):\n" + "\n".join(
+        ("- " if line in want else "+ ") + line for line in differ)
+
+
+def test_drift_table_counts_rows_and_rate_change():
+    want = ("scheme,param,realization,metric,value\n"
+            "FPA,1.0,0,sum_rate,2.0\nFPA,1.0,0,iterations,3\n"
+            "FPA,2.0,0,sum_rate,1.0\nFPA,2.0,0,iterations,3\n")
+    got = want.replace("sum_rate,2.0", "sum_rate,2.5").replace("1.0,0,iterations,3",
+                                                               "1.0,0,iterations,4")
+    lines = drift_table({"cfg": (want, got)}).splitlines()
+    assert len(lines) == 2
+    assert lines[1].split() == ["cfg", "FPA", "1.0", "2", "of", "2", "0.5"]

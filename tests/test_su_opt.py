@@ -527,7 +527,8 @@ def _scalar_bcd_irs(h_iu, h_bi, phi_init, max_sweeps=100):
 
 def _random_bcd_instances(count=240):
     """Every M in 1..40, each with six of N in 1..8; a third with no zero
-    rows, a third with zero user entries and a third with zero BS rows."""
+    rows, a third with zero user entries and a third with zero BS rows. Then
+    N in 9..16 and rows of length 0 (an (M, 0) h_bi), each at three M."""
     rng = np.random.default_rng(606)
     for i in range(count):
         m, n = 1 + i % 40, 1 + (i // 40 + i) % 8
@@ -537,6 +538,22 @@ def _random_bcd_instances(count=240):
         elif i % 3 == 2:
             h_bi[rng.random(m) < 0.5] = 0
         yield h_iu, h_bi, np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+    for n in (*range(9, 17), 0):
+        for m in (1, 7, 30):
+            yield *_random_channels(rng, m, n), np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+
+
+def _real_bcd_instances(count=160):
+    """Real channels and starting phases of +-1, every M in 1..40 and every N
+    in 1..16: products of real parts carry signed zeros in their imaginary
+    parts. Half the instances pass float arrays, half complex ones."""
+    rng = np.random.default_rng(909)
+    for i in range(count):
+        m, n = 1 + i % 40, 1 + i % 16
+        h_iu, h_bi = rng.standard_normal(m), rng.standard_normal((m, n))
+        if i % 2:
+            h_iu, h_bi = h_iu + 0j, h_bi + 0j
+        yield h_iu, h_bi, rng.choice([-1.0, 1.0], m) + 0j
 
 
 def _cell_bcd_instances():
@@ -574,7 +591,7 @@ class TestBcdMatchesNumpyLoop:
     def test_random_instances(self):
         instances = list(_random_bcd_instances())
         assert {len(phi0) for _, _, phi0 in instances} == set(range(1, 41))
-        assert {h_bi.shape[1] for _, h_bi, _ in instances} == set(range(1, 9))
+        assert {h_bi.shape[1] for _, h_bi, _ in instances} == set(range(17))
         for h_iu, h_bi, phi0 in instances:
             _assert_bcd_matches_reference(h_iu, h_bi, phi0)
 
@@ -582,6 +599,31 @@ class TestBcdMatchesNumpyLoop:
         for h_iu, h_bi, phi0 in _cell_bcd_instances():
             assert h_bi.shape == (225, 4)
             _assert_bcd_matches_reference(h_iu, h_bi, phi0)
+
+    def test_real_instances(self):
+        # the numpy loop turns these phases off the real axis by rounding
+        # residues (up to 3e-5) and can end elsewhere; the trace is checked
+        # against the objective of the returned phases instead
+        instances = list(_real_bcd_instances())
+        assert {h_bi.shape[1] for _, h_bi, _ in instances} == set(range(1, 17))
+        for h_iu, h_bi, phi0 in instances:
+            phi, trace = su_opt.bcd_irs(h_iu, h_bi, phi0)
+            scalar_phi, scalar_trace = _scalar_bcd_irs(h_iu, h_bi, phi0)
+            assert phi.tobytes() == scalar_phi.tobytes()
+            assert trace == scalar_trace
+            assert np.all(phi.imag == 0) and np.all(np.abs(phi.real) == 1)
+            g = h_iu.conj()[:, None] * h_bi
+            assert trace[-1] == pytest.approx(np.linalg.norm(phi @ g) ** 2, rel=1e-12)
+            assert np.all(np.diff(trace) >= -1e-10)
+
+    def test_one_kernel_per_antenna_count(self):
+        su_opt._bcd_sweep.cache_clear()
+        rng = np.random.default_rng(606)
+        for n in (2, 5, 2, 16, 5, 0):
+            h_iu, h_bi = _random_channels(rng, 6, n)
+            su_opt.bcd_irs(h_iu, h_bi, np.exp(1j * rng.uniform(0, 2 * np.pi, 6)))
+        info = su_opt._bcd_sweep.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (4, 2, 4)
 
 
 def _su_setup(scenario, seed=0):
@@ -647,6 +689,22 @@ class TestAoSingleUser:
                                         s.transmit_power, s.noise_power,
                                         optimize_positions=False)
         assert sol_phi.indices == list(idx0)
+
+    def test_fixed_positions_evaluate_the_objective_once_per_iteration(
+            self, small_scenario, monkeypatch):
+        # the objective after the placement step repeats the one before it
+        # when no antenna moves, and is then not evaluated again
+        s = small_scenario
+        h_iu, model, grid, phi0, idx0 = _su_setup(s, seed=3)
+        calls = []
+        product = su_opt._grid_product
+        monkeypatch.setattr(su_opt, "_grid_product",
+                            lambda *args: calls.append(1) or product(*args))
+        sol = su_opt.ao_single_user(h_iu, model.matrix(grid.points), grid, phi0, idx0,
+                                    s.transmit_power, s.noise_power,
+                                    optimize_positions=False)
+        assert len(calls) == 1 + sol.iterations
+        assert len(sol.trace) == 1 + sol.iterations
 
     def test_columns_of_another_grid_rejected(self, small_scenario):
         s = small_scenario
