@@ -129,29 +129,6 @@ def sample_clusters(rng: np.random.Generator, num_paths: int, box_center, box_si
     return ClusterSet(complex(ratios[0]), tuple(clusters))
 
 
-def _surface_responses(geometry: IrsGeometry, clusters: ClusterSet, wavelength: float) -> list:
-    """Each cluster's (M,) response over the surface elements."""
-    return [near_field_response(geometry.element_positions(), c.scatterer_array, wavelength)
-            for c in clusters.clusters]
-
-
-def multipath_bs_irs(positions, geometry: IrsGeometry, clusters: ClusterSet,
-                     wavelength: float, los: np.ndarray | None = None,
-                     surface: list[np.ndarray] | None = None) -> np.ndarray:
-    """LoS component plus rank-1 scattered ones, (M, N), from `los` and `surface` if built."""
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    # A fresh LoS temporary of 256 KiB or more is scaled in place by numpy's
-    # temporary elision, as los * ratio, which rounds unlike ratio * los: the
-    # copy keeps a shared `los` on the rounding the records were made with.
-    h = clusters.los_ratio * (nusw_los_matrix(positions, geometry, wavelength)
-                              if los is None else los.copy())
-    surface = surface or _surface_responses(geometry, clusters, wavelength)
-    for c, a in zip(clusters.clusters, surface):
-        b = near_field_response(positions, c.scatterer_array, wavelength)
-        h += c.power_ratio * c.gain * np.outer(a, b)
-    return h
-
-
 @dataclass(frozen=True)
 class BsIrsModel:
     """Channel between antenna positions and the surface; columns are per-antenna.
@@ -169,20 +146,33 @@ class BsIrsModel:
 
     @functools.cached_property  # built once for all position sets
     def _surface(self) -> list[np.ndarray]:
-        return _surface_responses(self.geometry, self.clusters, self.wavelength)
+        """Each cluster's (M,) response over the surface elements."""
+        elements = self.geometry.element_positions()
+        return [near_field_response(elements, c.scatterer_array, self.wavelength)
+                for c in self.clusters.clusters]
 
     def matrix(self, positions) -> np.ndarray:
-        cache, los = self._los_cache, None
-        if cache is not None:
-            key = np.atleast_2d(np.asarray(positions, dtype=float)).tobytes()
+        """(M, N) columns: the LoS part plus one rank-1 term per scattered path."""
+        positions = np.atleast_2d(np.asarray(positions, dtype=float))
+        cache = self._los_cache
+        if cache is None:
+            los = nusw_los_matrix(positions, self.geometry, self.wavelength)
+        else:
+            key = positions.tobytes()
             if key not in cache:
                 cache[key] = nusw_los_matrix(positions, self.geometry, self.wavelength)
                 cache[key].flags.writeable = False
             los = cache[key]
-        if self.clusters is not None:
-            return multipath_bs_irs(positions, self.geometry, self.clusters,
-                                    self.wavelength, los, self._surface)
-        return nusw_los_matrix(positions, self.geometry, self.wavelength) if los is None else los
+        if self.clusters is None:
+            return los
+        # A fresh LoS temporary of 256 KiB or more is scaled in place by numpy's
+        # temporary elision, as los * ratio, which rounds unlike ratio * los: the
+        # copy keeps every LoS on the rounding the records were made with.
+        h = self.clusters.los_ratio * los.copy()
+        for c, a in zip(self.clusters.clusters, self._surface):
+            b = near_field_response(positions, c.scatterer_array, self.wavelength)
+            h += c.power_ratio * c.gain * np.outer(a, b)
+        return h
 
 
 def plane_wave_response(points, direction, wavelength: float) -> np.ndarray:
@@ -228,24 +218,8 @@ def _rician_rows(geometry: IrsGeometry, distances, directions, normals,
     return np.array(scale)[:, None] * mix
 
 
-def rician_iu_channel(rng: np.random.Generator, geometry: IrsGeometry,
-                      user_distance: float, user_direction, rician_factor: float,
-                      pathloss_exponent: float, wavelength: float) -> np.ndarray:
-    """Rician surface-to-user channel with plane-wave LoS component, (M,)."""
-    if user_distance <= 0 or wavelength <= 0:
-        raise InvalidParameterError("user distance and wavelength must be positive")
-    if rician_factor < 0:
-        raise InvalidParameterError("rician factor must be >= 0")
-    direction = np.asarray(user_direction, dtype=float)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
-        raise InvalidParameterError("direction must be unit-norm")
-    normals = rng.standard_normal((1, 2, geometry.num_elements))
-    return _rician_rows(geometry, [user_distance], direction[None], normals,
-                        rician_factor, pathloss_exponent, wavelength)[0]
-
-
 def _draw_users(rngs, scenario: Scenario, geometry: IrsGeometry) -> np.ndarray:
-    """`rician_iu_channel` rows (K, M), one user per generator of `rngs` (the
+    """Rician surface-to-user rows (K, M), one user per generator of `rngs` (the
     same generator may recur): each draws distance, direction, then fading."""
     distances, directions, normals = [], [], []
     for rng in rngs:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,6 +126,17 @@ class Scenario:
     scatterer_box_size: tuple[float, float, float] = (2.0, 2.0, 2.0)
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not all(v is None or math.isfinite(v)
+                       for v in (value if isinstance(value, tuple) else (value,))):
+                raise InvalidParameterError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "int":  # YAML gives 2.0 for 2, and 8 for 8.0
+                if value != int(value):
+                    raise InvalidParameterError(f"{f.name} must be an integer, got {value!r}")
+                object.__setattr__(self, f.name, int(value))
+            elif f.type == "float":
+                object.__setattr__(self, f.name, float(value))
         if self.carrier_frequency <= 0:
             raise InvalidParameterError("carrier frequency must be positive")
         if self.num_mas < 1 or self.num_users < 1:
@@ -133,6 +145,8 @@ class Scenario:
             raise InvalidParameterError("powers must be positive")
         if self.rician_factor < 0 or self.num_paths < 0:
             raise InvalidParameterError("rician factor and path count must be >= 0")
+        if min(self.user_distance_range) <= 0:
+            raise InvalidParameterError("user distances must be positive")
         lam = SPEED_OF_LIGHT / self.carrier_frequency
         if self.min_spacing is None:
             object.__setattr__(self, "min_spacing", lam / 2)
@@ -144,7 +158,9 @@ class Scenario:
             raise InvalidParameterError("spacings must be positive")
         object.__setattr__(self, "bs_direction", tuple(_unit(self.bs_direction)))
         object.__setattr__(self, "region_axis", tuple(_unit(self.region_axis)))
-        self.region()  # its checks (a non-negative length) run at load
+        # their checks (positive element counts, a non-negative length) run at load
+        self.geometry()
+        self.region()
 
     @property
     def wavelength(self) -> float:

@@ -30,10 +30,9 @@ MA_RPS = "MA_RPS"
 FPA_RPS = "FPA_RPS"
 ALL_SCHEMES = (PROPOSED, FPA, AS, MA_RPS, FPA_RPS)
 
-# sweep parameter -> (the Scenario field it sets, the type of its values)
-SWEEPABLE = {"bs_irs_distance": ("bs_distance", float),
-             "region_length": ("region_length", float),
-             "num_paths": ("num_paths", int)}
+# sweep parameter -> the Scenario field it sets (Scenario checks and types the value)
+SWEEPABLE = {"bs_irs_distance": "bs_distance", "region_length": "region_length",
+             "num_paths": "num_paths"}
 
 _log = logging.getLogger(__name__)
 
@@ -71,8 +70,7 @@ def sweep_spec_from_dict(d: dict) -> SweepSpec:
 def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
     if parameter not in SWEEPABLE:
         raise InvalidParameterError(f"unknown sweep parameter {parameter!r}")
-    name, kind = SWEEPABLE[parameter]
-    return scenario.replace(**{name: kind(value)})
+    return scenario.replace(**{SWEEPABLE[parameter]: value})
 
 
 @dataclass(frozen=True)

@@ -79,21 +79,6 @@ def rzf_rate_far_field(q, powers, num_mas: int, noise_power: float) -> np.ndarra
     return np.log2(1 + num_mas * powers * qsq / (num_mas * qsq * other + noise_power))
 
 
-def mrt_rate_no_irs(path_gains, responses, powers, noise_power: float) -> np.ndarray:
-    """Per-user matched-filter rates for direct far-field LoS channels.
-
-    `responses` is (N, K) with per-user unit-modulus columns; the correlation
-    |v_k^H v_i|^2 / N^2 couples users, so these rates do depend on positions.
-    """
-    gains = np.abs(np.asarray(path_gains)) ** 2
-    v = np.atleast_2d(np.asarray(responses))
-    powers = np.asarray(powers, dtype=float)
-    # (K, K): p_i |v_k^H v_i|^2 / N^2, the power user k receives from user i's beam
-    received = np.abs(v.conj().T @ v) ** 2 / v.shape[0] ** 2 * powers
-    interference = np.sum(received, axis=1) - np.diagonal(received)
-    return np.log2(1 + powers * gains / (gains * interference + noise_power))
-
-
 def _wmmse_system(h_rows, chi, kappa):
     """A0 = H^H diag(|chi|^2 kappa) H and rhs = H^H diag(chi kappa): the
     precoder for multiplier mu solves (A0 + mu I) W = rhs."""

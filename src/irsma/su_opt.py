@@ -25,12 +25,8 @@ _OUTER_TOL = 1e-3
 _MAX_OUTER = 50
 
 
-def reflection_from_phases(phases) -> np.ndarray:
-    return np.exp(1j * np.asarray(phases, dtype=float))
-
-
 def random_reflection(rng: np.random.Generator, num_elements: int) -> np.ndarray:
-    return reflection_from_phases(rng.uniform(0, 2 * np.pi, num_elements))
+    return np.exp(1j * rng.uniform(0, 2 * np.pi, num_elements))
 
 
 def snr(h_iu, phi, h_bi, w, power: float, noise_power: float) -> float:
@@ -51,17 +47,6 @@ def mrt(h_iu, phi, h_bi) -> np.ndarray:
     return row.conj() / norm
 
 
-def optimal_irs_phase_su(h_iu, h_bi) -> np.ndarray:
-    """Per-element phases co-phasing both hops (single-antenna transmitter).
-
-    Zero-magnitude entries contribute nothing to the gain; their phase is 0.
-    """
-    h_iu = np.asarray(h_iu)
-    h_bi = np.asarray(h_bi)
-    phases = np.where((h_iu == 0) | (h_bi == 0), 0.0, np.angle(h_iu) - np.angle(h_bi))
-    return reflection_from_phases(phases)
-
-
 def gain_closed_form(t, geometry: IrsGeometry, h_iu, wavelength: float) -> float | np.ndarray:
     """End-to-end power gain under co-phased reflection: (lam/4pi)^2 (sum |h|/D)^2;
     one gain per row when `h_iu` stacks several (S, M) draws."""
@@ -80,22 +65,6 @@ def _h_radial(t, geometry: IrsGeometry, h_iu) -> float:
     r2 = float(t @ t)
     e = geometry.element_positions()
     return float(np.sum(np.abs(h_iu) / np.sqrt(r2 + e[:, 1] ** 2 + e[:, 2] ** 2)))
-
-
-def gain_radial_approx(t, geometry: IrsGeometry, h_iu,
-                       wavelength: float) -> tuple[float, tuple[float, float]]:
-    """Transverse-offset-free gain approximation and its premise magnitudes.
-
-    Valid when y_t*d/R^2 and z_t*d/R^2 are small; both are returned so the
-    caller can check the premise. Exact when y_t = z_t = 0.
-    """
-    t = np.asarray(t, dtype=float)
-    r2 = float(t @ t)
-    if r2 == 0:
-        raise DegenerateGeometryError("antenna at the surface center")
-    premise = (abs(t[1]) * geometry.spacing / r2, abs(t[2]) * geometry.spacing / r2)
-    h = _h_radial(t, geometry, h_iu)
-    return (wavelength / (4 * np.pi)) ** 2 * h ** 2, premise
 
 
 def optimal_single_ma_position(region: TransmitRegion) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from irsma import channel
 from irsma.config import IrsGeometry, Scenario
 
 
@@ -24,5 +25,10 @@ def small_scenario():
     return Scenario(irs_num_y=8, irs_num_z=8, master_seed=11)
 
 
-def random_unit_modulus(rng, n):
-    return np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+def rician_row(rng, geometry, scenario, distance=40.0):
+    """One Rician surface-to-user row (M,) of `scenario`'s fading law, for a
+    user `distance` metres along +x, with its fading drawn from `rng`."""
+    normals = rng.standard_normal((1, 2, geometry.num_elements))
+    return channel._rician_rows(geometry, [distance], [[1.0, 0.0, 0.0]], normals,
+                                scenario.rician_factor, scenario.pathloss_exponent,
+                                scenario.wavelength)[0]

@@ -11,6 +11,8 @@ from irsma import analysis, channel, harness, su_opt
 from irsma.config import Scenario, TransmitRegion
 from irsma.rng import substream
 
+from conftest import rician_row
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -35,9 +37,9 @@ def _dense_equivalence_gaps(scen, distances, num_seeds, grid_points):
             el = rng.uniform(*scen.user_elevation_range)
             direction = np.array([np.cos(el) * np.cos(az),
                                   np.cos(el) * np.sin(az), np.sin(el)])
-            h_iu = channel.rician_iu_channel(rng, geometry, d_user, direction,
-                                             scen.rician_factor,
-                                             scen.pathloss_exponent, lam)
+            normals = rng.standard_normal((1, 2, geometry.num_elements))
+            h_iu = channel._rician_rows(geometry, [d_user], [direction], normals,
+                                        scen.rician_factor, scen.pathloss_exponent, lam)[0]
             d = np.linalg.norm(points[:, None, :]
                                - geometry.element_positions()[None, :, :], axis=2)
             gains = (lam / (4 * np.pi)) ** 2 * np.sum(np.abs(h_iu) / d, axis=1) ** 2
@@ -92,19 +94,15 @@ class TestSingleMaEquivalence:
         assert rep.passed
 
     def test_degenerate_region_zero_gap(self, scenario):
-        rep = analysis.verify_single_ma_equivalence(
-            scenario.replace(region_length=0.0), distances=(2,), num_seeds=3,
-            grid_points=1)
-        assert rep.passed
-        assert all(c.value == 0.0 for c in rep.checks)
+        assert analysis._worst_equivalence_gap(scenario.replace(region_length=0.0),
+                                               2, 3, 1) == 0.0
 
     def test_equals_per_seed_profile(self):
         scen = Scenario(irs_num_y=5, irs_num_z=4, master_seed=8, num_mas=1)
         distances, num_seeds, grid_points = (1, 2.5, 4), 4, 31
         expected = _dense_equivalence_gaps(scen, distances, num_seeds, grid_points)
-        rep = analysis.verify_single_ma_equivalence(
-            scen, distances=distances, num_seeds=num_seeds, grid_points=grid_points)
-        assert [c.value for c in rep.checks] == expected
+        assert [analysis._worst_equivalence_gap(scen, d, num_seeds, grid_points)
+                for d in distances] == expected
 
     @settings(max_examples=100, deadline=None)
     @given(num_y=st.integers(1, 8), num_z=st.integers(1, 8),
@@ -129,10 +127,8 @@ class TestSingleMaEquivalence:
         e, seg = scen.geometry().element_positions() - a, b - a
         t = np.clip(e @ seg / (seg @ seg or 1.0), 0.0, 1.0)
         assume(np.min(np.linalg.norm(e - t[:, None] * seg, axis=1)) > 1e-3)
-        rep = analysis.verify_single_ma_equivalence(
-            scen, distances=(dist,), num_seeds=num_seeds, grid_points=grid_points)
-        assert [c.value for c in rep.checks] == _dense_equivalence_gaps(
-            scen, (dist,), num_seeds, grid_points)
+        assert [analysis._worst_equivalence_gap(scen, dist, num_seeds, grid_points)] == \
+            _dense_equivalence_gaps(scen, (dist,), num_seeds, grid_points)
 
     def test_screen_keeps_mirror_tie(self):
         # a region along y centred on the surface normal, an even grid and equal
@@ -184,12 +180,8 @@ class TestSingleMaEquivalence:
         assert rows and max(rows) <= 128
 
     def test_deterministic(self, scenario):
-        a = analysis.verify_single_ma_equivalence(scenario, distances=(2,),
-                                                  num_seeds=3)
-        b = analysis.verify_single_ma_equivalence(scenario, distances=(2,),
-                                                  num_seeds=3)
-        assert [(c.name, c.value) for c in a.checks] == \
-               [(c.name, c.value) for c in b.checks]
+        a = analysis._worst_equivalence_gap(scenario, 2, 3, 1001)
+        assert analysis._worst_equivalence_gap(scenario, 2, 3, 1001) == a
 
 
 class TestFarFieldNoGain:
@@ -216,9 +208,7 @@ class TestFluctuation:
                                                 dep, 0.001, lam)
 
         rng = substream(0, "fluct")
-        h_iu = channel.rician_iu_channel(rng, geometry, 40.0, [1, 0, 0],
-                                         scenario.rician_factor,
-                                         scenario.pathloss_exponent, lam)
+        h_iu = rician_row(rng, geometry, scenario)
         phi = su_opt.random_reflection(rng, geometry.num_elements)
         _, _, (spread,) = analysis.fluctuation_profile(h_iu, (phi,), FarFieldModel(),
                                                        region, resolution=50)

@@ -219,14 +219,14 @@ class TestMultipath:
         pos = np.array([[2.0, 0, 0], [2.1, 0, 0]])
         cs = channel.ClusterSet(los_ratio=1.0, clusters=())
         np.testing.assert_array_equal(
-            channel.multipath_bs_irs(pos, small_geometry, cs, 0.06),
+            channel.BsIrsModel(small_geometry, 0.06, cs).matrix(pos),
             channel.nusw_los_matrix(pos, small_geometry, 0.06))
 
     def test_single_scatterer_rank1_unit_modulus(self, small_geometry):
         pos = np.array([[2.0, 0, 0], [2.1, 0, 0]])
         cl = channel.PathCluster(scatterer=(1.0, 1.0, 0.5), power_ratio=1.0, gain=1.0)
         cs = channel.ClusterSet(los_ratio=0.0, clusters=(cl,))
-        h = channel.multipath_bs_irs(pos, small_geometry, cs, 0.06)
+        h = channel.BsIrsModel(small_geometry, 0.06, cs).matrix(pos)
         np.testing.assert_allclose(np.abs(h), 1.0, atol=1e-12)
         assert np.linalg.matrix_rank(h, tol=1e-10) == 1
 
@@ -235,10 +235,9 @@ class TestMultipath:
         base = channel.PathCluster((1.0, 0.5, 0.2), 0.3 + 0.1j, 0.2 - 0.4j)
         double = channel.PathCluster((1.0, 0.5, 0.2), 0.3 + 0.1j, 0.4 - 0.8j)
         los = channel.nusw_los_matrix(pos, small_geometry, 0.06)
-        h1 = channel.multipath_bs_irs(
-            pos, small_geometry, channel.ClusterSet(1.0, (base,)), 0.06)
-        h2 = channel.multipath_bs_irs(
-            pos, small_geometry, channel.ClusterSet(1.0, (double,)), 0.06)
+        h1, h2 = (channel.BsIrsModel(small_geometry, 0.06,
+                                     channel.ClusterSet(1.0, (c,))).matrix(pos)
+                  for c in (base, double))
         np.testing.assert_allclose(h2 - los, 2 * (h1 - los), rtol=1e-10)
 
     def test_column_locality(self, small_geometry, rng):
@@ -250,6 +249,28 @@ class TestMultipath:
         full = model.matrix(pos)
         np.testing.assert_allclose(full[:, :1], model.matrix(pos[:1]), rtol=1e-12)
         np.testing.assert_allclose(full[:, 1:], model.matrix(pos[1:]), rtol=1e-12)
+
+    def test_shared_los_gives_the_fresh_build_bytes(self, rng):
+        # 225 x 100 columns pass numpy's 256 KiB temporary-elision size, so the
+        # fresh LoS temporary below is scaled in place
+        geometry = IrsGeometry(15, 15, 0.03)
+        cs = channel.sample_clusters(rng, 3, [2.8, 2.8, 0.0], (2, 2, 2), 0.06,
+                                     [5.6, 5.6, 0.0])
+        pos = np.array([5.3, 5.3, 0.0]) + np.linspace(0, 0.6, 100)[:, None] * [1, 0, 0]
+        want = cs.los_ratio * channel.nusw_los_matrix(pos, geometry, 0.06)
+        for c in cs.clusters:
+            want += c.power_ratio * c.gain * np.outer(
+                channel.near_field_response(geometry.element_positions(),
+                                            c.scatterer_array, 0.06),
+                channel.near_field_response(pos, c.scatterer_array, 0.06))
+        assert channel.BsIrsModel(geometry, 0.06, cs).matrix(pos).tobytes() == want.tobytes()
+        cache = {}
+        shared = channel.BsIrsModel(geometry, 0.06, cs, cache)
+        for _ in range(2):  # built into the cache, then read from it
+            assert shared.matrix(pos).tobytes() == want.tobytes()
+        (los,) = cache.values()
+        assert not los.flags.writeable
+        assert los.tobytes() == channel.nusw_los_matrix(pos, geometry, 0.06).tobytes()
 
     def test_surface_responses_built_once(self, small_geometry, rng, monkeypatch):
         cs = channel.sample_clusters(rng, 3, [1.0, 1.0, 0.0], (2, 2, 2), 0.06,
@@ -321,48 +342,31 @@ class TestRicianIuChannel:
     def test_los_limit_modulus(self, small_geometry):
         rng = np.random.default_rng(5)
         lam, dist, alpha = 0.06, 40.0, 2.8
-        h = channel.rician_iu_channel(rng, small_geometry, dist, [1, 0, 0],
-                                      1e12, alpha, lam)
+        h = channel._rician_rows(small_geometry, [dist], [[1, 0, 0]],
+                                 rng.standard_normal((1, 2, 16)), 1e12, alpha, lam)
         expected = lam / (4 * np.pi) * dist ** (-alpha / 2)
         np.testing.assert_allclose(np.abs(h), expected, rtol=1e-5)
 
     def test_second_moment(self, small_geometry):
         rng = np.random.default_rng(6)
         lam, dist, alpha, kap = 0.06, 35.0, 2.8, 10 ** 0.3
-        acc = 0.0
         n = 10_000
-        for _ in range(n):
-            h = channel.rician_iu_channel(rng, small_geometry, dist, [1, 0, 0],
-                                          kap, alpha, lam)
-            acc += float(np.mean(np.abs(h) ** 2))
+        h = channel._rician_rows(small_geometry, [dist] * n, [[1, 0, 0]] * n,
+                                 rng.standard_normal((n, 2, 16)), kap, alpha, lam)
         expected = (lam / (4 * np.pi)) ** 2 * dist ** (-alpha)
-        assert acc / n == pytest.approx(expected, rel=0.05)
+        assert np.mean(np.abs(h) ** 2) == pytest.approx(expected, rel=0.05)
 
-    def test_determinism(self, small_geometry):
-        a = channel.rician_iu_channel(substream(1, "u"), small_geometry, 30.0,
-                                      [1, 0, 0], 2.0, 2.8, 0.06)
-        b = channel.rician_iu_channel(substream(1, "u"), small_geometry, 30.0,
-                                      [1, 0, 0], 2.0, 2.8, 0.06)
+    def test_determinism(self):
+        s = Scenario(irs_num_y=4, irs_num_z=4, rician_factor=2.0)
+        a = channel._draw_users([substream(1, "u")], s, s.geometry())
+        b = channel._draw_users([substream(1, "u")], s, s.geometry())
         np.testing.assert_array_equal(a, b)
-
-    def test_bad_distance(self, small_geometry):
-        with pytest.raises(InvalidParameterError):
-            channel.rician_iu_channel(np.random.default_rng(0), small_geometry,
-                                      0.0, [1, 0, 0], 2.0, 2.8, 0.06)
-        # and each other checked input
-        for kwargs in ({"wavelength": 0.0}, {"rician_factor": -1.0},
-                       {"user_direction": [1, 1, 0]}):
-            args = dict(user_distance=30.0, user_direction=[1, 0, 0], rician_factor=2.0,
-                        pathloss_exponent=2.8, wavelength=0.06)
-            with pytest.raises(InvalidParameterError):
-                channel.rician_iu_channel(np.random.default_rng(0), small_geometry,
-                                          **dict(args, **kwargs))
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 123])
     def test_draw_user_is_distance_direction_fading(self, seed):
-        """Each row of `_draw_users` is, bit for bit, the `rician_iu_channel`
-        of a distance and a direction drawn first from the row's generator,
-        whether each row has its own generator or all share one."""
+        """Each row of `_draw_users` is, bit for bit, a one-user `_rician_rows`
+        of a distance, a direction and then the fading drawn from the row's
+        generator, whether each row has its own generator or all share one."""
         s = Scenario(irs_num_y=5, irs_num_z=3, rician_factor=2.0, pathloss_exponent=2.2)
         geometry = s.geometry()
 
@@ -370,8 +374,9 @@ class TestRicianIuChannel:
             d = rng.uniform(*s.user_distance_range)
             u = channel.draw_user_direction(rng, s.user_azimuth_range,
                                             s.user_elevation_range)
-            return channel.rician_iu_channel(rng, geometry, d, u, s.rician_factor,
-                                             s.pathloss_exponent, s.wavelength)
+            normals = rng.standard_normal((1, 2, geometry.num_elements))
+            return channel._rician_rows(geometry, [d], [u], normals, s.rician_factor,
+                                        s.pathloss_exponent, s.wavelength)[0]
 
         def streams():
             return [substream(seed, "user", i) for i in range(4)]
@@ -424,11 +429,10 @@ class TestCascadedRow:
         assert row[0] == pytest.approx(np.conj(h_iu[0]) * h_bi[0, 0])
 
     def test_cophased_magnitude(self, small_geometry, rng):
-        from irsma.su_opt import optimal_irs_phase_su
         lam = 0.06
         h_bi = channel.nusw_los_matrix([2.0, 0.5, 0.1], small_geometry, lam)[:, 0]
         h_iu = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        phi = optimal_irs_phase_su(h_iu, h_bi)
+        phi = np.exp(1j * (np.angle(h_iu) - np.angle(h_bi)))  # co-phases both hops
         row = channel.cascaded_row(h_iu, phi, h_bi[:, None])
         assert np.angle(row[0]) == pytest.approx(0.0, abs=1e-10)
         assert abs(row[0]) == pytest.approx(

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irsma import channel, harness
+from irsma import analysis, channel, harness
 from irsma.cli import main as cli_main
 from irsma.config import Scenario
 from irsma.errors import InfeasibleSpacingError, InvalidParameterError
@@ -77,6 +77,16 @@ class TestSweepSpec:
         assert harness.apply_parameter(scenario, "num_paths", 4).num_paths == 4
         with pytest.raises(InvalidParameterError):
             harness.apply_parameter(scenario, "bogus", 1)
+
+    def test_fractional_path_count_rejected(self, scenario, monkeypatch):
+        applied = harness.apply_parameter(scenario, "num_paths", 2.0)
+        assert applied.num_paths == 2 and type(applied.num_paths) is int
+        with pytest.raises(InvalidParameterError, match="num_paths must be an integer"):
+            harness.apply_parameter(scenario, "num_paths", 1.5)
+        monkeypatch.setattr(harness, "run_cell", _no_cell)
+        spec = harness.SweepSpec(parameter="num_paths", values=(1, 1.5, 1.9), realizations=1)
+        with pytest.raises(InvalidParameterError, match="got 1.5 at num_paths=1.5"):
+            harness.run_sweep(spec, scenario)
 
 
 class TestRealization:
@@ -565,6 +575,45 @@ class TestCli:
         assert not out.exists()
         assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
         assert caplog.records[0].getMessage() == f"sweep rejected: {message}"
+
+    @pytest.mark.parametrize("command", ["sweep", "verify"])
+    @pytest.mark.parametrize("scenario_cfg, message", [
+        ("user_distance_range: [-50, -30]", "user distances must be positive"),
+        ("user_distance_range: [0, 0]", "user distances must be positive"),
+        ("rician_factor: .inf", "rician_factor must be finite, got inf"),
+        ("irs_num_y: 0", "element counts must be positive"),
+        ("num_mas: 2.5", "num_mas must be an integer, got 2.5"),
+    ], ids=["negative_distances", "zero_distances", "infinite_rician_factor",
+            "empty_surface", "fractional_antenna_count"])
+    def test_bad_scenario_rejected_at_load(self, tmp_path, monkeypatch, caplog, command,
+                                           scenario_cfg, message):
+        # rejected before any cell or check runs
+        monkeypatch.setattr(harness, "run_cell", _no_cell)
+        monkeypatch.setattr(analysis, "verify_all", _no_cell)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"scenario: {{irs_num_z: 6, {scenario_cfg}}}\n"
+                       "sweep: {parameter: bs_irs_distance, values: [2.0], realizations: 1}\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
+        assert caplog.records[0].getMessage() == f"{command} rejected: {message}"
+
+    def test_fractional_path_count_rejected_at_load(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(harness, "run_cell", _no_cell)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "scenario: {irs_num_y: 6, irs_num_z: 6}\n"
+            "sweep: {parameter: num_paths, values: [1, 1.5, 1.9], realizations: 1}\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [r.getMessage() for r in caplog.records] == [
+            "sweep rejected: num_paths must be an integer, got 1.5 at num_paths=1.5"]
 
     def test_infeasible_layout_rejected_at_load(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(harness, "run_cell", _no_cell)

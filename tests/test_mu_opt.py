@@ -11,6 +11,8 @@ from irsma.errors import (InvalidParameterError, MultiplierBracketError,
                           SingularMatrixError)
 from irsma.rng import substream
 
+from conftest import rician_row
+
 
 def _random_rows(rng, k, n, scale=1.0):
     return scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
@@ -136,32 +138,6 @@ class TestFarFieldRates:
         pipeline = mu_opt._user_rates(rows, w, s2)
         closed = mu_opt.rzf_rate_far_field(q, powers, n, s2)
         np.testing.assert_allclose(pipeline, closed, rtol=1e-8)
-
-    def test_mrt_no_irs_collinear_and_orthogonal(self):
-        n = 4
-        v_same = np.ones((n, 2), dtype=complex)
-        beta = np.array([0.1, 0.1])
-        powers = np.array([1.0, 1.0])
-        collinear = mu_opt.mrt_rate_no_irs(beta, v_same, powers, 1e-9)
-        # orthogonal columns (DFT)
-        v_orth = np.exp(2j * np.pi * np.outer(np.arange(n), [0, 1]) / n)
-        orth = mu_opt.mrt_rate_no_irs(beta, v_orth, powers, 1e-9)
-        assert np.all(orth > collinear)
-        interference_free = np.log2(1 + powers * np.abs(beta) ** 2 / 1e-9)
-        np.testing.assert_allclose(orth, interference_free, rtol=1e-9)
-
-    def test_mrt_no_irs_depends_on_positions(self, rng):
-        lam = 0.06
-        beta = np.array([0.1, 0.12])
-        powers = np.ones(2)
-        dirs = np.array([[1.0, 0, 0], [0.6, 0.8, 0]])
-        def rates(pos):
-            v = np.column_stack([
-                channel.plane_wave_response(pos, d, lam) for d in dirs])
-            return mu_opt.mrt_rate_no_irs(beta, v, powers, 1e-6)
-        pos1 = np.array([[0.0, 0, 0], [0.031, 0, 0], [0.07, 0, 0], [0.123, 0, 0]])
-        pos2 = np.array([[0.0, 0, 0], [0.045, 0, 0], [0.11, 0, 0], [0.19, 0, 0]])
-        assert np.max(np.abs(rates(pos1) - rates(pos2))) > 1e-6
 
 
 class TestWmmse:
@@ -464,11 +440,8 @@ def _mu_setup(scenario, seed=0):
     rng = np.random.default_rng(seed)
     geometry = scenario.geometry()
     model = channel.BsIrsModel(geometry, scenario.wavelength)
-    h_iu = np.vstack([
-        channel.rician_iu_channel(rng, geometry, 40.0, [1, 0, 0],
-                                  scenario.rician_factor,
-                                  scenario.pathloss_exponent, scenario.wavelength)
-        for _ in range(scenario.num_users)])
+    h_iu = np.vstack([rician_row(rng, geometry, scenario)
+                      for _ in range(scenario.num_users)])
     grid = su_opt.SamplingGrid.from_region(scenario.region(),
                                            scenario.sample_spacing,
                                            scenario.min_spacing)

@@ -19,6 +19,8 @@ from irsma.errors import (DegenerateChannelError, DegenerateGeometryError,
                           InfeasibleSpacingError, InvalidParameterError)
 from irsma.rng import substream
 
+from conftest import rician_row
+
 
 def _random_channels(rng, m, n):
     h_iu = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -71,31 +73,15 @@ class TestSnrAndMrt:
 
 
 class TestOptimalPhase:
-    def test_equal_channels_zero_phase(self, rng):
-        h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        phi = su_opt.optimal_irs_phase_su(h, h)
-        np.testing.assert_allclose(phi, 1.0, atol=1e-12)
-
-    def test_hand_case(self):
-        phi = su_opt.optimal_irs_phase_su(np.array([1.0, 1.0]),
-                                          np.array([1j, -1.0]))
-        np.testing.assert_allclose(np.angle(phi), [-np.pi / 2, -np.pi], atol=1e-12)
-        cascade = np.sum(np.conj([1.0, 1.0]) * phi * np.array([1j, -1.0]))
-        assert cascade == pytest.approx(2.0, abs=1e-12)
-
     def test_matches_closed_form_gain(self, small_geometry, rng):
         lam = 0.06
         t = np.array([2.0, 0.3, -0.2])
         h_bi = channel.nusw_los_matrix(t, small_geometry, lam)[:, 0]
         h_iu = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        phi = su_opt.optimal_irs_phase_su(h_iu, h_bi)
+        phi = np.exp(1j * (np.angle(h_iu) - np.angle(h_bi)))  # co-phases both hops
         cascade = channel.cascaded_row(h_iu, phi, h_bi[:, None])[0]
         assert abs(cascade) ** 2 == pytest.approx(
             su_opt.gain_closed_form(t, small_geometry, h_iu, lam), rel=1e-10)
-
-    def test_zero_entries_phase_zero(self):
-        phi = su_opt.optimal_irs_phase_su(np.array([0.0, 1.0]), np.array([1j, 1j]))
-        assert phi[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGainForms:
@@ -104,24 +90,6 @@ class TestGainForms:
         lam = 0.06
         val = su_opt.gain_closed_form([2.0, 0, 0], g, np.array([0.7]), lam)
         assert val == pytest.approx((lam / (4 * np.pi)) ** 2 * 0.49 / 4.0, rel=1e-12)
-
-    def test_radial_approx_exact_on_axis(self, small_geometry):
-        lam = 0.06
-        h_iu = np.full(16, 0.4)
-        t = np.array([3.0, 0.0, 0.0])
-        approx, premise = su_opt.gain_radial_approx(t, small_geometry, h_iu, lam)
-        assert premise == (0.0, 0.0)
-        assert approx == pytest.approx(
-            su_opt.gain_closed_form(t, small_geometry, h_iu, lam), rel=1e-12)
-
-    def test_radial_approx_accuracy_at_default_geometry(self):
-        s = Scenario()
-        g = s.geometry()
-        h_iu = np.ones(g.num_elements)
-        t = 8.0 * np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0])
-        approx, _ = su_opt.gain_radial_approx(t, g, h_iu, s.wavelength)
-        exact = su_opt.gain_closed_form(t, g, h_iu, s.wavelength)
-        assert abs(approx - exact) / exact <= 0.01
 
     def test_stacked_rows_equal_row_calls(self, small_geometry):
         rng = np.random.default_rng(3)
@@ -305,6 +273,39 @@ class TestScenario:
         with pytest.raises(InvalidParameterError, match="region length"):
             Scenario().replace(region_length=-1e-9)
         assert Scenario(region_length=0.0).region().length == 0.0
+
+    @pytest.mark.parametrize("distances", [(-50.0, -30.0), (0.0, 0.0), (0.0, 30.0),
+                                           (30.0, -1.0)])
+    def test_user_distances_must_be_positive(self, distances):
+        with pytest.raises(InvalidParameterError, match="user distances must be positive"):
+            Scenario(user_distance_range=distances)
+
+    @pytest.mark.parametrize("field, value", [
+        ("rician_factor", np.inf), ("bs_distance", np.nan), ("transmit_power", np.inf),
+        ("min_spacing", np.inf), ("user_distance_range", (30.0, np.inf)),
+        ("bs_direction", (np.nan, 1.0, 0.0)), ("scatterer_box_size", (1.0, -np.inf, 1.0))])
+    def test_non_finite_entries_rejected(self, field, value):
+        with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
+            Scenario(**{field: value})
+
+    def test_surface_checked_at_load(self):
+        with pytest.raises(InvalidParameterError, match="element counts must be positive"):
+            Scenario(irs_num_y=0)
+        with pytest.raises(InvalidParameterError, match="element counts must be positive"):
+            Scenario().replace(irs_num_z=-1)
+
+    @pytest.mark.parametrize("field", ["num_mas", "num_users", "num_paths", "master_seed",
+                                       "irs_num_y", "irs_num_z"])
+    def test_integer_fields_reject_fractions(self, field):
+        with pytest.raises(InvalidParameterError, match=f"{field} must be an integer"):
+            Scenario(**{field: 2.5})
+        assert type(getattr(Scenario(**{field: 2.0}), field)) is int
+
+    def test_yaml_numbers_take_the_field_type(self):
+        data = yaml.safe_load("num_mas: 2.0\nirs_num_y: 5.0\nbs_distance: 8\nnum_paths: 3\n")
+        scenario = scenario_from_dict(data)
+        assert scenario == Scenario(num_mas=2, irs_num_y=5, bs_distance=8.0, num_paths=3)
+        assert [type(getattr(scenario, k)) for k in data] == [int, int, float, int]
 
     def test_yaml_lists_become_tuples(self):
         data = yaml.safe_load(
@@ -630,9 +631,7 @@ def _su_setup(scenario, seed=0):
     rng = np.random.default_rng(seed)
     geometry = scenario.geometry()
     model = channel.BsIrsModel(geometry, scenario.wavelength)
-    h_iu = channel.rician_iu_channel(rng, geometry, 40.0, [1, 0, 0],
-                                     scenario.rician_factor,
-                                     scenario.pathloss_exponent, scenario.wavelength)
+    h_iu = rician_row(rng, geometry, scenario)
     region = scenario.region()
     grid = su_opt.SamplingGrid.from_region(region, scenario.sample_spacing,
                                            scenario.min_spacing)
@@ -666,8 +665,7 @@ class TestAoSingleUser:
                 return channel.far_field_bs_irs(positions, geometry, [1, 0, 0],
                                                 dep, 0.001 + 0.002j, lam)
 
-        h_iu = channel.rician_iu_channel(rng, geometry, 40.0, [1, 0, 0],
-                                         s.rician_factor, s.pathloss_exponent, lam)
+        h_iu = rician_row(rng, geometry, s)
         phi0 = su_opt.random_reflection(rng, geometry.num_elements)
         snrs = []
         for start in ([0, 6, 12, 18], [5, 25, 60, 99], [40, 50, 70, 90]):
