@@ -165,13 +165,15 @@ class BsIrsModel:
             los = cache[key]
         if self.clusters is None:
             return los
-        # A fresh LoS temporary of 256 KiB or more is scaled in place by numpy's
-        # temporary elision, as los * ratio, which rounds unlike ratio * los: the
-        # copy keeps every LoS on the rounding the records were made with.
-        h = self.clusters.los_ratio * los.copy()
+        # Explicit in-place products: `ratio * los` would round unlike
+        # `los *= ratio`, which numpy's temporary elision picks for 256 KiB or
+        # more, so the rounding would depend on the number of columns.
+        h = los.copy()
+        h *= self.clusters.los_ratio
         for c, a in zip(self.clusters.clusters, self._surface):
-            b = near_field_response(positions, c.scatterer_array, self.wavelength)
-            h += c.power_ratio * c.gain * np.outer(a, b)
+            t = np.outer(a, near_field_response(positions, c.scatterer_array, self.wavelength))
+            t *= c.power_ratio * c.gain
+            h += t
         return h
 
 

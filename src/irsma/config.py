@@ -11,7 +11,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -128,8 +129,13 @@ class Scenario:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if not all(v is None or math.isfinite(v)
-                       for v in (value if isinstance(value, tuple) else (value,))):
+            if value is None and f.default is None:
+                continue  # a spacing that the wavelength sets below
+            items = value if isinstance(value, tuple) else (value,)
+            # YAML 1.1 reads 5e9, without a dot, as a string
+            if not all(isinstance(v, numbers.Real) for v in items):
+                raise InvalidParameterError(f"{f.name} must be a number, got {value!r}")
+            if not all(math.isfinite(v) for v in items):
                 raise InvalidParameterError(f"{f.name} must be finite, got {value!r}")
             if f.type == "int":  # YAML gives 2.0 for 2, and 8 for 8.0
                 if value != int(value):
@@ -139,6 +145,8 @@ class Scenario:
                 object.__setattr__(self, f.name, float(value))
         if self.carrier_frequency <= 0:
             raise InvalidParameterError("carrier frequency must be positive")
+        if self.master_seed < 0:
+            raise InvalidParameterError("master_seed must be >= 0")
         if self.num_mas < 1 or self.num_users < 1:
             raise InvalidParameterError("antenna and user counts must be >= 1")
         if self.transmit_power <= 0 or self.noise_power <= 0:

@@ -1,9 +1,9 @@
 """Benchmark schemes, Monte-Carlo sweeps and CSV persistence.
 
 Within one (parameter value, realization) cell every scheme consumes the same
-channel realization, and each sampling grid's channel columns are built once
-per cell (`CellContext`). Their line-of-sight part depends only on the swept
-value, so a sweep builds it once per value and grid, and every realization at
+channel realization, and the channel columns of the sampling grid are built
+once per cell (`CellContext`). Their line-of-sight part depends only on the
+swept value, so a sweep builds it once per value, and every realization at
 that value reuses it. Randomized initial points come from named substreams,
 so every cell is a pure function of the sweep seed and its indices.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -55,6 +54,8 @@ class SweepSpec:
             raise InvalidParameterError(f"unknown schemes: {sorted(unknown)}")
         if self.realizations < 1:
             raise InvalidParameterError("realizations must be >= 1")
+        if self.seed < 0:
+            raise InvalidParameterError("sweep seed must be >= 0")
         object.__setattr__(self, "values", tuple(self.values))
         object.__setattr__(self, "schemes", tuple(self.schemes))
 
@@ -107,85 +108,77 @@ class SchemeRun:
 @dataclass(frozen=True)
 class CellContext:
     """Everything the schemes of one cell share: the channel draw, the fine
-    grid (antenna selection AS uses the coarse one) and each grid's channel
-    columns, (M, L). The coarse columns are built on first use, so a cell
-    without AS never builds them. In a sweep, their LoS part is built once per
-    swept value (a LoS-only cell's columns are then shared and read-only)."""
+    grid, the coarse grid that antenna selection (AS) uses, and the fine
+    grid's channel columns, (M, L). The coarse points are fine points, so
+    their columns are a slice of those. In a sweep, the LoS part of the
+    columns is built once per swept value (a LoS-only cell's columns are then
+    shared and read-only)."""
 
     realization: Realization
     fine: su_opt.SamplingGrid
     coarse: su_opt.SamplingGrid
+    coarse_on_fine: np.ndarray  # the fine index of each coarse point
     fine_columns: np.ndarray
-
-    @functools.cached_property
-    def coarse_columns(self) -> np.ndarray:
-        return self.realization.bs_irs.matrix(self.coarse.points)
 
     def grid(self, scheme: str) -> tuple[su_opt.SamplingGrid, np.ndarray]:
         if scheme == AS:
-            return self.coarse, self.coarse_columns
+            return self.coarse, self.fine_columns[:, self.coarse_on_fine]
         return self.fine, self.fine_columns
 
 
-def _grids(scenario: Scenario) -> tuple[su_opt.SamplingGrid, su_opt.SamplingGrid]:
-    """The fine sampling grid of `scenario` and the coarse one AS uses."""
-    region = scenario.region()
-    fine = su_opt.SamplingGrid.from_region(region, scenario.sample_spacing,
+def _grids(scenario: Scenario) -> tuple[su_opt.SamplingGrid, su_opt.SamplingGrid, np.ndarray]:
+    """The fine sampling grid of `scenario`, the coarse one AS uses and the fine
+    index of each coarse point. The coarse grid is every k-th fine point, k =
+    `fine.min_gap`, centred on the L fine points: both grids hold a fixed
+    layout of N antennas exactly when (N - 1) k <= L - 1."""
+    fine = su_opt.SamplingGrid.from_region(scenario.region(), scenario.sample_spacing,
                                            scenario.min_spacing)
-    coarse = su_opt.SamplingGrid.from_region(region, scenario.min_spacing,
-                                             scenario.min_spacing)
-    return fine, coarse
+    k, num = fine.min_gap, fine.num_points
+    on_fine = np.arange((num - 1) % k // 2, num, k)
+    return fine, su_opt.SamplingGrid(fine.points[on_fine], k * fine.spacing, 1), on_fine
 
 
 def cell_context(scenario: Scenario, realization: Realization) -> CellContext:
     """Build the grids of `scenario` and the fine grid's channel columns once."""
-    fine, coarse = _grids(scenario)
-    return CellContext(realization, fine, coarse, realization.bs_irs.matrix(fine.points))
+    fine, coarse, on_fine = _grids(scenario)
+    return CellContext(realization, fine, coarse, on_fine,
+                       realization.bs_irs.matrix(fine.points))
 
 
 def _check_layouts_fit(spec: SweepSpec, scenario: Scenario) -> None:
     """Raise unless, at every swept value, the scenario builds and the fixed
-    layout of `num_mas` antennas fits on each grid the swept schemes use (the
-    coarse one for AS, the fine one for the rest). Private, so that tracers
-    wrapping every public harness function leave it alone."""
-    used = {"coarse" if s == AS else "fine" for s in spec.schemes}
+    layout of `num_mas` antennas fits on the fine grid, and so on the coarse
+    one. Private, so that tracers wrapping every public harness function leave
+    it alone."""
     for value in spec.values:
         try:
             scen = apply_parameter(scenario, spec.parameter, value)
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"{exc} at {spec.parameter}={value}") from exc
-        for name, grid in zip(("fine", "coarse"), _grids(scen)):
-            if name not in used:
-                continue
-            try:
-                su_opt.fpa_indices(grid, scen.num_mas)
-            except InfeasibleSpacingError as exc:
-                raise InfeasibleSpacingError(
-                    f"{scen.num_mas} antennas {grid.min_gap} grid steps apart do not "
-                    f"fit on the {grid.num_points}-point {name} grid at "
-                    f"{spec.parameter}={value}") from exc
-
-
-def _nearest_indices(grid, positions: np.ndarray) -> list[int]:
-    d = np.linalg.norm(positions[:, None, :] - grid.points[None, :, :], axis=2)
-    return [int(i) for i in np.argmin(d, axis=1)]
+        grid = _grids(scen)[0]
+        try:
+            su_opt.fpa_indices(grid, scen.num_mas)
+        except InfeasibleSpacingError as exc:
+            raise InfeasibleSpacingError(
+                f"{scen.num_mas} antennas {grid.min_gap} grid steps apart do not "
+                f"fit on the {grid.num_points}-point fine grid at "
+                f"{spec.parameter}={value}") from exc
 
 
 def run_scheme(scheme: str, scenario: Scenario, context: CellContext, *,
                rng: np.random.Generator, rps_phi: np.ndarray | None = None,
-               warm: object = None) -> SchemeRun:
+               warm: SchemeRun | None = None) -> SchemeRun:
     """Run one benchmark scheme on the channel realization of `context`.
 
-    `warm` is an optional solution of another scheme on the same cell used as
-    the starting point (shared initialization makes the nesting orderings
-    PROPOSED >= FPA and MA_RPS >= FPA_RPS hold per instance).
+    `warm` is an optional run of another scheme on the same cell whose
+    solution is the starting point (shared initialization makes the nesting
+    orderings PROPOSED >= FPA and MA_RPS >= FPA_RPS hold per instance). AS
+    takes no warm start.
     """
     if scheme not in ALL_SCHEMES:
         raise InvalidParameterError(f"unknown scheme {scheme!r}")
     grid, grid_columns = context.grid(scheme)
     realization = context.realization
-    num_mas = scenario.num_mas
-    m = realization.bs_irs.geometry.num_elements
 
     if scheme in (MA_RPS, FPA_RPS):
         if rps_phi is None:
@@ -193,15 +186,15 @@ def run_scheme(scheme: str, scenario: Scenario, context: CellContext, *,
         phi0 = np.asarray(rps_phi)
         optimize_phi = False
     else:
-        phi0 = (np.asarray(warm.phi) if warm is not None
-                else su_opt.random_reflection(rng, m))
+        phi0 = (np.asarray(warm.solution.phi) if warm is not None
+                else su_opt.random_reflection(rng, realization.bs_irs.geometry.num_elements))
         optimize_phi = True
-    if warm is not None:
-        # warm starts may come from a different (coarser, nested) grid:
-        # carry positions over, not indices
-        idx0 = _nearest_indices(grid, np.asarray(warm.positions))
+    if warm is None:
+        idx0 = su_opt.fpa_indices(grid, scenario.num_mas)
+    elif warm.scheme == AS:  # its indices number the coarse points
+        idx0 = context.coarse_on_fine[warm.solution.indices].tolist()
     else:
-        idx0 = su_opt.fpa_indices(grid, num_mas)
+        idx0 = list(warm.solution.indices)
     optimize_positions = scheme in (PROPOSED, AS, MA_RPS)
 
     if scenario.num_users == 1:
@@ -210,17 +203,15 @@ def run_scheme(scheme: str, scenario: Scenario, context: CellContext, *,
             scenario.transmit_power, scenario.noise_power,
             optimize_phi=optimize_phi, optimize_positions=optimize_positions)
         rate = float(np.log2(1 + sol.snr))
-        iterations = sol.iterations
     else:
-        w0 = getattr(warm, "w", None) if warm is not None else None
+        w0 = getattr(warm.solution, "w", None) if warm is not None else None
         sol = mu_opt.ao_multi_user(
             realization.h_iu, grid_columns, grid, phi0, idx0,
             scenario.transmit_power, scenario.noise_power,
             min_spacing=scenario.min_spacing, w_init=w0,
             optimize_phi=optimize_phi, optimize_positions=optimize_positions)
         rate = sol.sum_rate
-        iterations = sol.iterations
-    return SchemeRun(scheme=scheme, rate=rate, iterations=iterations, solution=sol)
+    return SchemeRun(scheme=scheme, rate=rate, iterations=sol.iterations, solution=sol)
 
 
 @dataclass(frozen=True)
@@ -259,6 +250,8 @@ class SweepResult:
 
 # run order makes warm starts available to the schemes that consume them
 _CELL_ORDER = (FPA_RPS, MA_RPS, FPA, AS, PROPOSED)
+# each scheme starts from the best run of these (the nesting orderings)
+_WARM_FROM = {MA_RPS: (FPA_RPS,), PROPOSED: (FPA, AS)}
 
 
 def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
@@ -275,13 +268,8 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
     for scheme in _CELL_ORDER:
         if scheme not in spec.schemes:
             continue
-        warm = None
-        if scheme == MA_RPS and FPA_RPS in runs:
-            warm = runs[FPA_RPS].solution
-        elif scheme == PROPOSED:
-            candidates = [runs[s] for s in (FPA, AS) if s in runs]
-            if candidates:
-                warm = max(candidates, key=lambda r: r.rate).solution
+        warm = max((runs[s] for s in _WARM_FROM.get(scheme, ()) if s in runs),
+                   key=lambda r: r.rate, default=None)
         init_rng = substream(spec.seed, "init", value_index, realization_index, scheme)
         run = run_scheme(scheme, scen, context, rng=init_rng,
                          rps_phi=rps_phi, warm=warm)

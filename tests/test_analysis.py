@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irsma import analysis, channel, harness, su_opt
-from irsma.config import Scenario, TransmitRegion
+from irsma.config import Scenario
 from irsma.rng import substream
 
 from conftest import rician_row

@@ -1,7 +1,6 @@
 """Sweep harness: schemes, determinism, persistence and the CLI surface."""
 
 import csv
-import dataclasses
 import logging
 import os
 import subprocess
@@ -132,18 +131,20 @@ class TestCellContext:
         ctx = _context(scenario)
         bs_irs = ctx.realization.bs_irs
         np.testing.assert_array_equal(ctx.fine_columns, bs_irs.matrix(ctx.fine.points))
-        np.testing.assert_array_equal(ctx.coarse_columns,
-                                      bs_irs.matrix(ctx.coarse.points))
+        # the coarse points are fine points, and their columns those fine columns
+        assert ctx.coarse.points.tobytes() == ctx.fine.points[ctx.coarse_on_fine].tobytes()
         grid, columns = ctx.grid(harness.AS)
-        assert grid is ctx.coarse and columns is ctx.coarse_columns
+        assert grid is ctx.coarse
+        assert (columns.tobytes() == ctx.fine_columns[:, ctx.coarse_on_fine].tobytes()
+                == bs_irs.matrix(ctx.coarse.points).tobytes())
         for scheme in (harness.PROPOSED, harness.FPA, harness.MA_RPS, harness.FPA_RPS):
             grid, columns = ctx.grid(scheme)
             assert grid is ctx.fine and columns is ctx.fine_columns
 
-    def test_run_cell_builds_columns_twice(self, scenario, small_spec, matrix_calls):
+    def test_run_cell_builds_columns_once(self, scenario, small_spec, matrix_calls):
         records = harness.run_cell(scenario, small_spec, 2.0, 0, 0)
         assert len(records) == len(harness.ALL_SCHEMES)
-        assert len(matrix_calls) == 2
+        assert len(matrix_calls) == 1
 
     def test_run_cell_without_as_builds_columns_once(self, scenario, matrix_calls):
         schemes = tuple(s for s in harness.ALL_SCHEMES if s != harness.AS)
@@ -156,9 +157,10 @@ class TestCellContext:
     @pytest.mark.parametrize("num_paths", [8, 0], ids=["multipath", "los"])
     def test_sweep_shares_los_columns_per_value(self, monkeypatch, num_paths):
         # The default 15x15 surface makes the fine grid's (225, 100) columns
-        # 352 KiB, above numpy's 256 KiB temporary-elision threshold, so the
-        # multipath columns built on a shared LoS must still round as a model
-        # without the shared LoS, which scales a fresh LoS temporary, does.
+        # 352 KiB, above numpy's 256 KiB temporary-elision threshold, and the
+        # coarse grid's (225, 20) columns 70 KiB, below it. The multipath
+        # columns built on a shared LoS must round as a model without the
+        # shared LoS does, on either grid.
         contexts, los_builds = [], []
         original_context, original_los = harness.cell_context, channel.nusw_los_matrix
 
@@ -176,8 +178,8 @@ class TestCellContext:
                                  realizations=3, seed=5)
         result = harness.run_sweep(spec, Scenario(num_users=1, num_paths=num_paths))
         assert not result.failed and len(contexts) == 6
-        # fine then coarse, once per value for its three realizations
-        assert los_builds == [100, 20, 100, 20]
+        # the fine grid only, once per value for its three realizations
+        assert los_builds == [100, 100]
         caches = [ctx.realization.bs_irs._los_cache for ctx in contexts]
         assert all(c is caches[0] for c in caches[:3])
         assert all(c is caches[3] for c in caches[3:]) and caches[3] is not caches[0]
@@ -185,9 +187,12 @@ class TestCellContext:
             bs_irs = ctx.realization.bs_irs
             alone = channel.BsIrsModel(bs_irs.geometry, bs_irs.wavelength, bs_irs.clusters)
             assert ctx.fine_columns.nbytes > 256 * 1024
+            coarse_columns = ctx.grid(harness.AS)[1]
             for points, columns in ((ctx.fine.points, ctx.fine_columns),
-                                    (ctx.coarse.points, ctx.coarse_columns)):
+                                    (ctx.coarse.points, coarse_columns)):
                 assert columns.tobytes() == alone.matrix(points).tobytes()
+            assert (coarse_columns.tobytes()
+                    == ctx.fine_columns[:, ctx.coarse_on_fine].tobytes())
             for shared in bs_irs._los_cache.values():
                 with pytest.raises(ValueError, match="read-only"):
                     shared[0, 0] = 0
@@ -562,8 +567,10 @@ class TestCli:
          "region length must be non-negative"),
         ("scenario: {bogus: 1}\nsweep: {parameter: bs_irs_distance, values: [2.0]}",
          "unknown scenario keys: ['bogus']"),
+        ("sweep: {parameter: bs_irs_distance, values: [2.0], seed: -3}",
+         "sweep seed must be >= 0"),
     ], ids=["bogus_parameter", "unknown_sweep_key", "bad_scenario_value",
-            "unknown_scenario_key"])
+            "unknown_scenario_key", "negative_seed"])
     def test_bad_sweep_config_rejected_with_status_2(self, tmp_path, caplog, config,
                                                     message):
         cfg = tmp_path / "cfg.yaml"
@@ -583,8 +590,12 @@ class TestCli:
         ("rician_factor: .inf", "rician_factor must be finite, got inf"),
         ("irs_num_y: 0", "element counts must be positive"),
         ("num_mas: 2.5", "num_mas must be an integer, got 2.5"),
+        # YAML 1.1 reads a number without a dot, such as 5e9, as a string
+        ("carrier_frequency: 5e9", "carrier_frequency must be a number, got '5e9'"),
+        ("master_seed: -1", "master_seed must be >= 0"),
     ], ids=["negative_distances", "zero_distances", "infinite_rician_factor",
-            "empty_surface", "fractional_antenna_count"])
+            "empty_surface", "fractional_antenna_count", "string_frequency",
+            "negative_master_seed"])
     def test_bad_scenario_rejected_at_load(self, tmp_path, monkeypatch, caplog, command,
                                            scenario_cfg, message):
         # rejected before any cell or check runs
@@ -600,6 +611,19 @@ class TestCli:
         assert not out.exists()
         assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
         assert caplog.records[0].getMessage() == f"{command} rejected: {message}"
+
+    @pytest.mark.parametrize("command", ["sweep", "verify", "profile", "convergence"])
+    def test_negative_seed_flag_rejected_at_load(self, tmp_path, caplog, command):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scenario: {irs_num_y: 6, irs_num_z: 6}\n"
+                       "sweep: {parameter: bs_irs_distance, values: [2.0], realizations: 1}\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main([command, "--config", str(cfg), "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("irsma.cli", logging.ERROR, f"{command} rejected: master_seed must be >= 0")]
 
     def test_fractional_path_count_rejected_at_load(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(harness, "run_cell", _no_cell)
@@ -630,24 +654,6 @@ class TestCli:
         assert caplog.records[0].getMessage() == (
             "sweep rejected: 30 antennas 5 grid steps apart do not fit on the "
             "100-point fine grid at bs_irs_distance=2.0")
-
-    def test_layout_check_covers_only_grids_in_use(self, scenario, monkeypatch):
-        # a 0.11 m region holds 4 antennas on the fine grid but only 2 on the
-        # coarse one, which antenna selection (AS) alone uses
-        cells = []
-        monkeypatch.setattr(harness, "run_cell", lambda *args: cells.append(args) or [])
-        scen = scenario.replace(region_length=0.11)
-        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,),
-                                 schemes=(harness.FPA, harness.PROPOSED), realizations=1)
-        assert harness.run_sweep(spec, scen).failed == []
-        assert len(cells) == 1
-        with pytest.raises(InfeasibleSpacingError, match="coarse grid"):
-            harness.run_sweep(dataclasses.replace(spec, schemes=(harness.AS,)), scen)
-        too_short = harness.SweepSpec(parameter="region_length", values=(0.6, 0.05),
-                                      schemes=(harness.FPA,), realizations=1)
-        with pytest.raises(InfeasibleSpacingError, match="region_length=0.05"):
-            harness.run_sweep(too_short, scenario)
-        assert len(cells) == 1
 
     def test_failed_cell_sets_exit_status(self, tmp_path, monkeypatch, caplog):
         original = harness.cell_context

@@ -7,7 +7,6 @@ to the shortest length that still holds the fixed layout. The inner solvers
 channels with K = 1-6 users, N = 1-5 antennas and M = 4-64 elements."""
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +24,8 @@ ORDER_TOL = 1e-9
 def instances(draw):
     num_mas = draw(st.integers(1, 3))
     # the fixed layout spans (N - 1) half wavelengths; draws a little shorter
-    # are rejected at load and skipped. Whole numbers of half wavelengths put
-    # the coarse grid on the fine one.
+    # are rejected at load and skipped. Whole numbers of half wavelengths are
+    # the shipped configs' kind of region.
     edge = (num_mas - 1) * HALF_WAVELENGTH
     length = draw(st.one_of(
         st.floats(max(edge - 0.02, 0.0), edge + 0.3),
@@ -42,10 +41,39 @@ def _non_decreasing(trace) -> bool:
     return bool(np.all(np.diff(t) >= -TRACE_RTOL * np.abs(t[:-1])))
 
 
-def _coarse_on_fine(scenario) -> bool:
-    fine, coarse = harness._grids(scenario)
-    d = np.linalg.norm(coarse.points[:, None, :] - fine.points[None, :, :], axis=2)
-    return bool(np.all(d.min(axis=1) <= 1e-12))
+def _holds_layout(grid, num_mas) -> bool:
+    try:
+        su_opt.fpa_indices(grid, num_mas)
+    except InfeasibleSpacingError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(num_mas=st.integers(1, 4), step=st.sampled_from([10, 7, 3, 2, 1]), data=st.data())
+def test_coarse_grid_is_a_stride_of_the_fine_grid(num_mas, step, data):
+    """AS's coarse grid is every k-th fine point, centred, for regions from a
+    point to 1 m and fine steps of a tenth to a whole wavelength (k = 5 to 1)."""
+    sample_spacing = Scenario().wavelength / step
+    gap = su_opt._index_gap(HALF_WAVELENGTH, sample_spacing)
+    # (N - 1) gap + 1 fine steps: for N >= 2 and the default tenth-wavelength
+    # step (gap 5), the shortest region whose fine grid holds the fixed layout
+    shortest = ((num_mas - 1) * gap + 1) * sample_spacing
+    length = data.draw(st.one_of(st.just(0.0), st.just(shortest), st.floats(0.0, 1.0)))
+    scenario = Scenario(num_mas=num_mas, region_length=length, sample_spacing=sample_spacing)
+    fine, coarse, on_fine = harness._grids(scenario)
+    k = fine.min_gap
+    assert {p.tobytes() for p in coarse.points} <= {p.tobytes() for p in fine.points}
+    assert coarse.points.tobytes() == fine.points[on_fine].tobytes()
+    assert np.all(np.diff(on_fine) == k) and len(on_fine) == (fine.num_points - 1) // k + 1
+    assert abs(on_fine[0] - (fine.num_points - 1 - on_fine[-1])) <= 1  # centred
+    # ao_multi_user's check: the coarse step keeps antennas min_spacing apart
+    assert coarse.min_gap == 1 and coarse.spacing == k * fine.spacing
+    assert coarse.spacing >= scenario.min_spacing * (1 - 1e-9)
+    assert su_opt._index_gap(scenario.min_spacing, coarse.spacing) == 1
+    assert _holds_layout(coarse, num_mas) == _holds_layout(fine, num_mas)
+    if length == shortest:
+        assert _holds_layout(fine, num_mas)
 
 
 @settings(max_examples=100, deadline=None)
@@ -133,20 +161,15 @@ def test_cell_orderings(scenario):
     assert result.failed == []
     rate = {r.scheme: r.rate for r in result.records}
     assert rate[harness.MA_RPS] >= rate[harness.FPA_RPS] - ORDER_TOL
-    # PROPOSED starts from AS's positions only where the coarse grid lies on the
-    # fine one; elsewhere it can end below AS (test_proposed_below_as_off_grid)
-    if _coarse_on_fine(scenario):
-        assert rate[harness.PROPOSED] >= max(rate[harness.FPA], rate[harness.AS]) - ORDER_TOL
+    assert rate[harness.PROPOSED] >= max(rate[harness.FPA], rate[harness.AS]) - ORDER_TOL
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="a 0.2 m region's coarse grid is not on its fine grid, so "
-                          "PROPOSED's warm start from AS moves the antennas")
 def test_proposed_below_as_off_grid():
+    # PROPOSED ended below AS here while AS's grid was rounded on its own: on a
+    # 0.2 m region that grid missed the fine points, so PROPOSED's warm start
+    # from AS moved the antennas
     scenario = Scenario(irs_num_y=4, irs_num_z=4, num_users=2, num_mas=2,
                         region_length=0.2, bs_distance=3.0)
-    if _coarse_on_fine(scenario):
-        pytest.fail("the instance no longer has its coarse grid off the fine one")
     spec = harness.SweepSpec(parameter="num_paths", values=(0,), realizations=1, seed=5)
     rate = {r.scheme: r.rate for r in harness.run_sweep(spec, scenario).records}
     assert rate[harness.PROPOSED] >= rate[harness.AS] - ORDER_TOL

@@ -1,6 +1,6 @@
 """The public surface of the package: every public module-level function and
 class of `irsma` is referenced somewhere else in `irsma`, so nothing public
-exists only for the tests."""
+exists only for the tests, and every name a module imports is used in it."""
 
 import ast
 from collections import Counter
@@ -20,9 +20,13 @@ def _references(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(irsma.__file__).resolve().parent.glob("*.py"))}
+
+
 def test_every_public_name_has_a_caller_in_the_package():
-    modules = {path.stem: ast.parse(path.read_text())
-               for path in sorted(Path(irsma.__file__).resolve().parent.glob("*.py"))}
+    modules = _modules()
     everywhere = sum(map(_references, modules.values()), Counter())
     uncalled = {f"{module}.{node.name}" for module, tree in modules.items()
                 for node in tree.body
@@ -34,3 +38,21 @@ def test_every_public_name_has_a_caller_in_the_package():
         f"{sorted(uncalled - EXCEPTIONS)}")
     # an exception that gains a caller, or is deleted, leaves the list
     assert EXCEPTIONS <= uncalled
+
+
+def test_every_import_is_used():
+    unused = []
+    for module, tree in _modules().items():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        # a name is used when it is loaded, or re-exported through `__all__`
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {c.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                 for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        unused += sorted(f"{module}.{name}" for name in imported - used)
+    assert not unused, f"imported but unused in src/irsma: {unused}"

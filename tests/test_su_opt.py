@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from irsma import channel, harness, su_opt
 from irsma.config import (IrsGeometry, Scenario, TransmitRegion, load_config,
                           scenario_from_dict)
-from irsma.errors import (DegenerateChannelError, DegenerateGeometryError,
-                          InfeasibleSpacingError, InvalidParameterError)
+from irsma.errors import (DegenerateChannelError, InfeasibleSpacingError,
+                          InvalidParameterError)
 from irsma.rng import substream
 
 from conftest import rician_row
@@ -237,7 +237,7 @@ class TestSamplingGrid:
         assert np.all(np.diff(offs) >= s.min_spacing - 1e-9)
 
     def test_fpa_matches_rounded_spacing_layout_on_shipped_configs(self):
-        # every fine and coarse grid of every swept value of every config
+        # the fine grid and AS's coarse grid of every swept value of every config
         paths = sorted(CONFIGS.glob("*.yaml"))
         checked = 0
         for path in paths:
@@ -248,9 +248,7 @@ class TestSamplingGrid:
                          [harness.apply_parameter(base, sweep["parameter"], v)
                           for v in sweep["values"]])
             for s in scenarios:
-                for step in (s.sample_spacing, s.min_spacing):
-                    grid = su_opt.SamplingGrid.from_region(s.region(), step,
-                                                           s.min_spacing)
+                for grid in harness._grids(s)[:2]:
                     want = _reference_fpa_indices(grid, s.num_mas, s.min_spacing)
                     if want is None:
                         with pytest.raises(InfeasibleSpacingError):
