@@ -41,9 +41,8 @@ def cmd_sweep(args) -> int:
     sweep_cfg = dict(data.get("sweep", {}))
     if args.realizations is not None:
         sweep_cfg["realizations"] = args.realizations
-    if args.seed is not None:
-        sweep_cfg["seed"] = args.seed
-    sweep_cfg.setdefault("seed", scenario.master_seed)
+    if args.seed is not None or "seed" not in sweep_cfg:
+        sweep_cfg["seed"] = scenario.master_seed  # equals --seed when given
     spec = harness.sweep_spec_from_dict(sweep_cfg)
     result = harness.run_sweep(spec, scenario)
     out = _outdir(args)
@@ -63,13 +62,11 @@ def cmd_verify(args) -> int:
     scenario, _ = _load(args)
     reports = analysis.verify_all(scenario)
     out = _outdir(args)
-    ok = True
     for i, report in enumerate(reports):
         print(report.to_text())
         slug = re.sub(r"[^A-Za-z0-9]+", "_", report.title).strip("_")
         report.write_csv(out / f"verify_{i}_{slug}.csv")
-        ok = ok and report.passed
-    return 0 if ok else 1
+    return 0 if all(report.passed for report in reports) else 1
 
 
 def cmd_profile(args) -> int:
@@ -79,23 +76,16 @@ def cmd_profile(args) -> int:
     scen = scenario.replace(num_users=1)
     realization = harness.draw_realization(scen, rng)
     context = harness.cell_context(scen, realization)
-    grid = context.fine
-    h_iu = realization.h_iu[0]
-
-    # not run_scheme: this random start is also the plotted "random" profile,
-    # and run_scheme does not return the start it draws
+    # the random start is also the plotted "random" profile
     phi_rand = su_opt.random_reflection(rng, realization.bs_irs.geometry.num_elements)
-    sol = su_opt.ao_single_user(h_iu, context.fine_columns, grid, phi_rand,
-                                su_opt.fpa_indices(grid, scen.num_mas),
-                                scen.transmit_power, scen.noise_power)
-    labels = ("optimized", "random")
+    sol = harness.run_scheme(harness.PROPOSED, scen, context, phi_rand).solution
     offsets, gains, spreads = analysis.fluctuation_profile(
-        h_iu, (sol.phi, phi_rand), realization.bs_irs, scen.region(),
+        realization.h_iu[0], (sol.phi, phi_rand), realization.bs_irs, scen.region(),
         resolution=args.resolution)
     with open(_outdir(args) / "profile.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["reflection", "offset_m", "gain"])
-        for label, gain, spread in zip(labels, gains, spreads):
+        for label, gain, spread in zip(("optimized", "random"), gains, spreads):
             print(f"{label}: max-min spread {spread:.2f} dB")
             for s, g in zip(offsets, gain):
                 writer.writerow([label, repr(float(s)), repr(float(g))])
@@ -108,11 +98,10 @@ def cmd_convergence(args) -> int:
     rng = substream(scenario.master_seed, "convergence")
     realization = harness.draw_realization(scenario, rng)
     context = harness.cell_context(scenario, realization)
-    sol = harness.run_scheme(harness.PROPOSED, scenario, context, rng=rng).solution
-    if scenario.num_users == 1:
-        trace = [float(np.log2(1 + g)) for g in sol.trace]
-    else:
-        trace = sol.trace
+    phi = su_opt.random_reflection(rng, realization.bs_irs.geometry.num_elements)
+    sol = harness.run_scheme(harness.PROPOSED, scenario, context, phi).solution
+    trace = ([float(np.log2(1 + g)) for g in sol.trace] if scenario.num_users == 1
+             else sol.trace)
     with open(_outdir(args) / "convergence.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "sum_rate"])

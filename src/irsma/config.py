@@ -131,7 +131,11 @@ class Scenario:
             value = getattr(self, f.name)
             if value is None and f.default is None:
                 continue  # a spacing that the wavelength sets below
-            items = value if isinstance(value, tuple) else (value,)
+            is_tuple = isinstance(f.default, tuple)
+            if is_tuple and not (isinstance(value, tuple) and len(value) == len(f.default)):
+                raise InvalidParameterError(
+                    f"{f.name} must be {len(f.default)} numbers, got {value!r}")
+            items = value if is_tuple else (value,)
             # YAML 1.1 reads 5e9, without a dot, as a string
             if not all(isinstance(v, numbers.Real) for v in items):
                 raise InvalidParameterError(f"{f.name} must be a number, got {value!r}")
@@ -155,13 +159,15 @@ class Scenario:
             raise InvalidParameterError("rician factor and path count must be >= 0")
         if min(self.user_distance_range) <= 0:
             raise InvalidParameterError("user distances must be positive")
+        for name in ("user_distance_range", "user_azimuth_range", "user_elevation_range"):
+            low, high = getattr(self, name)
+            if low > high:
+                raise InvalidParameterError(f"{name} must be (low, high), got {(low, high)}")
         lam = SPEED_OF_LIGHT / self.carrier_frequency
-        if self.min_spacing is None:
-            object.__setattr__(self, "min_spacing", lam / 2)
-        if self.sample_spacing is None:
-            object.__setattr__(self, "sample_spacing", lam / 10)
-        if self.irs_spacing is None:
-            object.__setattr__(self, "irs_spacing", lam / 2)
+        for name, default in (("min_spacing", lam / 2), ("sample_spacing", lam / 10),
+                              ("irs_spacing", lam / 2)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if self.min_spacing <= 0 or self.sample_spacing <= 0:
             raise InvalidParameterError("spacings must be positive")
         object.__setattr__(self, "bs_direction", tuple(_unit(self.bs_direction)))

@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,19 +47,26 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.parameter not in SWEEPABLE:
+        if not isinstance(self.parameter, str) or self.parameter not in SWEEPABLE:
             raise InvalidParameterError(f"unknown sweep parameter {self.parameter!r}")
-        if not self.values or not self.schemes:
-            raise InvalidParameterError("sweep needs non-empty values and schemes")
-        unknown = set(self.schemes) - set(ALL_SCHEMES)
+        for name in ("values", "schemes"):
+            value = getattr(self, name)
+            if not (isinstance(value, (list, tuple)) and value):
+                raise InvalidParameterError(
+                    f"sweep {name} must be a non-empty list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
+        # YAML 1.1 reads 1e3, without a dot, as a string, and gives 2.0 for 2
+        for name, low in (("realizations", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                    and value == int(value)):
+                raise InvalidParameterError(f"sweep {name} must be an integer, got {value!r}")
+            if value < low:
+                raise InvalidParameterError(f"sweep {name} must be >= {low}")
+            object.__setattr__(self, name, int(value))
+        unknown = [s for s in self.schemes if s not in ALL_SCHEMES]
         if unknown:
-            raise InvalidParameterError(f"unknown schemes: {sorted(unknown)}")
-        if self.realizations < 1:
-            raise InvalidParameterError("realizations must be >= 1")
-        if self.seed < 0:
-            raise InvalidParameterError("sweep seed must be >= 0")
-        object.__setattr__(self, "values", tuple(self.values))
-        object.__setattr__(self, "schemes", tuple(self.schemes))
+            raise InvalidParameterError(f"unknown schemes: {unknown}")
 
 
 def sweep_spec_from_dict(d: dict) -> SweepSpec:
@@ -101,8 +110,7 @@ def draw_realization(scenario: Scenario, rng: np.random.Generator,
 class SchemeRun:
     scheme: str
     rate: float  # bits/s/Hz (single user: log2(1 + SNR))
-    iterations: int
-    solution: object = None
+    solution: object
 
 
 @dataclass(frozen=True)
@@ -165,53 +173,43 @@ def _check_layouts_fit(spec: SweepSpec, scenario: Scenario) -> None:
                 f"{spec.parameter}={value}") from exc
 
 
-def run_scheme(scheme: str, scenario: Scenario, context: CellContext, *,
-               rng: np.random.Generator, rps_phi: np.ndarray | None = None,
-               warm: SchemeRun | None = None) -> SchemeRun:
-    """Run one benchmark scheme on the channel realization of `context`.
+def run_scheme(scheme: str, scenario: Scenario, context: CellContext, phi: np.ndarray,
+               *, warm: SchemeRun | None = None) -> SchemeRun:
+    """Run one benchmark scheme from the start reflection `phi` on the channel
+    realization of `context`; MA_RPS and FPA_RPS keep `phi` unchanged.
 
     `warm` is an optional run of another scheme on the same cell whose
-    solution is the starting point (shared initialization makes the nesting
-    orderings PROPOSED >= FPA and MA_RPS >= FPA_RPS hold per instance). AS
-    takes no warm start.
+    antenna positions (and, for several users, precoder) are the starting
+    point (shared initialization makes the nesting orderings PROPOSED >= FPA
+    and MA_RPS >= FPA_RPS hold per instance). AS takes no warm start.
     """
     if scheme not in ALL_SCHEMES:
         raise InvalidParameterError(f"unknown scheme {scheme!r}")
     grid, grid_columns = context.grid(scheme)
-    realization = context.realization
-
-    if scheme in (MA_RPS, FPA_RPS):
-        if rps_phi is None:
-            raise InvalidParameterError("random-phase schemes need rps_phi")
-        phi0 = np.asarray(rps_phi)
-        optimize_phi = False
-    else:
-        phi0 = (np.asarray(warm.solution.phi) if warm is not None
-                else su_opt.random_reflection(rng, realization.bs_irs.geometry.num_elements))
-        optimize_phi = True
+    h_iu = context.realization.h_iu
     if warm is None:
         idx0 = su_opt.fpa_indices(grid, scenario.num_mas)
     elif warm.scheme == AS:  # its indices number the coarse points
         idx0 = context.coarse_on_fine[warm.solution.indices].tolist()
     else:
         idx0 = list(warm.solution.indices)
+    optimize_phi = scheme not in (MA_RPS, FPA_RPS)
     optimize_positions = scheme in (PROPOSED, AS, MA_RPS)
 
     if scenario.num_users == 1:
         sol = su_opt.ao_single_user(
-            realization.h_iu[0], grid_columns, grid, phi0, idx0,
+            h_iu[0], grid_columns, grid, phi, idx0,
             scenario.transmit_power, scenario.noise_power,
             optimize_phi=optimize_phi, optimize_positions=optimize_positions)
         rate = float(np.log2(1 + sol.snr))
     else:
-        w0 = getattr(warm.solution, "w", None) if warm is not None else None
         sol = mu_opt.ao_multi_user(
-            realization.h_iu, grid_columns, grid, phi0, idx0,
-            scenario.transmit_power, scenario.noise_power,
-            min_spacing=scenario.min_spacing, w_init=w0,
+            h_iu, grid_columns, grid, phi, idx0, scenario.transmit_power,
+            scenario.noise_power, min_spacing=scenario.min_spacing,
+            w_init=None if warm is None else warm.solution.w,
             optimize_phi=optimize_phi, optimize_positions=optimize_positions)
         rate = sol.sum_rate
-    return SchemeRun(scheme=scheme, rate=rate, iterations=sol.iterations, solution=sol)
+    return SchemeRun(scheme=scheme, rate=rate, solution=sol)
 
 
 @dataclass(frozen=True)
@@ -256,13 +254,12 @@ _WARM_FROM = {MA_RPS: (FPA_RPS,), PROPOSED: (FPA, AS)}
 
 def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
              realization_index: int, los_cache: dict | None = None) -> list[Record]:
+    """Run the schemes of `spec` on one channel draw, each from the phases of its
+    warm run, else the cell's "rps" draw (MA_RPS, FPA_RPS), else its "init" draw."""
     scen = apply_parameter(scenario, spec.parameter, value)
     chan_rng = substream(spec.seed, "chan", spec.parameter, value_index, realization_index)
     realization = draw_realization(scen, chan_rng, los_cache)
     context = cell_context(scen, realization)
-    rps_phi = su_opt.random_reflection(
-        substream(spec.seed, "rps", value_index, realization_index),
-        realization.bs_irs.geometry.num_elements)
     runs: dict[str, SchemeRun] = {}
     records = []
     for scheme in _CELL_ORDER:
@@ -270,13 +267,18 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
             continue
         warm = max((runs[s] for s in _WARM_FROM.get(scheme, ()) if s in runs),
                    key=lambda r: r.rate, default=None)
-        init_rng = substream(spec.seed, "init", value_index, realization_index, scheme)
-        run = run_scheme(scheme, scen, context, rng=init_rng,
-                         rps_phi=rps_phi, warm=warm)
+        if warm is not None:
+            phi = warm.solution.phi
+        else:
+            tags = (("rps", value_index, realization_index) if scheme in (MA_RPS, FPA_RPS)
+                    else ("init", value_index, realization_index, scheme))
+            phi = su_opt.random_reflection(substream(spec.seed, *tags),
+                                           realization.bs_irs.geometry.num_elements)
+        run = run_scheme(scheme, scen, context, phi, warm=warm)
         runs[scheme] = run
         records.append(Record(scheme=scheme, param=float(value),
                               realization=realization_index, rate=run.rate,
-                              iterations=run.iterations))
+                              iterations=run.solution.iterations))
     return records
 
 

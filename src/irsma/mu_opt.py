@@ -24,9 +24,13 @@ if TYPE_CHECKING:
 # Doublings of the multiplier bracket's upper end (starting at 1) before the
 # search gives up; 2**200 is far beyond any multiplier of a physical channel.
 _MAX_DOUBLINGS = 200
-# Armijo sufficient-decrease constant and step shrink of `manifold_cg`
+# Relative sum-rate gain at which `wmmse` stops, and its cap on iterations
+_WMMSE_TOL = 1e-6
+_WMMSE_MAX_ITER = 200
+# `manifold_cg`'s Armijo constant, step shrink and trial steps per search
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
+_MAX_BACKTRACKS = 30
 
 
 def _user_rates(h_rows: np.ndarray, w: np.ndarray, noise_power: float) -> np.ndarray:
@@ -158,8 +162,8 @@ def _power_multiplier(lam, b, power):
     return hi
 
 
-def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float, noise_power: float,
-          tol: float = 1e-6, max_iter: int = 200) -> tuple[np.ndarray, list[float]]:
+def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float,
+          noise_power: float) -> tuple[np.ndarray, list[float]]:
     """Weighted-MMSE precoding via alternating closed-form updates.
 
     Each iteration takes one eigendecomposition of the system matrix. It
@@ -177,7 +181,7 @@ def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float, noise_power: flo
         raise InvalidParameterError("power and noise_power must be > 0")
     w = np.asarray(w_init, dtype=complex).copy()
     trace = [sum_rate(h_rows, w, noise_power)]
-    for _ in range(max_iter):
+    for _ in range(_WMMSE_MAX_ITER):
         hw = h_rows @ w  # (K, K): hw[k, i] = h_k^H w_i
         own = hw.diagonal()
         chi = own / (np.add.reduce(np.abs(hw) ** 2, 1) + noise_power)
@@ -199,7 +203,7 @@ def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float, noise_power: flo
             break
         w = w_new
         trace.append(rate)
-        if trace[-1] - trace[-2] <= tol * max(abs(trace[-2]), _TINY):
+        if trace[-1] - trace[-2] <= _WMMSE_TOL * max(abs(trace[-2]), _TINY):
             break
     return w, trace
 
@@ -284,9 +288,8 @@ class ManifoldTrace:
     exit: str = ""
 
 
-def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
-                grad_tol: float = 1e-6, max_iter: int = 500,
-                max_backtracks: int = 30) -> tuple[np.ndarray, ManifoldTrace]:
+def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *, grad_tol: float = 1e-6,
+                max_iter: int = 500) -> tuple[np.ndarray, ManifoldTrace]:
     """Polak-Ribiere conjugate gradient on the unit-modulus manifold with an
     Armijo line search. The objective (negative sum rate) never increases on
     accepted steps.
@@ -316,7 +319,7 @@ def manifold_cg(h_iu, h_bi, w, phi_init, noise_power: float, *,
         if slope >= 0:  # not a descent direction: restart
             eta = -grad
             slope = -gnorm ** 2
-        for _ in range(max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             cand = _retract_step(phi, step, eta)
             f_cand = neg_sum_rate(cand, r, noise_power)
             if f_cand <= f + _ARMIJO_C * step * slope:
@@ -436,9 +439,7 @@ def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices
         w = np.asarray(w_init, dtype=complex).copy()
 
     trace = [sum_rate(table[:, indices], w, noise_power)]
-    iterations = 0
     for _ in range(_MAX_OUTER):
-        iterations += 1
         h = table[:, indices]
         w, _ = wmmse(h, w, power, noise_power)
         if optimize_phi:
@@ -453,4 +454,4 @@ def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices
         if abs(trace[-1] - trace[-2]) <= _OUTER_TOL * max(abs(trace[-2]), _TINY):
             break
     return MuSolution(w=w, phi=phi, positions=grid.points[indices], indices=indices,
-                      sum_rate=trace[-1], trace=trace, iterations=iterations)
+                      sum_rate=trace[-1], trace=trace, iterations=len(trace) - 1)

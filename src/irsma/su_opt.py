@@ -19,9 +19,11 @@ from .errors import (DegenerateChannelError, DegenerateGeometryError,
 
 _TINY = 1e-300
 # Relative gain at which a BCD sweep, or an outer iteration of either
-# alternating loop (here and in mu_opt), ends its loop; the outer loops' cap
+# alternating loop (here and in mu_opt), ends its loop; the caps on BCD
+# sweeps and on outer iterations
 _BCD_TOL = 1e-3
 _OUTER_TOL = 1e-3
+_BCD_MAX_SWEEPS = 100
 _MAX_OUTER = 50
 
 
@@ -196,7 +198,7 @@ def _bcd_sweep(n: int):
     return namespace["sweep"]
 
 
-def bcd_irs(h_iu, h_bi, phi_init, max_sweeps: int = 100) -> tuple[np.ndarray, list[float]]:
+def bcd_irs(h_iu, h_bi, phi_init) -> tuple[np.ndarray, list[float]]:
     """Element-wise coordinate ascent on the cascaded-channel power
     f = ||total||^2, total = sum_m phi_m g_m, rows g_m = conj(h_iu[m]) h_bi[m].
 
@@ -231,7 +233,7 @@ def bcd_irs(h_iu, h_bi, phi_init, max_sweeps: int = 100) -> tuple[np.ndarray, li
     total, phases = total_vec.tolist(), phi.tolist()
     trace = [value]
     sweep = _bcd_sweep(len(total))
-    for _ in range(max_sweeps):
+    for _ in range(_BCD_MAX_SWEEPS):
         sweep_start = value
         total, value = sweep(total, phases, elements, value, trace.append)
         if value - sweep_start <= _BCD_TOL * max(abs(sweep_start), _TINY):
@@ -319,9 +321,7 @@ def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
         return scale * float(np.linalg.norm(row) ** 2)
 
     trace = [objective(phi, indices)]
-    iterations = 0
     for _ in range(_MAX_OUTER):
-        iterations += 1
         if optimize_phi:
             phi, _ = bcd_irs(h_iu, grid_columns[:, indices], phi)
         gamma1 = objective(phi, indices)
@@ -339,7 +339,7 @@ def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
     w = mrt(h_iu, phi, h_sel)
     return SuSolution(phi=phi, positions=grid.points[indices], indices=indices,
                       beamformer=w, snr=snr(h_iu, phi, h_sel, w, power, noise_power),
-                      trace=trace, iterations=iterations)
+                      trace=trace, iterations=len(trace) - 1)
 
 
 def fpa_indices(grid: SamplingGrid, num_mas: int) -> list[int]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irsma import analysis, channel, harness
+from irsma import analysis, channel, harness, su_opt
 from irsma.cli import main as cli_main
 from irsma.config import Scenario
 from irsma.errors import InfeasibleSpacingError, InvalidParameterError
@@ -206,23 +206,65 @@ class TestCellContext:
         ctx.fine_columns[0, 0] = 0  # nothing shared, so writable
 
 
+def _start(seed, *tags):
+    """A random start reflection for the 6 x 6 surfaces of these tests."""
+    return su_opt.random_reflection(substream(seed, *tags), 36)
+
+
 class TestRunScheme:
     def test_unknown_scheme(self, scenario):
         with pytest.raises(InvalidParameterError):
-            harness.run_scheme("BOGUS", scenario, _context(scenario),
-                               rng=substream(0, "i"))
-
-    def test_rps_requires_phi(self, scenario):
-        with pytest.raises(InvalidParameterError):
-            harness.run_scheme(harness.MA_RPS, scenario, _context(scenario),
-                               rng=substream(0, "i"))
+            harness.run_scheme("BOGUS", scenario, _context(scenario), _start(0, "i"))
 
     def test_single_user_rate_is_log_snr(self):
         s = Scenario(irs_num_y=6, irs_num_z=6, num_users=1, master_seed=4)
-        run = harness.run_scheme(harness.FPA, s, _context(s, seed=4),
-                                 rng=substream(4, "i"))
+        run = harness.run_scheme(harness.FPA, s, _context(s, seed=4), _start(4, "i"))
         assert run.rate > 0
         assert run.solution.snr == pytest.approx(2 ** run.rate - 1, rel=1e-9)
+
+    @pytest.mark.parametrize("scheme", [harness.MA_RPS, harness.FPA_RPS])
+    def test_random_phase_schemes_keep_their_start(self, scenario, scheme):
+        phi = _start(0, "i")
+        run = harness.run_scheme(scheme, scenario, _context(scenario), phi)
+        assert run.solution.phi.tobytes() == phi.tobytes()
+
+
+class TestCellStarts:
+    """`run_cell` starts each scheme from the phases of its warm run if it has
+    one, else from the cell's "rps" draw (MA_RPS, FPA_RPS), else from its own
+    "init" draw."""
+
+    @pytest.mark.parametrize("num_users", [1, 3])
+    @pytest.mark.parametrize("schemes, starts", [
+        (harness.ALL_SCHEMES, {harness.FPA_RPS: "rps", harness.MA_RPS: "warm rps",
+                               harness.FPA: "init", harness.AS: "init",
+                               harness.PROPOSED: "warm"}),
+        ((harness.MA_RPS,), {harness.MA_RPS: "rps"}),
+        ((harness.PROPOSED,), {harness.PROPOSED: "init"}),
+        ((harness.AS, harness.PROPOSED), {harness.AS: "init", harness.PROPOSED: "warm"}),
+    ], ids=["all", "ma_rps", "proposed", "as_proposed"])
+    def test_start_rule(self, monkeypatch, num_users, schemes, starts):
+        calls = []
+        original = harness.run_scheme
+
+        def recording(scheme, scen, context, phi, *, warm=None):
+            calls.append((scheme, phi.copy(), warm))
+            return original(scheme, scen, context, phi, warm=warm)
+
+        monkeypatch.setattr(harness, "run_scheme", recording)
+        scen = Scenario(irs_num_y=6, irs_num_z=6, num_users=num_users)
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(3.0,),
+                                 schemes=schemes, realizations=1, seed=5)
+        harness.run_cell(scen, spec, 3.0, 0, 0)
+        assert {scheme: warm is not None for scheme, _, warm in calls} == {
+            scheme: start.startswith("warm") for scheme, start in starts.items()}
+        for scheme, phi, warm in calls:
+            if starts[scheme].startswith("warm"):
+                assert phi.tobytes() == warm.solution.phi.tobytes()
+            if starts[scheme].endswith("rps"):
+                assert phi.tobytes() == _start(5, "rps", 0, 0).tobytes()
+            elif starts[scheme] == "init":
+                assert phi.tobytes() == _start(5, "init", 0, 0, scheme).tobytes()
 
 
 class TestCellOrderings:
@@ -464,8 +506,8 @@ class TestCli:
         placed = []
         original = harness.run_scheme
 
-        def recording(scheme, scen, context, **kwargs):
-            run = original(scheme, scen, context, **kwargs)
+        def recording(scheme, scen, context, *args, **kwargs):
+            run = original(scheme, scen, context, *args, **kwargs)
             placed.append((scen.region_length, scen.region().center_array,
                            run.solution.positions))
             return run
@@ -569,8 +611,20 @@ class TestCli:
          "unknown scenario keys: ['bogus']"),
         ("sweep: {parameter: bs_irs_distance, values: [2.0], seed: -3}",
          "sweep seed must be >= 0"),
+        # YAML 1.1 reads 1e3, without a dot, as a string
+        ("sweep: {parameter: bs_irs_distance, values: [2.0], realizations: 1e3}",
+         "sweep realizations must be an integer, got '1e3'"),
+        ("sweep: {parameter: bs_irs_distance, values: [2.0], seed: 1.5}",
+         "sweep seed must be an integer, got 1.5"),
+        ("sweep: {parameter: bs_irs_distance, values: 2.0}",
+         "sweep values must be a non-empty list, got 2.0"),
+        ("sweep: {parameter: bs_irs_distance, values: [2.0], schemes: FPA}",
+         "sweep schemes must be a non-empty list, got 'FPA'"),
+        ("sweep: {parameter: [bs_irs_distance], values: [2.0]}",
+         "unknown sweep parameter ['bs_irs_distance']"),
     ], ids=["bogus_parameter", "unknown_sweep_key", "bad_scenario_value",
-            "unknown_scenario_key", "negative_seed"])
+            "unknown_scenario_key", "negative_seed", "string_realizations",
+            "fractional_seed", "scalar_values", "scalar_schemes", "list_parameter"])
     def test_bad_sweep_config_rejected_with_status_2(self, tmp_path, caplog, config,
                                                     message):
         cfg = tmp_path / "cfg.yaml"
@@ -593,9 +647,18 @@ class TestCli:
         # YAML 1.1 reads a number without a dot, such as 5e9, as a string
         ("carrier_frequency: 5e9", "carrier_frequency must be a number, got '5e9'"),
         ("master_seed: -1", "master_seed must be >= 0"),
+        ("user_distance_range: 40", "user_distance_range must be 2 numbers, got 40"),
+        ("user_distance_range: [30]", "user_distance_range must be 2 numbers, got (30,)"),
+        ("bs_direction: [1, 0]", "bs_direction must be 3 numbers, got (1, 0)"),
+        ("num_mas: [1, 2]", "num_mas must be a number, got (1, 2)"),
+        ("user_distance_range: [50, 30]",
+         "user_distance_range must be (low, high), got (50, 30)"),
+        ("user_azimuth_range: [1.0, -1.0]",
+         "user_azimuth_range must be (low, high), got (1.0, -1.0)"),
     ], ids=["negative_distances", "zero_distances", "infinite_rician_factor",
             "empty_surface", "fractional_antenna_count", "string_frequency",
-            "negative_master_seed"])
+            "negative_master_seed", "scalar_range", "short_range", "short_direction",
+            "list_count", "reversed_distance_range", "reversed_azimuth_range"])
     def test_bad_scenario_rejected_at_load(self, tmp_path, monkeypatch, caplog, command,
                                            scenario_cfg, message):
         # rejected before any cell or check runs

@@ -13,6 +13,9 @@ from irsma.rng import substream
 
 from conftest import rician_row
 
+# the CG's trial steps per line search, read before any test patches it
+_BACKTRACKS = mu_opt._MAX_BACKTRACKS
+
 
 def _random_rows(rng, k, n, scale=1.0):
     return scale * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
@@ -155,7 +158,7 @@ class TestWmmse:
         h = np.eye(3, dtype=complex) * np.array([[1.0], [0.8], [1.2]])
         p, s2 = 5.0, 0.1
         w0 = h.conj().T / np.linalg.norm(h, axis=1) * np.sqrt(p / 3)
-        w, _ = mu_opt.wmmse(h, w0, p, s2, tol=1e-10, max_iter=500)
+        w, _ = mu_opt.wmmse(h, w0, p, s2)
         assert np.sum(np.abs(w) ** 2) == pytest.approx(p, rel=1e-6)
 
     def test_monotone_100_instances(self, rng):
@@ -361,9 +364,11 @@ class TestManifoldCg:
     @pytest.mark.parametrize("kwargs, reason", [
         ({}, "tol"),
         ({"max_iter": 1}, "max_iter"),
-        ({"max_backtracks": 0}, "line_search"),  # no trial step at all
+        ({}, "line_search"),  # no trial step at all
     ])
-    def test_exit_reason(self, rng, kwargs, reason):
+    def test_exit_reason(self, rng, monkeypatch, kwargs, reason):
+        if reason == "line_search":
+            monkeypatch.setattr(mu_opt, "_MAX_BACKTRACKS", 0)
         h_iu, h_bi, w, _, phi0 = _interaction_setup(rng, k=1, n=2, m=8)
         phi, trace = mu_opt.manifold_cg(h_iu, h_bi, w, phi0, 0.3, **kwargs)
         assert trace.exit == reason
@@ -902,7 +907,8 @@ class TestRewriteEquivalence:
         """Random instances (K = 1-4, N = 1-4, M = 4-60, channel scales over
         four decades), each run to its default stop, to a max_iter of 1-5
         and with one trial step per search, then the five line-of-sight
-        cells of TestManifoldCgConvergence."""
+        cells of TestManifoldCgConvergence. Yields the arguments, the
+        keyword arguments and the trial steps per search."""
         for i in range(60):
             k, n, m = (int(v) for v in rng.integers((1, 1, 4), (5, 5, 61)))
             scale = 10.0 ** rng.uniform(-2, 2)
@@ -910,18 +916,20 @@ class TestRewriteEquivalence:
             h_bi = _random_rows(rng, m, n)
             w = _random_rows(rng, k, n).conj().T
             phi0 = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-            kwargs = ({}, {"max_iter": int(rng.integers(1, 6))},
-                      {"max_backtracks": 1, "grad_tol": 0.0})[i % 3]
-            yield (h_iu, h_bi, w, phi0, float(rng.uniform(0.05, 2.0))), kwargs
+            kwargs, backtracks = (({}, _BACKTRACKS),
+                                  ({"max_iter": int(rng.integers(1, 6))}, _BACKTRACKS),
+                                  ({"grad_tol": 0.0}, 1))[i % 3]
+            yield (h_iu, h_bi, w, phi0, float(rng.uniform(0.05, 2.0))), kwargs, backtracks
         for args in TestManifoldCgConvergence._cells():
-            yield args, {}
+            yield args, {}, _BACKTRACKS
 
-    def test_manifold_cg_matches_reference_loop_bit_for_bit(self, rng):
+    def test_manifold_cg_matches_reference_loop_bit_for_bit(self, rng, monkeypatch):
         exits = []
-        for args, kwargs in self._cg_instances(rng):
+        for args, kwargs, backtracks in self._cg_instances(rng):
+            monkeypatch.setattr(mu_opt, "_MAX_BACKTRACKS", backtracks)
             phi, trace = mu_opt.manifold_cg(*args, **kwargs)
             ref_phi, ref_objective, ref_grad_norm, ref_exit = _reference_manifold_cg(
-                *args, **kwargs)
+                *args, **kwargs, max_backtracks=backtracks)
             assert phi.tobytes() == ref_phi.tobytes()
             assert np.array(trace.objective).tobytes() == np.array(ref_objective).tobytes()
             assert np.array(trace.grad_norm).tobytes() == np.array(ref_grad_norm).tobytes()
@@ -930,9 +938,10 @@ class TestRewriteEquivalence:
         assert set(exits) == {"tol", "max_iter", "line_search"}
 
     @pytest.mark.parametrize("excess", [0.5e-9, 2e-9])
-    def test_power_test_keeps_its_slack(self, rng, excess):
+    def test_power_test_keeps_its_slack(self, rng, monkeypatch, excess):
         # the unconstrained precoder exceeds the budget by `excess`: within
         # the 1e-9 slack it is kept, beyond it the multiplier is searched
+        monkeypatch.setattr(mu_opt, "_WMMSE_MAX_ITER", 1)
         for _ in range(20):
             k = int(rng.integers(1, 4))
             n = int(rng.integers(k, 5))
@@ -944,7 +953,7 @@ class TestRewriteEquivalence:
             full = float(np.sum(np.abs(
                 mu_opt._wmmse_precoder(*mu_opt._wmmse_system(h, chi, kappa), 0.0)) ** 2))
             p = full / (1 + excess)
-            w, _ = mu_opt.wmmse(h, w0, p, 1.0, max_iter=1)
+            w, _ = mu_opt.wmmse(h, w0, p, 1.0)
             w_ref, _ = _reference_wmmse_pinv_first(h, w0, p, 1.0, max_iter=1)
             np.testing.assert_array_equal(w, w_ref)
 
@@ -1108,7 +1117,9 @@ class TestManifoldCgCallPattern:
             monkeypatch.setattr(mu_opt, name, _counting(events, name, getattr(mu_opt, name)))
         exits = set()
         for args in los_solver_calls["manifold_cg"]:
-            for kwargs in ({}, {"max_iter": 3}, {"max_backtracks": 1, "grad_tol": 0.0}):
+            for kwargs, backtracks in (({}, _BACKTRACKS), ({"max_iter": 3}, _BACKTRACKS),
+                                       ({"grad_tol": 0.0}, 1)):
+                monkeypatch.setattr(mu_opt, "_MAX_BACKTRACKS", backtracks)
                 events.clear()
                 _, trace = mu_opt.manifold_cg(*args, **kwargs)
                 exits.add(trace.exit)
@@ -1123,7 +1134,7 @@ class TestManifoldCgCallPattern:
                                 "euclidean_grad_f2": "g"}[e] for e in events[2:])
                 searches = body.split("g")
                 assert searches[-1] == ("" if trace.exit != "line_search"
-                                        else "tf" * kwargs.get("max_backtracks", 30))
+                                        else "tf" * backtracks)
                 assert len(searches) - 1 == len(trace.objective) - 1
                 assert all(len(t) >= 2 and t == "tf" * (len(t) // 2) for t in searches[:-1])
         assert exits == {"tol", "max_iter", "line_search"}

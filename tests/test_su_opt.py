@@ -442,14 +442,15 @@ class TestBcd:
         with pytest.raises(InvalidParameterError):
             su_opt.bcd_irs(h_iu, h_bi, np.ones(phi_len, dtype=complex))
 
-    def test_trace_ends_at_objective_of_returned_phases(self, rng):
-        # the trace is kept by increments; check it against ||phi @ g||^2,
-        # also from a start that is not unit-modulus
+    def test_trace_ends_at_objective_of_returned_phases(self, rng, monkeypatch):
+        # the trace is kept by increments; check it against ||phi @ g||^2
+        # after one sweep, also from a start that is not unit-modulus
+        monkeypatch.setattr(su_opt, "_BCD_MAX_SWEEPS", 1)
         h_iu, h_bi = _random_channels(rng, 12, 3)
         g = h_iu.conj()[:, None] * h_bi
         for phi0 in (np.exp(1j * rng.uniform(0, 2 * np.pi, 12)),
                      rng.uniform(0.2, 1.8, 12) * np.exp(1j * rng.uniform(0, 7, 12))):
-            phi, trace = su_opt.bcd_irs(h_iu, h_bi, phi0, max_sweeps=1)
+            phi, trace = su_opt.bcd_irs(h_iu, h_bi, phi0)
             assert trace[0] == pytest.approx(np.linalg.norm(phi0 @ g) ** 2, rel=1e-12)
             assert trace[-1] == pytest.approx(np.linalg.norm(phi @ g) ** 2, rel=1e-12)
 
