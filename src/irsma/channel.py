@@ -107,8 +107,6 @@ def sample_clusters(rng: np.random.Generator, num_paths: int, box_center, box_si
     axis-aligned box. |gain_p| follows the product-path distance through the
     scatterer referenced to the region center, with uniform random phase.
     """
-    if num_paths < 0:
-        raise InvalidParameterError("number of paths must be >= 0")
     box_size = np.asarray(box_size, dtype=float)
     if np.any(box_size <= 0):
         raise InvalidParameterError("scatterer box must have positive side lengths")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import logging
 import re
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import analysis, harness, su_opt
 from .config import Scenario, load_config, scenario_from_dict
-from .errors import IrsmaError
+from .errors import InvalidParameterError, IrsmaError
 from .rng import substream
 
 _log = logging.getLogger(__name__)
@@ -21,7 +22,7 @@ _log = logging.getLogger(__name__)
 
 def _load(args) -> tuple[Scenario, dict]:
     data = load_config(args.config) if args.config else {}
-    scenario = scenario_from_dict(data.get("scenario", {}))
+    scenario = scenario_from_dict(data.get("scenario"))
     if args.seed is not None:
         scenario = scenario.replace(master_seed=args.seed)
     return scenario, data
@@ -38,12 +39,11 @@ def cmd_sweep(args) -> int:
     at run time; `run_sweep` catches a failed cell, so an `IrsmaError` that
     escapes is a rejection before the first cell."""
     scenario, data = _load(args)
-    sweep_cfg = dict(data.get("sweep", {}))
+    spec = harness.sweep_spec_from_dict(data.get("sweep"))
+    if args.seed is not None or "seed" not in data["sweep"]:
+        spec = dataclasses.replace(spec, seed=scenario.master_seed)  # equals --seed if given
     if args.realizations is not None:
-        sweep_cfg["realizations"] = args.realizations
-    if args.seed is not None or "seed" not in sweep_cfg:
-        sweep_cfg["seed"] = scenario.master_seed  # equals --seed when given
-    spec = harness.sweep_spec_from_dict(sweep_cfg)
+        spec = dataclasses.replace(spec, realizations=args.realizations)
     result = harness.run_sweep(spec, scenario)
     out = _outdir(args)
     result.to_csv(out / "records.csv")
@@ -71,6 +71,8 @@ def cmd_verify(args) -> int:
 
 def cmd_profile(args) -> int:
     """Gain fluctuation along the transmit region, optimized vs random phases."""
+    if args.resolution < 1:
+        raise InvalidParameterError(f"resolution must be >= 1, got {args.resolution}")
     scenario, _ = _load(args)
     rng = substream(scenario.master_seed, "profile")
     scen = scenario.replace(num_users=1)

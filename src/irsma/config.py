@@ -131,13 +131,15 @@ class Scenario:
             value = getattr(self, f.name)
             if value is None and f.default is None:
                 continue  # a spacing that the wavelength sets below
+            if isinstance(value, list):  # as YAML gives a vector
+                object.__setattr__(self, f.name, value := tuple(value))
             is_tuple = isinstance(f.default, tuple)
             if is_tuple and not (isinstance(value, tuple) and len(value) == len(f.default)):
                 raise InvalidParameterError(
                     f"{f.name} must be {len(f.default)} numbers, got {value!r}")
             items = value if is_tuple else (value,)
-            # YAML 1.1 reads 5e9, without a dot, as a string
-            if not all(isinstance(v, numbers.Real) for v in items):
+            # YAML 1.1 reads 5e9, without a dot, as a string, and a bool is a Real
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
                 raise InvalidParameterError(f"{f.name} must be a number, got {value!r}")
             if not all(math.isfinite(v) for v in items):
                 raise InvalidParameterError(f"{f.name} must be finite, got {value!r}")
@@ -191,18 +193,28 @@ class Scenario:
         return dataclasses.replace(self, **kwargs)
 
 
-def scenario_from_dict(d: dict) -> Scenario:
-    known = {f.name for f in dataclasses.fields(Scenario)}
-    unknown = set(d) - known
-    if unknown:
-        raise InvalidParameterError(f"unknown scenario keys: {sorted(unknown)}")
-    # YAML gives lists; every vector field of a Scenario is a tuple
-    return Scenario(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+def _from_section(cls, section, name: str):
+    """The `cls` that config section `name` sets; a null section means the defaults."""
+    if section is not None and not isinstance(section, dict):
+        raise InvalidParameterError(f"{name} section must be a mapping, got {section!r}")
+    section = section or {}
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = sorted(set(section) - set(defaults), key=str)
+    missing = [k for k, d in defaults.items() if d is dataclasses.MISSING and k not in section]
+    for problem, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise InvalidParameterError(f"{problem} {name} keys: {keys}")
+    return cls(**section)
+
+
+def scenario_from_dict(d) -> Scenario:
+    return _from_section(Scenario, d, "scenario")
 
 
 def load_config(path) -> dict:
-    """Load a YAML key-value tree config file."""
+    """Load a YAML config: a mapping from section names to sections."""
     with open(path) as fh:
         data = yaml.safe_load(fh)
+    if data is not None and not isinstance(data, dict):
+        raise InvalidParameterError(f"a config must be a mapping, got {type(data).__name__}")
     return data or {}
-

@@ -1,17 +1,16 @@
 """Benchmark schemes, Monte-Carlo sweeps and CSV persistence.
 
-Within one (parameter value, realization) cell every scheme consumes the same
-channel realization, and the channel columns of the sampling grid are built
-once per cell (`CellContext`). Their line-of-sight part depends only on the
-swept value, so a sweep builds it once per value, and every realization at
-that value reuses it. Randomized initial points come from named substreams,
-so every cell is a pure function of the sweep seed and its indices.
+Within one (parameter value, realization) cell every scheme consumes the same channel
+realization, and the sampling grid's channel columns are built, and checked with the
+draw for non-finite entries, once per cell (`CellContext`). Their line-of-sight part
+depends only on the swept value, so a sweep builds it once per value, and every
+realization at that value reuses it. Randomized initial points come from named
+substreams, so every cell is a pure function of the sweep seed and its indices.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import logging
 import math
 import numbers
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel, mu_opt, su_opt
-from .config import Scenario
+from .config import Scenario, _from_section
 from .errors import InfeasibleSpacingError, InvalidParameterError, IrsmaError
 from .rng import substream
 
@@ -58,8 +57,8 @@ class SweepSpec:
         # YAML 1.1 reads 1e3, without a dot, as a string, and gives 2.0 for 2
         for name, low in (("realizations", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)
-                    and value == int(value)):
+            if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value) and value == int(value)):  # a bool is a Real
                 raise InvalidParameterError(f"sweep {name} must be an integer, got {value!r}")
             if value < low:
                 raise InvalidParameterError(f"sweep {name} must be >= {low}")
@@ -69,12 +68,8 @@ class SweepSpec:
             raise InvalidParameterError(f"unknown schemes: {unknown}")
 
 
-def sweep_spec_from_dict(d: dict) -> SweepSpec:
-    known = {f.name for f in dataclasses.fields(SweepSpec)}
-    unknown = set(d) - known
-    if unknown:
-        raise InvalidParameterError(f"unknown sweep keys: {sorted(unknown)}")
-    return SweepSpec(**d)
+def sweep_spec_from_dict(d) -> SweepSpec:
+    return _from_section(SweepSpec, d, "sweep")
 
 
 def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
@@ -147,10 +142,11 @@ def _grids(scenario: Scenario) -> tuple[su_opt.SamplingGrid, su_opt.SamplingGrid
 
 
 def cell_context(scenario: Scenario, realization: Realization) -> CellContext:
-    """Build the grids of `scenario` and the fine grid's channel columns once."""
+    """Build the grids and the fine grid's columns once; reject a non-finite draw or column."""
     fine, coarse, on_fine = _grids(scenario)
-    return CellContext(realization, fine, coarse, on_fine,
-                       realization.bs_irs.matrix(fine.points))
+    columns = realization.bs_irs.matrix(fine.points)
+    su_opt._require_finite(h_iu=realization.h_iu, grid_columns=columns)
+    return CellContext(realization, fine, coarse, on_fine, columns)
 
 
 def _check_layouts_fit(spec: SweepSpec, scenario: Scenario) -> None:
@@ -262,9 +258,7 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
     context = cell_context(scen, realization)
     runs: dict[str, SchemeRun] = {}
     records = []
-    for scheme in _CELL_ORDER:
-        if scheme not in spec.schemes:
-            continue
+    for scheme in [s for s in _CELL_ORDER if s in spec.schemes]:
         warm = max((runs[s] for s in _WARM_FROM.get(scheme, ()) if s in runs),
                    key=lambda r: r.rate, default=None)
         if warm is not None:
@@ -274,8 +268,7 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
                     else ("init", value_index, realization_index, scheme))
             phi = su_opt.random_reflection(substream(spec.seed, *tags),
                                            realization.bs_irs.geometry.num_elements)
-        run = run_scheme(scheme, scen, context, phi, warm=warm)
-        runs[scheme] = run
+        runs[scheme] = run = run_scheme(scheme, scen, context, phi, warm=warm)
         records.append(Record(scheme=scheme, param=float(value),
                               realization=realization_index, rate=run.rate,
                               iterations=run.solution.iterations))

@@ -175,8 +175,7 @@ def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float,
     is non-decreasing.
     """
     h_rows = np.atleast_2d(np.asarray(h_rows))
-    if not np.all(np.isfinite(h_rows)):
-        raise InvalidParameterError("non-finite channel entries")
+    _require_finite(h_rows=h_rows)
     if not (power > 0 and noise_power > 0):
         raise InvalidParameterError("power and noise_power must be > 0")
     w = np.asarray(w_init, dtype=complex).copy()
@@ -407,20 +406,17 @@ def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices
                   power: float, noise_power: float, *, min_spacing: float,
                   w_init=None, optimize_phi: bool = True,
                   optimize_positions: bool = True) -> MuSolution:
-    """Alternate precoding (WMMSE), reflection (manifold CG) and positions
-    (sequential grid search); the sum-rate trace is non-decreasing.
-    `grid_columns` (M, L) holds the channel column of every grid point.
-    Positions keep the index gap `grid.min_gap`, which must be at least the
-    gap that `min_spacing` needs on this grid."""
+    """Alternate precoding (WMMSE), reflection (manifold CG) and positions (sequential
+    grid search); the sum-rate trace is non-decreasing. `grid_columns` (M, L) holds the
+    channel column of every grid point; `harness.cell_context` checks it and `h_iu` to be
+    finite. Positions keep the index gap `grid.min_gap`, which must be at least the gap
+    that `min_spacing` needs on this grid."""
     if grid.min_gap < _index_gap(min_spacing, grid.spacing):
         raise InvalidParameterError(
             f"grid index gap {grid.min_gap} is below the gap that "
             f"min_spacing {min_spacing:.4g} m needs on this grid")
-    _require_finite(h_iu=h_iu, grid_columns=grid_columns, phi_init=phi_init)
-    if w_init is not None:
-        _require_finite(w_init=w_init)
+    _require_finite(phi_init=phi_init, w_init=w_init)
     h_iu = np.atleast_2d(np.asarray(h_iu))
-    num_users = h_iu.shape[0]
     phi = np.asarray(phi_init, dtype=complex).copy()
     indices = list(init_indices)
     grid_columns = _checked_columns(grid_columns, grid)
@@ -434,7 +430,7 @@ def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices
         dirs = h.conj().T
         norms = np.linalg.norm(dirs, axis=0)
         norms[norms == 0] = 1.0
-        w = dirs / norms * np.sqrt(power / num_users)
+        w = dirs / norms * np.sqrt(power / h_iu.shape[0])
     else:
         w = np.asarray(w_init, dtype=complex).copy()
 

@@ -242,9 +242,9 @@ def bcd_irs(h_iu, h_bi, phi_init) -> tuple[np.ndarray, list[float]]:
 
 
 def _require_finite(**arrays) -> None:
-    """Reject solver inputs with NaN or infinite entries."""
+    """Reject inputs with NaN or infinite entries; an absent one (None) passes."""
     for name, value in arrays.items():
-        if not np.all(np.isfinite(value)):
+        if value is not None and not np.all(np.isfinite(value)):
             raise InvalidParameterError(f"non-finite entries in {name}")
 
 
@@ -306,14 +306,13 @@ def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
                    optimize_phi: bool = True,
                    optimize_positions: bool = True) -> SuSolution:
     """Alternate reflection BCD and optimal grid placement with matched transmit
-    beamforming; the SNR trace is non-decreasing. `grid_columns` (M, L) holds
-    the channel column of every grid point."""
-    _require_finite(h_iu=h_iu, grid_columns=grid_columns, phi_init=phi_init)
+    beamforming; the SNR trace is non-decreasing. `grid_columns` (M, L) holds the channel
+    column of every grid point; `harness.cell_context` checks it and `h_iu` to be finite."""
+    _require_finite(phi_init=phi_init)
     h_iu = np.asarray(h_iu)
     grid_columns = _checked_columns(grid_columns, grid)
     phi = np.asarray(phi_init, dtype=complex).copy()
     indices = list(init_indices)
-    num_mas = len(indices)
     scale = power / noise_power
 
     def objective(phi_cur, idx):
@@ -328,7 +327,7 @@ def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
         previous = indices
         if optimize_positions:
             weights = np.abs(_grid_product(h_iu.conj() * phi, grid_columns)) ** 2
-            indices = graph_position_select(weights, num_mas, grid.min_gap)
+            indices = graph_position_select(weights, len(indices), grid.min_gap)
         # the same phases on the same positions give gamma1 bit for bit
         gamma2 = gamma1 if indices == previous else objective(phi, indices)
         trace.append(gamma2)

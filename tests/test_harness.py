@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irsma import analysis, channel, harness, su_opt
+from irsma import analysis, channel, harness, mu_opt, su_opt
 from irsma.cli import main as cli_main
 from irsma.config import Scenario
 from irsma.errors import InfeasibleSpacingError, InvalidParameterError
@@ -204,6 +204,51 @@ class TestCellContext:
         ctx = _context(scenario)
         assert ctx.realization.bs_irs._los_cache is None
         ctx.fine_columns[0, 0] = 0  # nothing shared, so writable
+
+    @pytest.mark.parametrize("num_users", [1, 3], ids=["single_user", "multi_user"])
+    @pytest.mark.parametrize("arg", ["h_iu", "grid_columns"])
+    def test_nonfinite_cell_rejected(self, scenario, monkeypatch, arg, num_users):
+        # the first draw, or the first cell's columns, end in a NaN; in the
+        # columns that is the last grid point, which is no starting position
+        target = (channel, "_draw_users") if arg == "h_iu" else (channel.BsIrsModel, "matrix")
+        original, calls = getattr(*target), []
+
+        def corrupting(*args):
+            out = original(*args)
+            calls.append(1)
+            if len(calls) == 1:
+                out = out.copy()
+                out.flat[-1] = np.nan
+            return out
+
+        monkeypatch.setattr(*target, corrupting)
+        scen = scenario.replace(num_users=num_users)
+        realization = harness.draw_realization(scen, substream(0, "c"))
+        with pytest.raises(InvalidParameterError, match=f"^non-finite entries in {arg}$"):
+            harness.cell_context(scen, realization)
+        calls.clear()
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,),
+                                 realizations=2, seed=21, schemes=(harness.FPA,))
+        result = harness.run_sweep(spec, scen)
+        assert result.failed == [(2.0, 0)]
+        assert [(r.scheme, r.realization) for r in result.records] == [(harness.FPA, 1)]
+
+    @pytest.mark.parametrize("num_users", [1, 3])
+    def test_cell_scans_its_columns_once(self, scenario, small_spec, monkeypatch,
+                                         num_users):
+        # one scan in `cell_context`, none in the five schemes' solvers
+        scans, original = [], su_opt._require_finite
+
+        def counting(**arrays):
+            scans.extend(name for name in arrays if name == "grid_columns")
+            return original(**arrays)
+
+        monkeypatch.setattr(su_opt, "_require_finite", counting)
+        monkeypatch.setattr(mu_opt, "_require_finite", counting)
+        records = harness.run_cell(scenario.replace(num_users=num_users), small_spec,
+                                   2.0, 0, 0)
+        assert len(records) == len(harness.ALL_SCHEMES)
+        assert scans == ["grid_columns"]
 
 
 def _start(seed, *tags):
@@ -622,16 +667,35 @@ class TestCli:
          "sweep schemes must be a non-empty list, got 'FPA'"),
         ("sweep: {parameter: [bs_irs_distance], values: [2.0]}",
          "unknown sweep parameter ['bs_irs_distance']"),
+        (None, "missing sweep keys: ['parameter', 'values']"),
+        ("scenario: {irs_num_y: 6}", "missing sweep keys: ['parameter', 'values']"),
+        ("sweep:", "missing sweep keys: ['parameter', 'values']"),
+        ("sweep: {parameter: bs_irs_distance, realizations: 1}",
+         "missing sweep keys: ['values']"),
+        ("sweep: 5", "sweep section must be a mapping, got 5"),
+        ("scenario: foo\nsweep: {parameter: bs_irs_distance, values: [2.0]}",
+         "scenario section must be a mapping, got 'foo'"),
+        ("- sweep", "a config must be a mapping, got list"),
+        ("sweep: {parameter: bs_irs_distance, values: [2.0], realizations: true}",
+         "sweep realizations must be an integer, got True"),
+        ("sweep: {parameter: bs_irs_distance, values: [2.0], seed: false}",
+         "sweep seed must be an integer, got False"),
     ], ids=["bogus_parameter", "unknown_sweep_key", "bad_scenario_value",
             "unknown_scenario_key", "negative_seed", "string_realizations",
-            "fractional_seed", "scalar_values", "scalar_schemes", "list_parameter"])
+            "fractional_seed", "scalar_values", "scalar_schemes", "list_parameter",
+            "no_config", "no_sweep_section", "null_sweep_section", "missing_values",
+            "scalar_sweep_section", "scalar_scenario_section", "list_config",
+            "bool_realizations", "bool_seed"])
     def test_bad_sweep_config_rejected_with_status_2(self, tmp_path, caplog, config,
                                                     message):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(config + "\n")
         out = tmp_path / "out"
+        argv = ["sweep", "--out", str(out)]
+        if config is not None:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(config + "\n")
+            argv += ["--config", str(cfg)]
         with caplog.at_level(logging.WARNING):
-            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+            rc = cli_main(argv)
         assert rc == 2
         assert not out.exists()
         assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
@@ -655,10 +719,16 @@ class TestCli:
          "user_distance_range must be (low, high), got (50, 30)"),
         ("user_azimuth_range: [1.0, -1.0]",
          "user_azimuth_range must be (low, high), got (1.0, -1.0)"),
+        # a YAML bool is a numbers.Real, and would load as 1
+        ("num_mas: true", "num_mas must be a number, got True"),
+        ("bs_direction: [1, 0, true]", "bs_direction must be a number, got (1, 0, True)"),
+        # keys of mixed types, which `sorted` alone cannot order
+        ("1: 2, a: 3", "unknown scenario keys: [1, 'a']"),
     ], ids=["negative_distances", "zero_distances", "infinite_rician_factor",
             "empty_surface", "fractional_antenna_count", "string_frequency",
             "negative_master_seed", "scalar_range", "short_range", "short_direction",
-            "list_count", "reversed_distance_range", "reversed_azimuth_range"])
+            "list_count", "reversed_distance_range", "reversed_azimuth_range",
+            "bool_count", "bool_direction", "non_string_keys"])
     def test_bad_scenario_rejected_at_load(self, tmp_path, monkeypatch, caplog, command,
                                            scenario_cfg, message):
         # rejected before any cell or check runs
@@ -674,6 +744,57 @@ class TestCli:
         assert not out.exists()
         assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
         assert caplog.records[0].getMessage() == f"{command} rejected: {message}"
+
+    @pytest.mark.parametrize("command", ["verify", "profile", "convergence"])
+    @pytest.mark.parametrize("config, message", [
+        ("scenario: foo", "scenario section must be a mapping, got 'foo'"),
+        ("- scenario", "a config must be a mapping, got list"),
+    ], ids=["scalar_scenario_section", "list_config"])
+    def test_malformed_config_rejected_at_load(self, tmp_path, caplog, command, config,
+                                               message):
+        # `sweep` is a case of test_bad_sweep_config_rejected_with_status_2
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config + "\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("irsma.cli", logging.ERROR, f"{command} rejected: {message}")]
+
+    @pytest.mark.parametrize("config", ["sweep: 5", "scenario:\nsweep: {bogus: 1}", ""],
+                             ids=["scalar_sweep_section", "null_scenario_section",
+                                  "empty_config"])
+    def test_verify_reads_only_the_scenario_section(self, tmp_path, monkeypatch, config):
+        # only `sweep` reads the sweep section, and a null section is the defaults
+        scenarios = []
+        monkeypatch.setattr(analysis, "verify_all", lambda s: scenarios.append(s) or [])
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config + "\n")
+        assert cli_main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert scenarios == [Scenario()]
+
+    @pytest.mark.parametrize("resolution", ["0", "-3"])
+    def test_profile_resolution_below_one_rejected(self, tmp_path, caplog, resolution):
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main(["profile", "--resolution", resolution, "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("irsma.cli", logging.ERROR,
+             f"profile rejected: resolution must be >= 1, got {resolution}")]
+
+    def test_profile_resolution_one_runs(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("scenario: {irs_num_y: 6, irs_num_z: 6}\n")
+        out = tmp_path / "out"
+        assert cli_main(["profile", "--config", str(cfg), "--out", str(out),
+                         "--resolution", "1"]) == 0
+        with open(out / "profile.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert [r[0] for r in rows[1:]] == ["optimized", "random"]  # one point each
 
     @pytest.mark.parametrize("command", ["sweep", "verify", "profile", "convergence"])
     def test_negative_seed_flag_rejected_at_load(self, tmp_path, caplog, command):

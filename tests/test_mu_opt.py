@@ -507,16 +507,16 @@ class TestAoMultiUser:
                                  s.transmit_power, s.noise_power,
                                  min_spacing=s.min_spacing)
 
-    @pytest.mark.parametrize("arg", ["h_iu", "grid_columns", "phi_init", "w_init"])
+    # `harness.cell_context` checks h_iu and the grid columns
+    # (test_harness.py::TestCellContext::test_nonfinite_cell_rejected)
+    @pytest.mark.parametrize("arg", ["phi_init", "w_init"])
     def test_nonfinite_input_rejected(self, small_scenario, arg):
         s = small_scenario
         h_iu, model, grid, phi0, idx0 = _mu_setup(s)
         args = dict(h_iu=h_iu, grid_columns=model.matrix(grid.points), phi_init=phi0,
                     w_init=np.ones((s.num_mas, s.num_users), dtype=complex))
         args[arg] = args[arg].copy()
-        # the last grid point is not a starting position, so only the input
-        # check sees a bad column there
-        args[arg].flat[-1] = np.inf if arg == "grid_columns" else np.nan
+        args[arg].flat[-1] = np.nan
         with pytest.raises(InvalidParameterError):
             mu_opt.ao_multi_user(grid=grid, init_indices=idx0, power=s.transmit_power,
                                  noise_power=s.noise_power, min_spacing=s.min_spacing,
