@@ -104,12 +104,11 @@ def sample_clusters(rng: np.random.Generator, num_paths: int, box_center, box_si
     """Draw the LoS/NLoS power ratios and scatterer geometry of one realization.
 
     Ratios l_p ~ CN(0, 1/(L+1)) for p = 0..L. Scatterers are uniform in an
-    axis-aligned box. |gain_p| follows the product-path distance through the
-    scatterer referenced to the region center, with uniform random phase.
+    axis-aligned box, whose sides `Scenario` checks to be positive. |gain_p|
+    follows the product-path distance through the scatterer referenced to
+    the region center, with uniform random phase.
     """
     box_size = np.asarray(box_size, dtype=float)
-    if np.any(box_size <= 0):
-        raise InvalidParameterError("scatterer box must have positive side lengths")
     box_center = np.asarray(box_center, dtype=float)
     bs_center = np.asarray(bs_center, dtype=float)
 

@@ -76,13 +76,12 @@ def cmd_profile(args) -> int:
     scenario, _ = _load(args)
     rng = substream(scenario.master_seed, "profile")
     scen = scenario.replace(num_users=1)
-    realization = harness.draw_realization(scen, rng)
-    context = harness.cell_context(scen, realization)
+    context = harness.cell_context(scen, rng)
     # the random start is also the plotted "random" profile
-    phi_rand = su_opt.random_reflection(rng, realization.bs_irs.geometry.num_elements)
-    sol = harness.run_scheme(harness.PROPOSED, scen, context, phi_rand).solution
+    phi_rand = su_opt.random_reflection(rng, context.h_iu.shape[1])
+    sol = harness.run_scheme(harness.PROPOSED, scen, context, phi_rand)
     offsets, gains, spreads = analysis.fluctuation_profile(
-        realization.h_iu[0], (sol.phi, phi_rand), realization.bs_irs, scen.region(),
+        context.h_iu[0], (sol.phi, phi_rand), context.bs_irs, scen.region(),
         resolution=args.resolution)
     with open(_outdir(args) / "profile.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -98,10 +97,9 @@ def cmd_convergence(args) -> int:
     """Dump the outer-loop rate trace of the joint optimizer on one draw."""
     scenario, _ = _load(args)
     rng = substream(scenario.master_seed, "convergence")
-    realization = harness.draw_realization(scenario, rng)
-    context = harness.cell_context(scenario, realization)
-    phi = su_opt.random_reflection(rng, realization.bs_irs.geometry.num_elements)
-    sol = harness.run_scheme(harness.PROPOSED, scenario, context, phi).solution
+    context = harness.cell_context(scenario, rng)
+    phi = su_opt.random_reflection(rng, context.h_iu.shape[1])
+    sol = harness.run_scheme(harness.PROPOSED, scenario, context, phi)
     trace = ([float(np.log2(1 + g)) for g in sol.trace] if scenario.num_users == 1
              else sol.trace)
     with open(_outdir(args) / "convergence.csv", "w", newline="") as fh:

@@ -161,6 +161,8 @@ class Scenario:
             raise InvalidParameterError("rician factor and path count must be >= 0")
         if min(self.user_distance_range) <= 0:
             raise InvalidParameterError("user distances must be positive")
+        if min(self.scatterer_box_size) <= 0:  # checked even if no path uses it
+            raise InvalidParameterError("scatterer box must have positive side lengths")
         for name in ("user_distance_range", "user_azimuth_range", "user_elevation_range"):
             low, high = getattr(self, name)
             if low > high:

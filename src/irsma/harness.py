@@ -1,11 +1,13 @@
 """Benchmark schemes, Monte-Carlo sweeps and CSV persistence.
 
 Within one (parameter value, realization) cell every scheme consumes the same channel
-realization, and the sampling grid's channel columns are built, and checked with the
-draw for non-finite entries, once per cell (`CellContext`). Their line-of-sight part
-depends only on the swept value, so a sweep builds it once per value, and every
-realization at that value reuses it. Randomized initial points come from named
-substreams, so every cell is a pure function of the sweep seed and its indices.
+draw: `cell_context` draws it, then builds the sampling grids' channel columns, and
+checks the draw and the columns for non-finite entries, once per cell. Their
+line-of-sight part depends only on the swept value, so a sweep builds it once per
+value, and every realization at that value reuses it. `run_scheme` returns the
+solver's own solution, whose antenna indices number the fine grid for every scheme.
+Randomized initial points come from named substreams, so every cell is a pure
+function of the sweep seed and its indices.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ SWEEPABLE = {"bs_irs_distance": "bs_distance", "region_length": "region_length",
              "num_paths": "num_paths"}
 
 _log = logging.getLogger(__name__)
+
+Solution = su_opt.SuSolution | mu_opt.MuSolution
 
 
 @dataclass(frozen=True)
@@ -78,17 +82,10 @@ def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
     return scenario.replace(**{SWEEPABLE[parameter]: value})
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One channel draw shared by every scheme of a sweep cell."""
-
-    h_iu: np.ndarray  # (K, M)
-    bs_irs: channel.BsIrsModel
-
-
 def draw_realization(scenario: Scenario, rng: np.random.Generator,
-                     los_cache: dict | None = None) -> Realization:
-    """One cell's channels; draws of one scenario may share `los_cache`."""
+                     los_cache: dict | None = None) -> tuple[np.ndarray, channel.BsIrsModel]:
+    """One cell's channels, `(h_iu (K, M), bs_irs)`; draws of one scenario may
+    share `los_cache`."""
     geometry = scenario.geometry()
     lam = scenario.wavelength
     h_iu = channel._draw_users([rng] * scenario.num_users, scenario, geometry)
@@ -98,26 +95,20 @@ def draw_realization(scenario: Scenario, rng: np.random.Generator,
         clusters = channel.sample_clusters(
             rng, scenario.num_paths, region_center / 2, scenario.scatterer_box_size,
             lam, region_center)
-    return Realization(h_iu, channel.BsIrsModel(geometry, lam, clusters, los_cache))
-
-
-@dataclass
-class SchemeRun:
-    scheme: str
-    rate: float  # bits/s/Hz (single user: log2(1 + SNR))
-    solution: object
+    return h_iu, channel.BsIrsModel(geometry, lam, clusters, los_cache)
 
 
 @dataclass(frozen=True)
 class CellContext:
-    """Everything the schemes of one cell share: the channel draw, the fine
-    grid, the coarse grid that antenna selection (AS) uses, and the fine
-    grid's channel columns, (M, L). The coarse points are fine points, so
-    their columns are a slice of those. In a sweep, the LoS part of the
-    columns is built once per swept value (a LoS-only cell's columns are then
-    shared and read-only)."""
+    """Everything the schemes of one cell share: the channel draw (`h_iu` and
+    `bs_irs`), the fine grid, the coarse grid that antenna selection (AS)
+    uses, and the fine grid's channel columns, (M, L). The coarse points are
+    fine points, so their columns are a slice of those. In a sweep, the LoS
+    part of the columns is built once per swept value (a LoS-only cell's
+    columns are then shared and read-only)."""
 
-    realization: Realization
+    h_iu: np.ndarray  # (K, M)
+    bs_irs: channel.BsIrsModel
     fine: su_opt.SamplingGrid
     coarse: su_opt.SamplingGrid
     coarse_on_fine: np.ndarray  # the fine index of each coarse point
@@ -141,12 +132,16 @@ def _grids(scenario: Scenario) -> tuple[su_opt.SamplingGrid, su_opt.SamplingGrid
     return fine, su_opt.SamplingGrid(fine.points[on_fine], k * fine.spacing, 1), on_fine
 
 
-def cell_context(scenario: Scenario, realization: Realization) -> CellContext:
-    """Build the grids and the fine grid's columns once; reject a non-finite draw or column."""
+def cell_context(scenario: Scenario, rng: np.random.Generator,
+                 los_cache: dict | None = None) -> CellContext:
+    """Draw one cell's channels from `rng`, then build the grids and the fine
+    grid's columns once; reject a non-finite draw or column. Cells of one
+    scenario may share `los_cache`."""
+    h_iu, bs_irs = draw_realization(scenario, rng, los_cache)
     fine, coarse, on_fine = _grids(scenario)
-    columns = realization.bs_irs.matrix(fine.points)
-    su_opt._require_finite(h_iu=realization.h_iu, grid_columns=columns)
-    return CellContext(realization, fine, coarse, on_fine, columns)
+    columns = bs_irs.matrix(fine.points)
+    su_opt._require_finite(h_iu=h_iu, grid_columns=columns)
+    return CellContext(h_iu, bs_irs, fine, coarse, on_fine, columns)
 
 
 def _check_layouts_fit(spec: SweepSpec, scenario: Scenario) -> None:
@@ -170,11 +165,13 @@ def _check_layouts_fit(spec: SweepSpec, scenario: Scenario) -> None:
 
 
 def run_scheme(scheme: str, scenario: Scenario, context: CellContext, phi: np.ndarray,
-               *, warm: SchemeRun | None = None) -> SchemeRun:
+               *, warm: Solution | None = None) -> Solution:
     """Run one benchmark scheme from the start reflection `phi` on the channel
-    realization of `context`; MA_RPS and FPA_RPS keep `phi` unchanged.
+    draw of `context`, and return the solver's solution; MA_RPS and FPA_RPS
+    keep `phi` unchanged. The solution's `indices` number the fine grid, AS's
+    too.
 
-    `warm` is an optional run of another scheme on the same cell whose
+    `warm` is an optional solution of another scheme on the same cell whose
     antenna positions (and, for several users, precoder) are the starting
     point (shared initialization makes the nesting orderings PROPOSED >= FPA
     and MA_RPS >= FPA_RPS hold per instance). AS takes no warm start.
@@ -182,30 +179,24 @@ def run_scheme(scheme: str, scenario: Scenario, context: CellContext, phi: np.nd
     if scheme not in ALL_SCHEMES:
         raise InvalidParameterError(f"unknown scheme {scheme!r}")
     grid, grid_columns = context.grid(scheme)
-    h_iu = context.realization.h_iu
-    if warm is None:
-        idx0 = su_opt.fpa_indices(grid, scenario.num_mas)
-    elif warm.scheme == AS:  # its indices number the coarse points
-        idx0 = context.coarse_on_fine[warm.solution.indices].tolist()
-    else:
-        idx0 = list(warm.solution.indices)
+    idx0 = su_opt.fpa_indices(grid, scenario.num_mas) if warm is None else warm.indices
     optimize_phi = scheme not in (MA_RPS, FPA_RPS)
     optimize_positions = scheme in (PROPOSED, AS, MA_RPS)
 
     if scenario.num_users == 1:
         sol = su_opt.ao_single_user(
-            h_iu[0], grid_columns, grid, phi, idx0,
+            context.h_iu[0], grid_columns, grid, phi, idx0,
             scenario.transmit_power, scenario.noise_power,
             optimize_phi=optimize_phi, optimize_positions=optimize_positions)
-        rate = float(np.log2(1 + sol.snr))
     else:
         sol = mu_opt.ao_multi_user(
-            h_iu, grid_columns, grid, phi, idx0, scenario.transmit_power,
+            context.h_iu, grid_columns, grid, phi, idx0, scenario.transmit_power,
             scenario.noise_power, min_spacing=scenario.min_spacing,
-            w_init=None if warm is None else warm.solution.w,
+            w_init=None if warm is None else warm.w,
             optimize_phi=optimize_phi, optimize_positions=optimize_positions)
-        rate = sol.sum_rate
-    return SchemeRun(scheme=scheme, rate=rate, solution=sol)
+    if scheme == AS:  # its solver numbers the coarse points
+        sol.indices = context.coarse_on_fine[sol.indices].tolist()
+    return sol
 
 
 @dataclass(frozen=True)
@@ -244,34 +235,33 @@ class SweepResult:
 
 # run order makes warm starts available to the schemes that consume them
 _CELL_ORDER = (FPA_RPS, MA_RPS, FPA, AS, PROPOSED)
-# each scheme starts from the best run of these (the nesting orderings)
+# each scheme starts from the best solution of these (the nesting orderings)
 _WARM_FROM = {MA_RPS: (FPA_RPS,), PROPOSED: (FPA, AS)}
 
 
 def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
              realization_index: int, los_cache: dict | None = None) -> list[Record]:
     """Run the schemes of `spec` on one channel draw, each from the phases of its
-    warm run, else the cell's "rps" draw (MA_RPS, FPA_RPS), else its "init" draw."""
+    warm solution, else the cell's "rps" draw (MA_RPS, FPA_RPS), else its "init" draw."""
     scen = apply_parameter(scenario, spec.parameter, value)
-    chan_rng = substream(spec.seed, "chan", spec.parameter, value_index, realization_index)
-    realization = draw_realization(scen, chan_rng, los_cache)
-    context = cell_context(scen, realization)
-    runs: dict[str, SchemeRun] = {}
+    context = cell_context(scen, substream(spec.seed, "chan", spec.parameter, value_index,
+                                           realization_index), los_cache)
+    solved: dict[str, Solution] = {}
     records = []
     for scheme in [s for s in _CELL_ORDER if s in spec.schemes]:
-        warm = max((runs[s] for s in _WARM_FROM.get(scheme, ()) if s in runs),
-                   key=lambda r: r.rate, default=None)
+        warm = max((solved[s] for s in _WARM_FROM.get(scheme, ()) if s in solved),
+                   key=lambda sol: sol.rate, default=None)
         if warm is not None:
-            phi = warm.solution.phi
+            phi = warm.phi
         else:
             tags = (("rps", value_index, realization_index) if scheme in (MA_RPS, FPA_RPS)
                     else ("init", value_index, realization_index, scheme))
             phi = su_opt.random_reflection(substream(spec.seed, *tags),
-                                           realization.bs_irs.geometry.num_elements)
-        runs[scheme] = run = run_scheme(scheme, scen, context, phi, warm=warm)
+                                           context.h_iu.shape[1])
+        solved[scheme] = sol = run_scheme(scheme, scen, context, phi, warm=warm)
         records.append(Record(scheme=scheme, param=float(value),
-                              realization=realization_index, rate=run.rate,
-                              iterations=run.solution.iterations))
+                              realization=realization_index, rate=sol.rate,
+                              iterations=sol.iterations))
     return records
 
 

@@ -397,9 +397,9 @@ class MuSolution:
     phi: np.ndarray
     positions: np.ndarray
     indices: list[int]
-    sum_rate: float
-    trace: list[float] = field(default_factory=list)
-    iterations: int = 0
+    rate: float  # the sum rate, bits/s/Hz
+    trace: list[float]
+    iterations: int
 
 
 def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices,
@@ -450,4 +450,4 @@ def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices
         if abs(trace[-1] - trace[-2]) <= _OUTER_TOL * max(abs(trace[-2]), _TINY):
             break
     return MuSolution(w=w, phi=phi, positions=grid.points[indices], indices=indices,
-                      sum_rate=trace[-1], trace=trace, iterations=len(trace) - 1)
+                      rate=trace[-1], trace=trace, iterations=len(trace) - 1)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -297,8 +297,12 @@ class SuSolution:
     indices: list[int]
     beamformer: np.ndarray
     snr: float
-    trace: list[float] = field(default_factory=list)
-    iterations: int = 0
+    trace: list[float]
+    iterations: int
+
+    @property
+    def rate(self) -> float:  # bits/s/Hz
+        return float(np.log2(1 + self.snr))
 
 
 def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,

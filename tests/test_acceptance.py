@@ -148,15 +148,14 @@ def test_criterion_07_alternating_loop_convergence(default_scenario):
     for seed in range(5):
         s = default_scenario.replace(master_seed=seed)
         rng = substream(seed, "accept7")
-        real = harness.draw_realization(s, rng)
-        context = harness.cell_context(s, real)
+        context = harness.cell_context(s, rng)
         grid, columns = context.fine, context.fine_columns
         idx0 = su_opt.fpa_indices(grid, s.num_mas)
-        phi0 = su_opt.random_reflection(rng, real.bs_irs.geometry.num_elements)
-        mu_sol = mu_opt.ao_multi_user(real.h_iu, columns, grid, phi0, idx0,
+        phi0 = su_opt.random_reflection(rng, context.bs_irs.geometry.num_elements)
+        mu_sol = mu_opt.ao_multi_user(context.h_iu, columns, grid, phi0, idx0,
                                       s.transmit_power, s.noise_power,
                                       min_spacing=s.min_spacing)
-        su_sol = su_opt.ao_single_user(real.h_iu[0], columns, grid, phi0,
+        su_sol = su_opt.ao_single_user(context.h_iu[0], columns, grid, phi0,
                                        idx0, s.transmit_power, s.noise_power)
         monotone = monotone and bool(np.all(np.diff(mu_sol.trace) >= -1e-9))
         monotone = monotone and bool(np.all(np.diff(su_sol.trace) >= -1e-9))
@@ -211,13 +210,13 @@ def test_criterion_09d_random_phases_widen_fluctuation():
     idx = su_opt.fpa_indices(grid, scen.num_mas)
     for seed in range(total):
         rng = substream(9, "accept9d", seed)
-        real = harness.draw_realization(scen, rng)
-        h_iu = real.h_iu[0]
-        phi_rand = su_opt.random_reflection(rng, real.bs_irs.geometry.num_elements)
-        phi_opt, _ = su_opt.bcd_irs(h_iu, real.bs_irs.matrix(grid.points[idx]),
+        h_rows, bs_irs = harness.draw_realization(scen, rng)
+        h_iu = h_rows[0]
+        phi_rand = su_opt.random_reflection(rng, bs_irs.geometry.num_elements)
+        phi_opt, _ = su_opt.bcd_irs(h_iu, bs_irs.matrix(grid.points[idx]),
                                     phi_rand)
         _, _, (s_rand, s_opt) = analysis.fluctuation_profile(
-            h_iu, (phi_rand, phi_opt), real.bs_irs, scen.region(), 60)
+            h_iu, (phi_rand, phi_opt), bs_irs, scen.region(), 60)
         wins += s_rand > s_opt
     _report(9, "(d) random phases widen the gain fluctuation", wins > total / 2,
             f"wider spread on {wins}/{total} seeds")

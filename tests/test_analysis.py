@@ -220,18 +220,18 @@ class TestFluctuation:
         scen_mp = scenario.replace(num_users=1, num_paths=8)
         for seed in range(total):
             rng = substream(77, "spreadcmp", seed)
-            real = harness.draw_realization(scen_mp, rng)
+            h_rows, bs_irs = harness.draw_realization(scen_mp, rng)
             region = scenario.region()
-            h_iu = real.h_iu[0]
+            h_iu = h_rows[0]
             phi_rand = su_opt.random_reflection(
-                rng, real.bs_irs.geometry.num_elements)
+                rng, bs_irs.geometry.num_elements)
             grid = su_opt.SamplingGrid.from_region(region, scenario.sample_spacing,
                                                    scenario.min_spacing)
             idx = su_opt.fpa_indices(grid, scenario.num_mas)
-            phi_opt, _ = su_opt.bcd_irs(h_iu, real.bs_irs.matrix(grid.points[idx]),
+            phi_opt, _ = su_opt.bcd_irs(h_iu, bs_irs.matrix(grid.points[idx]),
                                         phi_rand)
             _, _, (s_rand, s_opt) = analysis.fluctuation_profile(
-                h_iu, (phi_rand, phi_opt), real.bs_irs, region, 60)
+                h_iu, (phi_rand, phi_opt), bs_irs, region, 60)
             wins += s_rand > s_opt
         assert wins > total / 2
 

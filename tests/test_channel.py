@@ -336,11 +336,6 @@ class TestSampleClusters:
         for c in cs.clusters:
             assert np.all(np.abs(c.scatterer_array - center) <= size / 2 + 1e-12)
 
-    def test_bad_box(self):
-        with pytest.raises(InvalidParameterError):
-            channel.sample_clusters(np.random.default_rng(0), 1, [0, 0, 0],
-                                    (0.0, 1.0, 1.0), 0.06, [1, 1, 0])
-
 
 class TestRicianIuChannel:
     def test_los_limit_modulus(self, small_geometry):

@@ -92,19 +92,19 @@ class TestRealization:
     def test_shared_channels_fingerprint(self, scenario):
         # the same substream gives the same draw, another one a different draw
         scen = scenario.replace(num_paths=2)
-        a = harness.draw_realization(scen, substream(1, "c"))
-        b = harness.draw_realization(scen, substream(1, "c"))
-        np.testing.assert_array_equal(a.h_iu, b.h_iu)
-        assert a.bs_irs.clusters == b.bs_irs.clusters
-        c = harness.draw_realization(scen, substream(2, "c"))
-        assert not np.array_equal(a.h_iu, c.h_iu)
-        assert a.bs_irs.clusters != c.bs_irs.clusters
+        h_a, bs_irs_a = harness.draw_realization(scen, substream(1, "c"))
+        h_b, bs_irs_b = harness.draw_realization(scen, substream(1, "c"))
+        np.testing.assert_array_equal(h_a, h_b)
+        assert bs_irs_a.clusters == bs_irs_b.clusters
+        h_c, bs_irs_c = harness.draw_realization(scen, substream(2, "c"))
+        assert not np.array_equal(h_a, h_c)
+        assert bs_irs_a.clusters != bs_irs_c.clusters
 
     def test_multipath_clusters_present(self, scenario):
-        real = harness.draw_realization(scenario.replace(num_paths=3),
-                                        substream(1, "c"))
-        assert real.bs_irs.clusters is not None
-        assert len(real.bs_irs.clusters.clusters) == 3
+        _, bs_irs = harness.draw_realization(scenario.replace(num_paths=3),
+                                             substream(1, "c"))
+        assert bs_irs.clusters is not None
+        assert len(bs_irs.clusters.clusters) == 3
 
 
 @pytest.fixture
@@ -122,14 +122,13 @@ def matrix_calls(monkeypatch):
 
 
 def _context(scenario, seed=0):
-    return harness.cell_context(
-        scenario, harness.draw_realization(scenario, substream(seed, "c")))
+    return harness.cell_context(scenario, substream(seed, "c"))
 
 
 class TestCellContext:
     def test_columns_match_grids(self, scenario):
         ctx = _context(scenario)
-        bs_irs = ctx.realization.bs_irs
+        bs_irs = ctx.bs_irs
         np.testing.assert_array_equal(ctx.fine_columns, bs_irs.matrix(ctx.fine.points))
         # the coarse points are fine points, and their columns those fine columns
         assert ctx.coarse.points.tobytes() == ctx.fine.points[ctx.coarse_on_fine].tobytes()
@@ -164,8 +163,8 @@ class TestCellContext:
         contexts, los_builds = [], []
         original_context, original_los = harness.cell_context, channel.nusw_los_matrix
 
-        def recording(scen, realization):
-            contexts.append(original_context(scen, realization))
+        def recording(scen, rng, los_cache=None):
+            contexts.append(original_context(scen, rng, los_cache))
             return contexts[-1]
 
         def counting(positions, geometry, wavelength):
@@ -180,11 +179,11 @@ class TestCellContext:
         assert not result.failed and len(contexts) == 6
         # the fine grid only, once per value for its three realizations
         assert los_builds == [100, 100]
-        caches = [ctx.realization.bs_irs._los_cache for ctx in contexts]
+        caches = [ctx.bs_irs._los_cache for ctx in contexts]
         assert all(c is caches[0] for c in caches[:3])
         assert all(c is caches[3] for c in caches[3:]) and caches[3] is not caches[0]
         for ctx in contexts:
-            bs_irs = ctx.realization.bs_irs
+            bs_irs = ctx.bs_irs
             alone = channel.BsIrsModel(bs_irs.geometry, bs_irs.wavelength, bs_irs.clusters)
             assert ctx.fine_columns.nbytes > 256 * 1024
             coarse_columns = ctx.grid(harness.AS)[1]
@@ -202,7 +201,7 @@ class TestCellContext:
 
     def test_cell_on_its_own_builds_private_columns(self, scenario):
         ctx = _context(scenario)
-        assert ctx.realization.bs_irs._los_cache is None
+        assert ctx.bs_irs._los_cache is None
         ctx.fine_columns[0, 0] = 0  # nothing shared, so writable
 
     @pytest.mark.parametrize("num_users", [1, 3], ids=["single_user", "multi_user"])
@@ -223,9 +222,8 @@ class TestCellContext:
 
         monkeypatch.setattr(*target, corrupting)
         scen = scenario.replace(num_users=num_users)
-        realization = harness.draw_realization(scen, substream(0, "c"))
         with pytest.raises(InvalidParameterError, match=f"^non-finite entries in {arg}$"):
-            harness.cell_context(scen, realization)
+            harness.cell_context(scen, substream(0, "c"))
         calls.clear()
         spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,),
                                  realizations=2, seed=21, schemes=(harness.FPA,))
@@ -263,15 +261,32 @@ class TestRunScheme:
 
     def test_single_user_rate_is_log_snr(self):
         s = Scenario(irs_num_y=6, irs_num_z=6, num_users=1, master_seed=4)
-        run = harness.run_scheme(harness.FPA, s, _context(s, seed=4), _start(4, "i"))
-        assert run.rate > 0
-        assert run.solution.snr == pytest.approx(2 ** run.rate - 1, rel=1e-9)
+        sol = harness.run_scheme(harness.FPA, s, _context(s, seed=4), _start(4, "i"))
+        assert sol.rate > 0
+        assert sol.snr == pytest.approx(2 ** sol.rate - 1, rel=1e-9)
 
     @pytest.mark.parametrize("scheme", [harness.MA_RPS, harness.FPA_RPS])
     def test_random_phase_schemes_keep_their_start(self, scenario, scheme):
         phi = _start(0, "i")
-        run = harness.run_scheme(scheme, scenario, _context(scenario), phi)
-        assert run.solution.phi.tobytes() == phi.tobytes()
+        sol = harness.run_scheme(scheme, scenario, _context(scenario), phi)
+        assert sol.phi.tobytes() == phi.tobytes()
+
+    @pytest.mark.parametrize("num_users", [1, 3])
+    def test_solutions_number_the_fine_grid(self, scenario, small_spec, monkeypatch,
+                                            num_users):
+        # AS solves on the coarse grid, yet its solution numbers fine points too
+        solved, original = [], harness.run_scheme
+
+        def recording(scheme, scen, context, *args, **kwargs):
+            solved.append((scheme, context, original(scheme, scen, context, *args, **kwargs)))
+            return solved[-1][2]
+
+        monkeypatch.setattr(harness, "run_scheme", recording)
+        harness.run_cell(scenario.replace(num_users=num_users), small_spec, 2.0, 0, 0)
+        assert sorted(scheme for scheme, _, _ in solved) == sorted(harness.ALL_SCHEMES)
+        for scheme, context, sol in solved:
+            assert (context.fine.points[sol.indices].tobytes()
+                    == sol.positions.tobytes()), scheme
 
 
 class TestCellStarts:
@@ -305,7 +320,7 @@ class TestCellStarts:
             scheme: start.startswith("warm") for scheme, start in starts.items()}
         for scheme, phi, warm in calls:
             if starts[scheme].startswith("warm"):
-                assert phi.tobytes() == warm.solution.phi.tobytes()
+                assert phi.tobytes() == warm.phi.tobytes()
             if starts[scheme].endswith("rps"):
                 assert phi.tobytes() == _start(5, "rps", 0, 0).tobytes()
             elif starts[scheme] == "init":
@@ -369,10 +384,10 @@ class TestRunSweep:
     def test_one_failed_cell_is_logged(self, scenario, monkeypatch, caplog):
         original = harness.cell_context
 
-        def failing(scen, realization):
+        def failing(scen, rng, los_cache=None):
             if scen.bs_distance == 5.0:
                 raise InfeasibleSpacingError("forced")
-            return original(scen, realization)
+            return original(scen, rng, los_cache)
 
         monkeypatch.setattr(harness, "cell_context", failing)
         spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 5.0),
@@ -387,7 +402,7 @@ class TestRunSweep:
         assert "forced" in warnings[0].getMessage()
 
     def test_programming_error_propagates(self, scenario, monkeypatch):
-        def broken(scen, realization):
+        def broken(scen, rng, los_cache=None):
             raise TypeError("forced bug")
 
         monkeypatch.setattr(harness, "cell_context", broken)
@@ -552,10 +567,10 @@ class TestCli:
         original = harness.run_scheme
 
         def recording(scheme, scen, context, *args, **kwargs):
-            run = original(scheme, scen, context, *args, **kwargs)
+            sol = original(scheme, scen, context, *args, **kwargs)
             placed.append((scen.region_length, scen.region().center_array,
-                           run.solution.positions))
-            return run
+                           sol.positions))
+            return sol
 
         monkeypatch.setattr(harness, "run_scheme", recording)
         cfg = tmp_path / "cfg.yaml"
@@ -724,11 +739,13 @@ class TestCli:
         ("bs_direction: [1, 0, true]", "bs_direction must be a number, got (1, 0, True)"),
         # keys of mixed types, which `sorted` alone cannot order
         ("1: 2, a: 3", "unknown scenario keys: [1, 'a']"),
+        # checked with or without scattered paths, since a num_paths sweep may start at 0
+        ("scatterer_box_size: [0, 2, 2]", "scatterer box must have positive side lengths"),
     ], ids=["negative_distances", "zero_distances", "infinite_rician_factor",
             "empty_surface", "fractional_antenna_count", "string_frequency",
             "negative_master_seed", "scalar_range", "short_range", "short_direction",
             "list_count", "reversed_distance_range", "reversed_azimuth_range",
-            "bool_count", "bool_direction", "non_string_keys"])
+            "bool_count", "bool_direction", "non_string_keys", "zero_box_side"])
     def test_bad_scenario_rejected_at_load(self, tmp_path, monkeypatch, caplog, command,
                                            scenario_cfg, message):
         # rejected before any cell or check runs
@@ -842,10 +859,10 @@ class TestCli:
     def test_failed_cell_sets_exit_status(self, tmp_path, monkeypatch, caplog):
         original = harness.cell_context
 
-        def failing(scen, realization):
+        def failing(scen, rng, los_cache=None):
             if scen.bs_distance == 5.0:
                 raise InfeasibleSpacingError("forced")
-            return original(scen, realization)
+            return original(scen, rng, los_cache)
 
         monkeypatch.setattr(harness, "cell_context", failing)
         cfg = tmp_path / "cfg.yaml"

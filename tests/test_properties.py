@@ -80,13 +80,13 @@ def test_coarse_grid_is_a_stride_of_the_fine_grid(num_mas, step, data):
 @given(scenario=instances())
 def test_solvers_keep_their_invariants(scenario):
     rng = substream(scenario.master_seed, "property")
-    context = harness.cell_context(scenario, harness.draw_realization(scenario, rng))
+    context = harness.cell_context(scenario, rng)
     grid, columns = context.fine, context.fine_columns
     try:
         idx0 = su_opt.fpa_indices(grid, scenario.num_mas)
     except InfeasibleSpacingError:
         assume(False)
-    h_iu = context.realization.h_iu
+    h_iu = context.h_iu
     phi0 = su_opt.random_reflection(rng, h_iu.shape[1])
     power, noise = scenario.transmit_power, scenario.noise_power
     mu = mu_opt.ao_multi_user(h_iu, columns, grid, phi0, idx0, power, noise,

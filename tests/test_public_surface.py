@@ -2,13 +2,21 @@
 class of `irsma` is referenced somewhere else in `irsma`, so nothing public
 exists only for the tests, and every name a module imports is used in it.
 Every solve goes through `harness.run_scheme`, and every option (a defaulted
-parameter) is passed by some call in the package."""
+parameter) is passed by some call in the package. The benchmark's tracer
+(`perfbench/tracing.py`) reads the solvers from outside the package, so its
+contract with them is tested here too."""
 
 import ast
+import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import irsma
+from irsma import harness
+from irsma.config import Scenario
 
 # Public, yet called only from the tests: each entry is a claim of the paper
 # that an acceptance criterion checks directly.
@@ -120,3 +128,48 @@ def test_every_defaulted_parameter_is_passed_in_the_package():
         f"{sorted(unpassed - UNPASSED)}")
     # an exception that gains a caller, or is deleted, leaves the list
     assert UNPASSED <= unpassed
+
+
+def _benchmark_tracing():
+    """`perfbench/tracing.py`, imported as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("num_users", [1, 3])
+def test_benchmark_tracer_reads_every_solver(num_users):
+    """The tracer binds `run_scheme`'s `scheme` and the solvers' parameters, and
+    reads their return shapes and the solutions' attributes. A traced sweep
+    writes the records of a plain one, breaks no invariant, and counts every
+    solver's iterations."""
+    tracing = _benchmark_tracing()
+    scenario = Scenario(irs_num_y=6, irs_num_z=6, num_users=num_users,
+                        num_paths=2 if num_users == 1 else 0)
+    spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,), realizations=1)
+    plain = harness.run_sweep(spec, scenario).records
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = harness.run_sweep(spec, scenario).records
+    assert traced == plain
+    assert tracer.violations == []
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span.name, []).append(span)
+    assert sorted(s.tag for s in spans["harness.run_scheme"]) == sorted(harness.ALL_SCHEMES)
+
+    def total(name, count):
+        return sum(s.counts.get(count, 0) for s in spans.get(name, []))
+
+    if num_users == 1:
+        assert total("su_opt.bcd_irs", "sweeps") > 0
+        assert total("su_opt.ao_single_user", "outer_iters") > 0
+    else:
+        assert total("mu_opt.wmmse", "iters") > 0
+        assert total("mu_opt.ao_multi_user", "outer_iters") > 0
+        exits = [[k for k in s.counts if k.startswith("exit.")]
+                 for s in spans["mu_opt.manifold_cg"]]
+        assert exits and all(len(e) == 1 for e in exits)

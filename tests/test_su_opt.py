@@ -563,10 +563,10 @@ def _cell_bcd_instances():
     for distance in (1.0, 2.0, 4.0, 6.0):
         scen = harness.apply_parameter(scenario, "bs_irs_distance", distance)
         for _ in range(2):
-            context = harness.cell_context(scen, harness.draw_realization(scen, rng))
+            context = harness.cell_context(scen, rng)
             idx = su_opt.fpa_indices(context.fine, scen.num_mas)
-            yield (context.realization.h_iu[0], context.fine_columns[:, idx],
-                   su_opt.random_reflection(rng, len(context.realization.h_iu[0])))
+            yield (context.h_iu[0], context.fine_columns[:, idx],
+                   su_opt.random_reflection(rng, len(context.h_iu[0])))
 
 
 def _assert_bcd_matches_reference(h_iu, h_bi, phi0):
