@@ -9,7 +9,7 @@ position array.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,16 +130,12 @@ def sample_clusters(rng: np.random.Generator, num_paths: int, box_center, box_si
 class BsIrsModel:
     """Channel between antenna positions and the surface; columns are per-antenna.
 
-    ``clusters=None`` means a pure LoS channel (unit LoS ratio). Models of one
-    geometry and wavelength may share `_los_cache`, a dict from position sets
-    to their LoS columns, built on first use and read-only: a LoS-only model
-    returns them as they are, a multipath one scales a copy.
+    ``clusters=None`` means a pure LoS channel (unit LoS ratio).
     """
 
     geometry: IrsGeometry
     wavelength: float
     clusters: ClusterSet | None = None
-    _los_cache: dict | None = field(default=None, compare=False, repr=False)
 
     @functools.cached_property  # built once for all position sets
     def _surface(self) -> list[np.ndarray]:
@@ -148,18 +144,13 @@ class BsIrsModel:
         return [near_field_response(elements, c.scatterer_array, self.wavelength)
                 for c in self.clusters.clusters]
 
-    def matrix(self, positions) -> np.ndarray:
-        """(M, N) columns: the LoS part plus one rank-1 term per scattered path."""
+    def matrix(self, positions, los: np.ndarray | None = None) -> np.ndarray:
+        """(M, N) columns: the LoS part plus one rank-1 term per scattered path.
+        `los` is the LoS columns of `positions` if the caller has them; a
+        LoS-only model returns them as they are, a multipath one scales a copy."""
         positions = np.atleast_2d(np.asarray(positions, dtype=float))
-        cache = self._los_cache
-        if cache is None:
+        if los is None:
             los = nusw_los_matrix(positions, self.geometry, self.wavelength)
-        else:
-            key = positions.tobytes()
-            if key not in cache:
-                cache[key] = nusw_los_matrix(positions, self.geometry, self.wavelength)
-                cache[key].flags.writeable = False
-            los = cache[key]
         if self.clusters is None:
             return los
         # Explicit in-place products: `ratio * los` would round unlike

@@ -214,9 +214,14 @@ def scenario_from_dict(d) -> Scenario:
 
 
 def load_config(path) -> dict:
-    """Load a YAML config: a mapping from section names to sections."""
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
+    """Load a YAML config: a mapping from section names to sections. The file
+    is read as bytes, so YAML decodes it (UTF-8 unless a BOM says otherwise)."""
+    try:
+        with open(path, "rb") as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        detail = " ".join(str(exc).split())  # YAML's message spans lines
+        raise InvalidParameterError(f"cannot load config {path}: {detail}") from exc
     if data is not None and not isinstance(data, dict):
         raise InvalidParameterError(f"a config must be a mapping, got {type(data).__name__}")
     return data or {}

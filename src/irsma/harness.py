@@ -2,9 +2,9 @@
 
 Within one (parameter value, realization) cell every scheme consumes the same channel
 draw: `cell_context` draws it, then builds the sampling grids' channel columns, and
-checks the draw and the columns for non-finite entries, once per cell. Their
-line-of-sight part depends only on the swept value, so a sweep builds it once per
-value, and every realization at that value reuses it. `run_scheme` returns the
+checks the draw and the columns for non-finite entries, once per cell. The grids
+and the line-of-sight part of the columns depend only on the swept value, so one
+builder makes them, once per value in a sweep. `run_scheme` returns the
 solver's own solution, whose antenna indices number the fine grid for every scheme.
 Randomized initial points come from named substreams, so every cell is a pure
 function of the sweep seed and its indices.
@@ -82,10 +82,9 @@ def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
     return scenario.replace(**{SWEEPABLE[parameter]: value})
 
 
-def draw_realization(scenario: Scenario, rng: np.random.Generator,
-                     los_cache: dict | None = None) -> tuple[np.ndarray, channel.BsIrsModel]:
-    """One cell's channels, `(h_iu (K, M), bs_irs)`; draws of one scenario may
-    share `los_cache`."""
+def draw_realization(scenario: Scenario,
+                     rng: np.random.Generator) -> tuple[np.ndarray, channel.BsIrsModel]:
+    """One cell's channels, `(h_iu (K, M), bs_irs)`."""
     geometry = scenario.geometry()
     lam = scenario.wavelength
     h_iu = channel._draw_users([rng] * scenario.num_users, scenario, geometry)
@@ -95,7 +94,7 @@ def draw_realization(scenario: Scenario, rng: np.random.Generator,
         clusters = channel.sample_clusters(
             rng, scenario.num_paths, region_center / 2, scenario.scatterer_box_size,
             lam, region_center)
-    return h_iu, channel.BsIrsModel(geometry, lam, clusters, los_cache)
+    return h_iu, channel.BsIrsModel(geometry, lam, clusters)
 
 
 @dataclass(frozen=True)
@@ -103,9 +102,9 @@ class CellContext:
     """Everything the schemes of one cell share: the channel draw (`h_iu` and
     `bs_irs`), the fine grid, the coarse grid that antenna selection (AS)
     uses, and the fine grid's channel columns, (M, L). The coarse points are
-    fine points, so their columns are a slice of those. In a sweep, the LoS
-    part of the columns is built once per swept value (a LoS-only cell's
-    columns are then shared and read-only)."""
+    fine points, so their columns are a slice of those. A LoS-only cell's
+    columns are the read-only LoS columns that the cells of its swept value
+    share."""
 
     h_iu: np.ndarray  # (K, M)
     bs_irs: channel.BsIrsModel
@@ -120,41 +119,48 @@ class CellContext:
         return self.fine, self.fine_columns
 
 
-def _grids(scenario: Scenario) -> tuple[su_opt.SamplingGrid, su_opt.SamplingGrid, np.ndarray]:
-    """The fine sampling grid of `scenario`, the coarse one AS uses and the fine
-    index of each coarse point. The coarse grid is every k-th fine point, k =
-    `fine.min_gap`, centred on the L fine points: both grids hold a fixed
-    layout of N antennas exactly when (N - 1) k <= L - 1."""
+def _shared(scenario: Scenario) -> tuple:
+    """What the cells of `scenario` share: `(fine, coarse, coarse_on_fine,
+    los)`. The coarse grid, which AS uses, is every k-th fine point, k =
+    `fine.min_gap`, centred on the L fine points, so both grids hold a fixed
+    layout of N antennas exactly when (N - 1) k <= L - 1. `los` is the fine
+    grid's LoS columns (M, L), read-only."""
     fine = su_opt.SamplingGrid.from_region(scenario.region(), scenario.sample_spacing,
                                            scenario.min_spacing)
     k, num = fine.min_gap, fine.num_points
     on_fine = np.arange((num - 1) % k // 2, num, k)
-    return fine, su_opt.SamplingGrid(fine.points[on_fine], k * fine.spacing, 1), on_fine
+    los = channel.nusw_los_matrix(fine.points, scenario.geometry(), scenario.wavelength)
+    los.flags.writeable = False
+    return fine, su_opt.SamplingGrid(fine.points[on_fine], k * fine.spacing, 1), on_fine, los
 
 
 def cell_context(scenario: Scenario, rng: np.random.Generator,
-                 los_cache: dict | None = None) -> CellContext:
-    """Draw one cell's channels from `rng`, then build the grids and the fine
-    grid's columns once; reject a non-finite draw or column. Cells of one
-    scenario may share `los_cache`."""
-    h_iu, bs_irs = draw_realization(scenario, rng, los_cache)
-    fine, coarse, on_fine = _grids(scenario)
-    columns = bs_irs.matrix(fine.points)
+                 shared: tuple | None = None) -> CellContext:
+    """Draw one cell's channels from `rng`, then build the fine grid's columns
+    on the grids and LoS columns of `shared` (`_shared(scenario)` if not
+    given); reject a non-finite draw or column."""
+    h_iu, bs_irs = draw_realization(scenario, rng)
+    fine, coarse, on_fine, los = shared or _shared(scenario)
+    columns = bs_irs.matrix(fine.points, los)
     su_opt._require_finite(h_iu=h_iu, grid_columns=columns)
     return CellContext(h_iu, bs_irs, fine, coarse, on_fine, columns)
 
 
 def _check_layouts_fit(spec: SweepSpec, scenario: Scenario) -> None:
-    """Raise unless, at every swept value, the scenario builds and the fixed
-    layout of `num_mas` antennas fits on the fine grid, and so on the coarse
-    one. Private, so that tracers wrapping every public harness function leave
-    it alone."""
-    for value in spec.values:
+    """Raise unless every swept value differs from the others, the scenario
+    builds at it, and the fixed layout of `num_mas` antennas fits on its fine
+    grid, and so on the coarse one. Private, so that tracers wrapping every
+    public harness function leave it alone."""
+    for i, value in enumerate(spec.values):
         try:
             scen = apply_parameter(scenario, spec.parameter, value)
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"{exc} at {spec.parameter}={value}") from exc
-        grid = _grids(scen)[0]
+        if float(value) in map(float, spec.values[:i]):  # its records would pool with theirs
+            raise InvalidParameterError(
+                f"sweep value repeats an earlier one at {spec.parameter}={value}")
+        grid = su_opt.SamplingGrid.from_region(scen.region(), scen.sample_spacing,
+                                               scen.min_spacing)
         try:
             su_opt.fpa_indices(grid, scen.num_mas)
         except InfeasibleSpacingError as exc:
@@ -240,12 +246,12 @@ _WARM_FROM = {MA_RPS: (FPA_RPS,), PROPOSED: (FPA, AS)}
 
 
 def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
-             realization_index: int, los_cache: dict | None = None) -> list[Record]:
+             realization_index: int, shared: tuple | None = None) -> list[Record]:
     """Run the schemes of `spec` on one channel draw, each from the phases of its
     warm solution, else the cell's "rps" draw (MA_RPS, FPA_RPS), else its "init" draw."""
     scen = apply_parameter(scenario, spec.parameter, value)
     context = cell_context(scen, substream(spec.seed, "chan", spec.parameter, value_index,
-                                           realization_index), los_cache)
+                                           realization_index), shared)
     solved: dict[str, Solution] = {}
     records = []
     for scheme in [s for s in _CELL_ORDER if s in spec.schemes]:
@@ -267,18 +273,20 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
 
 def run_sweep(spec: SweepSpec, scenario: Scenario) -> SweepResult:
     """Run the (value, realization) cells in order; deterministic under the
-    sweep seed. A sweep whose scenario cannot be built, or whose antennas
-    cannot fit, at some swept value raises before its first cell. Past that,
-    a cell that fails with a package error or a linear-algebra error is
-    skipped with a logged warning and listed in `SweepResult.failed` instead
-    of aborting the sweep; any other exception is a bug and propagates."""
+    sweep seed. A sweep whose values repeat, or whose scenario cannot be
+    built, or whose antennas cannot fit, at some swept value raises before its
+    first cell. Past that, a cell that fails with a package error or a
+    linear-algebra error is skipped with a logged warning and listed in
+    `SweepResult.failed` instead of aborting the sweep; any other exception is
+    a bug and propagates."""
     _check_layouts_fit(spec, scenario)
     result = SweepResult(spec=spec)
     for vi, value in enumerate(spec.values):
-        los_cache = {}  # one value's LoS columns, kept for its realizations only
+        shared = None  # one value's grids and LoS columns, kept for its realizations only
         for r in range(spec.realizations):
             try:
-                result.records.extend(run_cell(scenario, spec, value, vi, r, los_cache))
+                shared = shared or _shared(apply_parameter(scenario, spec.parameter, value))
+                result.records.extend(run_cell(scenario, spec, value, vi, r, shared))
             except (IrsmaError, np.linalg.LinAlgError) as exc:
                 _log.warning("cell value=%s realization=%s failed: %r", value, r, exc)
                 result.failed.append((float(value), r))

@@ -265,13 +265,14 @@ class TestMultipath:
                                             c.scatterer_array, 0.06),
                 channel.near_field_response(pos, c.scatterer_array, 0.06))
         assert channel.BsIrsModel(geometry, 0.06, cs).matrix(pos).tobytes() == want.tobytes()
-        cache = {}
-        shared = channel.BsIrsModel(geometry, 0.06, cs, cache)
-        for _ in range(2):  # built into the cache, then read from it
-            assert shared.matrix(pos).tobytes() == want.tobytes()
-        (los,) = cache.values()
-        assert not los.flags.writeable
+        los = channel.nusw_los_matrix(pos, geometry, 0.06)
+        los.flags.writeable = False  # as the cells of one swept value share it
+        model = channel.BsIrsModel(geometry, 0.06, cs)
+        for _ in range(2):  # scaled in a copy, so the shared columns stay as they are
+            assert model.matrix(pos, los).tobytes() == want.tobytes()
         assert los.tobytes() == channel.nusw_los_matrix(pos, geometry, 0.06).tobytes()
+        # a LoS-only model returns them as they are
+        assert channel.BsIrsModel(geometry, 0.06).matrix(pos, los) is los
 
     def test_surface_responses_built_once(self, small_geometry, rng, monkeypatch):
         cs = channel.sample_clusters(rng, 3, [1.0, 1.0, 0.0], (2, 2, 2), 0.06,

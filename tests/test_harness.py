@@ -13,7 +13,7 @@ import pytest
 from irsma import analysis, channel, harness, mu_opt, su_opt
 from irsma.cli import main as cli_main
 from irsma.config import Scenario
-from irsma.errors import InfeasibleSpacingError, InvalidParameterError
+from irsma.errors import DegenerateGeometryError, InfeasibleSpacingError, InvalidParameterError
 from irsma.rng import substream
 
 
@@ -113,9 +113,9 @@ def matrix_calls(monkeypatch):
     calls = []
     original = channel.BsIrsModel.matrix
 
-    def counting(self, positions):
+    def counting(self, positions, los=None):
         calls.append(len(positions))
-        return original(self, positions)
+        return original(self, positions, los)
 
     monkeypatch.setattr(channel.BsIrsModel, "matrix", counting)
     return calls
@@ -160,11 +160,12 @@ class TestCellContext:
         # coarse grid's (225, 20) columns 70 KiB, below it. The multipath
         # columns built on a shared LoS must round as a model without the
         # shared LoS does, on either grid.
-        contexts, los_builds = [], []
+        contexts, shares, los_builds = [], [], []
         original_context, original_los = harness.cell_context, channel.nusw_los_matrix
 
-        def recording(scen, rng, los_cache=None):
-            contexts.append(original_context(scen, rng, los_cache))
+        def recording(scen, rng, shared=None):
+            shares.append(shared)
+            contexts.append(original_context(scen, rng, shared))
             return contexts[-1]
 
         def counting(positions, geometry, wavelength):
@@ -179,10 +180,10 @@ class TestCellContext:
         assert not result.failed and len(contexts) == 6
         # the fine grid only, once per value for its three realizations
         assert los_builds == [100, 100]
-        caches = [ctx.bs_irs._los_cache for ctx in contexts]
-        assert all(c is caches[0] for c in caches[:3])
-        assert all(c is caches[3] for c in caches[3:]) and caches[3] is not caches[0]
-        for ctx in contexts:
+        los = [shared[3] for shared in shares]
+        assert all(a is los[0] for a in los[:3])
+        assert all(a is los[3] for a in los[3:]) and los[3] is not los[0]
+        for ctx, shared_los in zip(contexts, los):
             bs_irs = ctx.bs_irs
             alone = channel.BsIrsModel(bs_irs.geometry, bs_irs.wavelength, bs_irs.clusters)
             assert ctx.fine_columns.nbytes > 256 * 1024
@@ -192,17 +193,17 @@ class TestCellContext:
                 assert columns.tobytes() == alone.matrix(points).tobytes()
             assert (coarse_columns.tobytes()
                     == ctx.fine_columns[:, ctx.coarse_on_fine].tobytes())
-            for shared in bs_irs._los_cache.values():
-                with pytest.raises(ValueError, match="read-only"):
-                    shared[0, 0] = 0
-            if num_paths == 0:
-                with pytest.raises(ValueError, match="read-only"):
-                    ctx.fine_columns[0, 0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                shared_los[0, 0] = 0
+            # a LoS-only cell's columns are its value's shared LoS columns
+            assert (ctx.fine_columns is shared_los) == (num_paths == 0)
 
     def test_cell_on_its_own_builds_private_columns(self, scenario):
-        ctx = _context(scenario)
-        assert ctx.bs_irs._los_cache is None
-        ctx.fine_columns[0, 0] = 0  # nothing shared, so writable
+        ctx, other = _context(scenario), _context(scenario)
+        assert ctx.fine_columns is not other.fine_columns
+        assert ctx.fine_columns.tobytes() == other.fine_columns.tobytes()
+        with pytest.raises(ValueError, match="read-only"):  # as in a sweep
+            ctx.fine_columns[0, 0] = 0
 
     @pytest.mark.parametrize("num_users", [1, 3], ids=["single_user", "multi_user"])
     @pytest.mark.parametrize("arg", ["h_iu", "grid_columns"])
@@ -381,13 +382,26 @@ class TestRunSweep:
                            match="non-negative at region_length=-0.1$"):
             harness.run_sweep(spec, scenario)
 
+    @pytest.mark.parametrize("parameter, values, repeat", [
+        ("bs_irs_distance", (2.0, 4.0, 2), "2"),
+        ("num_paths", (0, 1, 1.0), "1.0"),
+    ], ids=["float_and_int", "int_and_float"])
+    def test_repeated_value_rejected_before_first_cell(self, scenario, monkeypatch,
+                                                       parameter, values, repeat):
+        # its records would pool with those of the first in `summary.csv`
+        monkeypatch.setattr(harness, "run_cell", _no_cell)
+        spec = harness.SweepSpec(parameter=parameter, values=values, realizations=1)
+        with pytest.raises(InvalidParameterError,
+                           match=f"^sweep value repeats an earlier one at {parameter}={repeat}$"):
+            harness.run_sweep(spec, scenario)
+
     def test_one_failed_cell_is_logged(self, scenario, monkeypatch, caplog):
         original = harness.cell_context
 
-        def failing(scen, rng, los_cache=None):
+        def failing(scen, rng, shared=None):
             if scen.bs_distance == 5.0:
                 raise InfeasibleSpacingError("forced")
-            return original(scen, rng, los_cache)
+            return original(scen, rng, shared)
 
         monkeypatch.setattr(harness, "cell_context", failing)
         spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 5.0),
@@ -401,8 +415,27 @@ class TestRunSweep:
         assert "value=5.0 realization=0 failed" in warnings[0].getMessage()
         assert "forced" in warnings[0].getMessage()
 
+    def test_failed_los_build_fails_each_cell_of_its_value(self, scenario, monkeypatch):
+        # nothing is kept from a value whose LoS build raised, so each of its
+        # cells builds again and fails; the load-time checks build no columns
+        original, builds = channel.nusw_los_matrix, []
+
+        def failing(positions, geometry, wavelength):
+            builds.append(len(positions))
+            if np.linalg.norm(positions.mean(axis=0)) < 3:  # the 2 m value
+                raise DegenerateGeometryError("forced")
+            return original(positions, geometry, wavelength)
+
+        monkeypatch.setattr(channel, "nusw_los_matrix", failing)
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 5.0),
+                                 realizations=2, seed=21, schemes=(harness.FPA,))
+        result = harness.run_sweep(spec, scenario)
+        assert result.failed == [(2.0, 0), (2.0, 1)]
+        assert [(r.param, r.realization) for r in result.records] == [(5.0, 0), (5.0, 1)]
+        assert builds == [100, 100, 100]
+
     def test_programming_error_propagates(self, scenario, monkeypatch):
-        def broken(scen, rng, los_cache=None):
+        def broken(scen, rng, shared=None):
             raise TypeError("forced bug")
 
         monkeypatch.setattr(harness, "cell_context", broken)
@@ -695,12 +728,14 @@ class TestCli:
          "sweep realizations must be an integer, got True"),
         ("sweep: {parameter: bs_irs_distance, values: [2.0], seed: false}",
          "sweep seed must be an integer, got False"),
+        ("sweep: {parameter: bs_irs_distance, values: [2.0, 2]}",
+         "sweep value repeats an earlier one at bs_irs_distance=2"),
     ], ids=["bogus_parameter", "unknown_sweep_key", "bad_scenario_value",
             "unknown_scenario_key", "negative_seed", "string_realizations",
             "fractional_seed", "scalar_values", "scalar_schemes", "list_parameter",
             "no_config", "no_sweep_section", "null_sweep_section", "missing_values",
             "scalar_sweep_section", "scalar_scenario_section", "list_config",
-            "bool_realizations", "bool_seed"])
+            "bool_realizations", "bool_seed", "repeated_value"])
     def test_bad_sweep_config_rejected_with_status_2(self, tmp_path, caplog, config,
                                                     message):
         out = tmp_path / "out"
@@ -779,6 +814,29 @@ class TestCli:
         assert not out.exists()
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
             ("irsma.cli", logging.ERROR, f"{command} rejected: {message}")]
+
+    @pytest.mark.parametrize("command", ["sweep", "verify", "profile", "convergence"])
+    @pytest.mark.parametrize("content, detail", [
+        (None, "[Errno 2] No such file or directory: '{path}'"),
+        (b"scenario: {a: [1, 2}\n",
+         "while parsing a flow sequence in \"{path}\", line 1, column 15 expected ',' "
+         "or ']', but got '}}' in \"{path}\", line 1, column 20"),
+        (b"\xff scenario: {}\n",
+         "unacceptable character #x00ff: invalid start byte in \"{path}\", position 0"),
+    ], ids=["missing_file", "bad_yaml", "not_utf8"])
+    def test_unreadable_config_rejected(self, tmp_path, caplog, command, content, detail):
+        # one error line, not a traceback with the status of a failed cell or check
+        cfg = tmp_path / "cfg.yaml"
+        if content is not None:
+            cfg.write_bytes(content)
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("irsma.cli", logging.ERROR,
+             f"{command} rejected: cannot load config {cfg}: {detail.format(path=cfg)}")]
 
     @pytest.mark.parametrize("config", ["sweep: 5", "scenario:\nsweep: {bogus: 1}", ""],
                              ids=["scalar_sweep_section", "null_scenario_section",
@@ -859,10 +917,10 @@ class TestCli:
     def test_failed_cell_sets_exit_status(self, tmp_path, monkeypatch, caplog):
         original = harness.cell_context
 
-        def failing(scen, rng, los_cache=None):
+        def failing(scen, rng, shared=None):
             if scen.bs_distance == 5.0:
                 raise InfeasibleSpacingError("forced")
-            return original(scen, rng, los_cache)
+            return original(scen, rng, shared)
 
         monkeypatch.setattr(harness, "cell_context", failing)
         cfg = tmp_path / "cfg.yaml"

@@ -61,7 +61,7 @@ def test_coarse_grid_is_a_stride_of_the_fine_grid(num_mas, step, data):
     shortest = ((num_mas - 1) * gap + 1) * sample_spacing
     length = data.draw(st.one_of(st.just(0.0), st.just(shortest), st.floats(0.0, 1.0)))
     scenario = Scenario(num_mas=num_mas, region_length=length, sample_spacing=sample_spacing)
-    fine, coarse, on_fine = harness._grids(scenario)
+    fine, coarse, on_fine, _ = harness._shared(scenario)
     k = fine.min_gap
     assert {p.tobytes() for p in coarse.points} <= {p.tobytes() for p in fine.points}
     assert coarse.points.tobytes() == fine.points[on_fine].tobytes()

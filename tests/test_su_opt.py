@@ -248,7 +248,7 @@ class TestSamplingGrid:
                          [harness.apply_parameter(base, sweep["parameter"], v)
                           for v in sweep["values"]])
             for s in scenarios:
-                for grid in harness._grids(s)[:2]:
+                for grid in harness._shared(s)[:2]:
                     want = _reference_fpa_indices(grid, s.num_mas, s.min_spacing)
                     if want is None:
                         with pytest.raises(InfeasibleSpacingError):
