@@ -213,12 +213,28 @@ def scenario_from_dict(d) -> Scenario:
     return _from_section(Scenario, d, "scenario")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """`yaml.SafeLoader` that rejects a key repeated in one mapping, where
+    PyYAML would keep the last value without a word."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        keys = [self.construct_object(key, deep) for key in own]
+        for i, key in enumerate(keys):
+            if key in keys[:i]:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found repeated key {key!r}", own[i].start_mark)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path) -> dict:
-    """Load a YAML config: a mapping from section names to sections. The file
-    is read as bytes, so YAML decodes it (UTF-8 unless a BOM says otherwise)."""
+    """Load a YAML config: a mapping from section names to sections, none of
+    whose keys repeats. The file is read as bytes, so YAML decodes it (UTF-8
+    unless a BOM says otherwise)."""
     try:
         with open(path, "rb") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_UniqueKeyLoader)
     except (OSError, yaml.YAMLError) as exc:
         detail = " ".join(str(exc).split())  # YAML's message spans lines
         raise InvalidParameterError(f"cannot load config {path}: {detail}") from exc

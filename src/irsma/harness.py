@@ -4,7 +4,8 @@ Within one (parameter value, realization) cell every scheme consumes the same ch
 draw: `cell_context` draws it, then builds the sampling grids' channel columns, and
 checks the draw and the columns for non-finite entries, once per cell. The grids
 and the line-of-sight part of the columns depend only on the swept value, so one
-builder makes them, once per value in a sweep. `run_scheme` returns the
+builder makes them, once per value in a sweep, on the value's scenario, which the
+sweep's load-time check builds once. `run_scheme` returns the
 solver's own solution, whose antenna indices number the fine grid for every scheme.
 Randomized initial points come from named substreams, so every cell is a pure
 function of the sweep seed and its indices.
@@ -146,11 +147,11 @@ def cell_context(scenario: Scenario, rng: np.random.Generator,
     return CellContext(h_iu, bs_irs, fine, coarse, on_fine, columns)
 
 
-def _check_layouts_fit(spec: SweepSpec, scenario: Scenario) -> None:
-    """Raise unless every swept value differs from the others, the scenario
-    builds at it, and the fixed layout of `num_mas` antennas fits on its fine
-    grid, and so on the coarse one. Private, so that tracers wrapping every
-    public harness function leave it alone."""
+def _value_scenarios(spec: SweepSpec, scenario: Scenario):
+    """Yield the scenario at each swept value. Raise unless every value differs from
+    the others, the scenario builds at it, and the fixed layout of `num_mas`
+    antennas fits on its fine grid, and so on the coarse one. Private, so
+    that tracers wrapping every public harness function leave it alone."""
     for i, value in enumerate(spec.values):
         try:
             scen = apply_parameter(scenario, spec.parameter, value)
@@ -168,6 +169,7 @@ def _check_layouts_fit(spec: SweepSpec, scenario: Scenario) -> None:
                 f"{scen.num_mas} antennas {grid.min_gap} grid steps apart do not "
                 f"fit on the {grid.num_points}-point fine grid at "
                 f"{spec.parameter}={value}") from exc
+        yield scen
 
 
 def run_scheme(scheme: str, scenario: Scenario, context: CellContext, phi: np.ndarray,
@@ -248,8 +250,10 @@ _WARM_FROM = {MA_RPS: (FPA_RPS,), PROPOSED: (FPA, AS)}
 def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
              realization_index: int, shared: tuple | None = None) -> list[Record]:
     """Run the schemes of `spec` on one channel draw, each from the phases of its
-    warm solution, else the cell's "rps" draw (MA_RPS, FPA_RPS), else its "init" draw."""
-    scen = apply_parameter(scenario, spec.parameter, value)
+    warm solution, else the cell's "rps" draw (MA_RPS, FPA_RPS), else its "init" draw.
+    `scenario` is the sweep's scenario, at `value` already or not."""
+    at_value = getattr(scenario, SWEEPABLE[spec.parameter]) == value
+    scen = scenario if at_value else apply_parameter(scenario, spec.parameter, value)
     context = cell_context(scen, substream(spec.seed, "chan", spec.parameter, value_index,
                                            realization_index), shared)
     solved: dict[str, Solution] = {}
@@ -279,14 +283,14 @@ def run_sweep(spec: SweepSpec, scenario: Scenario) -> SweepResult:
     linear-algebra error is skipped with a logged warning and listed in
     `SweepResult.failed` instead of aborting the sweep; any other exception is
     a bug and propagates."""
-    _check_layouts_fit(spec, scenario)
+    scenarios = list(_value_scenarios(spec, scenario))  # all checked before the first cell
     result = SweepResult(spec=spec)
-    for vi, value in enumerate(spec.values):
+    for vi, (value, scen) in enumerate(zip(spec.values, scenarios)):
         shared = None  # one value's grids and LoS columns, kept for its realizations only
         for r in range(spec.realizations):
             try:
-                shared = shared or _shared(apply_parameter(scenario, spec.parameter, value))
-                result.records.extend(run_cell(scenario, spec, value, vi, r, shared))
+                shared = shared or _shared(scen)
+                result.records.extend(run_cell(scen, spec, value, vi, r, shared))
             except (IrsmaError, np.linalg.LinAlgError) as exc:
                 _log.warning("cell value=%s realization=%s failed: %r", value, r, exc)
                 result.failed.append((float(value), r))

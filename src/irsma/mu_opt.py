@@ -1,10 +1,11 @@
 """Multi-user sum-rate machinery: rates, the regularized-ZF family and its
 far-field closed forms, weighted-MMSE precoding (one eigendecomposition of
-the system matrix per iteration gives both the power test of the
-unconstrained precoder and the multiplier bisection, which runs on Python
-floats), conjugate-gradient optimization of the reflection phases on the
-unit-modulus manifold, and the discrete sequential position search, which
-scores all feasible candidates of an antenna in one batched evaluation."""
+the system matrix per iteration gives the precoder, its power test and the
+exact power multiplier, which a safeguarded Newton iteration finds on Python
+floats; no linear solve, bisection or scale-back), conjugate-gradient
+optimization of the reflection phases on the unit-modulus manifold, and the
+discrete sequential position search, which scores all feasible candidates of
+an antenna in one batched evaluation."""
 
 from __future__ import annotations
 
@@ -21,9 +22,8 @@ from .su_opt import (_MAX_OUTER, _OUTER_TOL, _TINY, _checked_columns, _grid_prod
 if TYPE_CHECKING:
     from .su_opt import SamplingGrid
 
-# Doublings of the multiplier bracket's upper end (starting at 1) before the
-# search gives up; 2**200 is far beyond any multiplier of a physical channel.
-_MAX_DOUBLINGS = 200
+# Newton steps of the power multiplier search before it gives up
+_MAX_NEWTON = 100
 # Relative sum-rate gain at which `wmmse` stops, and its cap on iterations
 _WMMSE_TOL = 1e-6
 _WMMSE_MAX_ITER = 200
@@ -83,6 +83,16 @@ def rzf_rate_far_field(q, powers, num_mas: int, noise_power: float) -> np.ndarra
     return np.log2(1 + num_mas * powers * qsq / (num_mas * qsq * other + noise_power))
 
 
+def _wmmse_weights(hw, noise_power):
+    """MMSE receivers chi, weights kappa = 1 / MSE = 1 + SINR and the sum
+    rate sum_k log2(kappa_k) of the links hw[k, i] = h_k^H w_i."""
+    gains = hw.real ** 2 + hw.imag ** 2
+    total = np.add.reduce(gains, 1) + noise_power
+    signal = gains.diagonal()
+    kappa = 1.0 + signal / (total - signal)
+    return hw.diagonal() / total, kappa, float(np.add.reduce(np.log2(kappa)))
+
+
 def _wmmse_system(h_rows, chi, kappa):
     """A0 = H^H diag(|chi|^2 kappa) H and rhs = H^H diag(chi kappa): the
     precoder for multiplier mu solves (A0 + mu I) W = rhs."""
@@ -90,117 +100,82 @@ def _wmmse_system(h_rows, chi, kappa):
     return (h_herm * (np.abs(chi) ** 2 * kappa)) @ h_rows, h_herm * (chi * kappa)
 
 
-def _wmmse_precoder(a0, rhs, mu):
-    """The precoder (A0 + mu I)^-1 rhs for the system of `_wmmse_system`."""
-    a = mu * np.eye(a0.shape[0], dtype=complex)
-    a += a0
-    if mu == 0:
-        # a can be rank-deficient (K < N, or a user weight driven to zero);
-        # the system stays consistent, so take the minimum-norm solution
-        return np.linalg.pinv(a, hermitian=True) @ rhs
-    return np.linalg.solve(a, rhs)
-
-
-def _power_profile(a0, rhs):
-    """Eigenvalues lam and weights b with ||_wmmse_precoder(mu)||_F^2 =
-    sum_j b_j / (lam_j + mu)^2 for every mu > 0.
-
-    The precoder is (A0 + mu I)^-1 rhs with A0 = U diag(lam) U^H, so its
-    squared norm splits over the eigenvectors: b_j = ||(U^H rhs)_j||^2.
-    """
-    lam, u = np.linalg.eigh(a0)
-    proj = u.conj().T @ rhs
-    # a0 is positive semidefinite; clip rounding below zero
-    return np.maximum(lam, 0.0), np.add.reduce(proj.real ** 2 + proj.imag ** 2, 1)
-
-
-def _pinv_power(lam, b):
-    """||_wmmse_precoder(0)||_F^2 from the profile (lam ascending, as eigh
-    returns it): the minimum-norm precoder inverts only the eigenvalues that
-    np.linalg.pinv keeps, those above 1e-15 lam_max."""
-    kept = lam > 1e-15 * lam[-1]
-    return float(np.add.reduce(b[kept] / lam[kept] ** 2))
+def _wmmse_precoder(u, proj, inv):
+    """U diag(inv) U^H rhs for A0 = U diag(lam) U^H and proj = U^H rhs: the
+    precoder (A0 + mu I)^-1 rhs when inv = 1 / (lam + mu)."""
+    return u @ (proj * inv[:, None])
 
 
 def _power_multiplier(lam, b, power):
-    """Bisection for the multiplier mu > 0 at which the precoder power
-    sum_j b_j / (lam_j + mu)^2 meets `power`; the caller has checked that
-    mu = 0 exceeds it.
+    """The multiplier mu > 0 at which the precoder power p(mu) = sum_j b_j /
+    (lam_j + mu)^2 meets `power` to 1e-12 relative; the caller has checked
+    that the precoder at mu = 0 exceeds it.
 
-    The power is a sequential sum on Python floats. For up to 7 eigenvalues
-    that is bit for bit numpy's sum; from 8 on numpy sums pairwise, so mu
-    may differ from a numpy evaluation in its last bit while still meeting
-    the 1e-6 tolerance.
+    p is convex and decreasing, so Newton's method started at the lower
+    bound max_j sqrt(b_j / power) - lam_j (no single term may exceed the
+    power) climbs to the root. A step that leaves the bracket [lo, hi]
+    bisects it instead; p(hi) <= power at hi = sqrt(sum_j b_j / power), as
+    no lam_j is negative. The sums run on Python floats.
     """
-    terms = list(zip(lam.tolist(), b.tolist()))
-
-    def total_power(mu):
-        total = 0.0
-        for lam_j, b_j in terms:
-            d = lam_j + mu
-            total += b_j / (d * d)
-        return total
-
-    hi = 1.0
-    for _ in range(_MAX_DOUBLINGS):
-        if total_power(hi) <= power:
-            break
-        hi *= 2.0
-    else:
+    terms = [(lam_j, b_j) for lam_j, b_j in zip(lam.tolist(), b.tolist()) if b_j > 0]
+    mu = lo = max([0.0] + [math.sqrt(b_j / power) - lam_j for lam_j, b_j in terms])
+    if lo > 2.0 ** 200:  # far beyond the multiplier of any physical channel
         raise MultiplierBracketError(
-            f"precoder power exceeds {power:.3g} for every multiplier up to {hi / 2:.3g}")
-    lo = 0.0
-    for _ in range(200):
-        mu = 0.5 * (lo + hi)
-        p = total_power(mu)
-        if abs(p - power) <= 1e-6 * power:
+            f"precoder power exceeds {power:.3g} for every multiplier up to {lo:.3g}")
+    hi = math.sqrt(sum(b_j for _, b_j in terms) / power)
+    for _ in range(_MAX_NEWTON):
+        p = slope = 0.0
+        for lam_j, b_j in terms:
+            inv = 1.0 / (lam_j + mu)
+            term = b_j * inv * inv
+            p += term
+            slope += term * inv  # -p'(mu) / 2
+        if abs(p - power) <= 1e-12 * power:
             return mu
-        if p > power:
-            lo = mu
-        else:
-            hi = mu
-    return hi
+        lo, hi = (mu, hi) if p > power else (lo, mu)
+        mu += (p - power) / (2.0 * slope)
+        if not lo < mu < hi:
+            mu = 0.5 * (lo + hi)
+    raise MultiplierBracketError(
+        f"no multiplier meets the power {power:.3g} after {_MAX_NEWTON} steps")
 
 
 def wmmse(h_rows: np.ndarray, w_init: np.ndarray, power: float,
           noise_power: float) -> tuple[np.ndarray, list[float]]:
     """Weighted-MMSE precoding via alternating closed-form updates.
 
-    Each iteration takes one eigendecomposition of the system matrix. It
-    tells whether the minimum-norm precoder at multiplier 0 already meets the
-    power budget; if not, it turns the power into a scalar function of the
-    multiplier, which is bisected. The precoder is then solved once for the
-    chosen multiplier, and scaled down to the budget if the solve overshoots
-    it by more than 1e-6. Returns the final W and the sum-rate trace, which
-    is non-decreasing.
+    Each iteration takes one eigendecomposition A0 = U diag(lam) U^H of the
+    system matrix and builds the precoder in that basis. At multiplier 0 it
+    is the minimum-norm precoder, which inverts only the eigenvalues above
+    1e-15 lam_max, as np.linalg.pinv does. If that exceeds the power budget,
+    a safeguarded Newton iteration finds the exact multiplier, and the
+    precoder meets the budget up to rounding. Each iterate's rate comes from
+    the links that the next iteration's receivers are built from. Returns
+    the final W and the sum-rate trace, which is non-decreasing.
     """
     h_rows = np.atleast_2d(np.asarray(h_rows))
     _require_finite(h_rows=h_rows)
     if not (power > 0 and noise_power > 0):
         raise InvalidParameterError("power and noise_power must be > 0")
     w = np.asarray(w_init, dtype=complex).copy()
-    trace = [sum_rate(h_rows, w, noise_power)]
+    chi, kappa, rate = _wmmse_weights(h_rows @ w, noise_power)
+    trace = [rate]
     for _ in range(_WMMSE_MAX_ITER):
-        hw = h_rows @ w  # (K, K): hw[k, i] = h_k^H w_i
-        own = hw.diagonal()
-        chi = own / (np.add.reduce(np.abs(hw) ** 2, 1) + noise_power)
-        kappa = 1.0 / (1.0 - chi.conj() * own).real
-
         a0, rhs = _wmmse_system(h_rows, chi, kappa)
-        lam, b = _power_profile(a0, rhs)
-        mu = 0.0
-        if _pinv_power(lam, b) > power * (1 + 1e-9):
-            mu = _power_multiplier(lam, b, power)
-        w_new = _wmmse_precoder(a0, rhs, mu)
-        excess = np.vdot(w_new, w_new).real / power
-        if excess > 1 + 1e-6:
-            # an ill-conditioned solve can miss the power the eigenvalues give
-            w_new /= math.sqrt(excess)
-        rate = sum_rate(h_rows, w_new, noise_power)
+        lam, u = np.linalg.eigh(a0)
+        lam = np.maximum(lam, 0.0)  # a0 is positive semidefinite; clip rounding below zero
+        proj = u.conj().T @ rhs
+        b = np.add.reduce(proj.real ** 2 + proj.imag ** 2, 1)
+        # a0 can be rank-deficient (K < N, or a user weight driven to zero)
+        inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 1e-15 * lam[-1])
+        if np.add.reduce(b * inv * inv) > power * (1 + 1e-9):
+            inv = 1.0 / (lam + _power_multiplier(lam, b, power))
+        w_new = _wmmse_precoder(u, proj, inv)
+        chi_new, kappa_new, rate = _wmmse_weights(h_rows @ w_new, noise_power)
         if rate < trace[-1]:
-            # finite bisection tolerance at the fixed point; keep the monotone iterate
+            # rounding at the fixed point; keep the monotone iterate
             break
-        w = w_new
+        w, chi, kappa = w_new, chi_new, kappa_new
         trace.append(rate)
         if trace[-1] - trace[-2] <= _WMMSE_TOL * max(abs(trace[-2]), _TINY):
             break
@@ -369,12 +344,13 @@ def sequential_position_search(cascade_table: np.ndarray, w: np.ndarray,
     w = np.atleast_2d(np.asarray(w))
     indices = list(init_indices)
     num_mas = len(indices)
-    candidates = np.arange(cascade_table.shape[1])
     for n in range(num_mas):
         keep = np.arange(num_mas) != n
         others = np.asarray(indices)[keep]
-        feasible = candidates[np.all(
-            np.abs(candidates[:, None] - others[None, :]) >= min_gap, axis=1)]
+        blocked = np.zeros(cascade_table.shape[1], dtype=bool)
+        for o in others.tolist():  # the indices closer than min_gap to o
+            blocked[max(o - min_gap + 1, 0):o + min_gap] = True
+        feasible = np.flatnonzero(~blocked)
         if len(feasible) == 0:
             continue
         # links[c, k, i] = h_k^H w_i with antenna n at candidate c: the
@@ -383,8 +359,8 @@ def sequential_position_search(cascade_table: np.ndarray, w: np.ndarray,
         links = base[None] + cascade_table[:, feasible].T[:, :, None] * w[n]
         gains = np.abs(links) ** 2
         signal = np.diagonal(gains, axis1=1, axis2=2)
-        interference = np.sum(gains, axis=2) - signal
-        rates = np.sum(np.log2(1 + signal / (interference + noise_power)), axis=1)
+        interference = np.add.reduce(gains, 2) - signal
+        rates = np.add.reduce(np.log2(1 + signal / (interference + noise_power)), 1)
         indices[n] = int(feasible[np.argmax(rates)])
     return indices
 

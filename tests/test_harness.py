@@ -9,12 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from irsma import analysis, channel, harness, mu_opt, su_opt
 from irsma.cli import main as cli_main
-from irsma.config import Scenario
+from irsma.config import Scenario, load_config
 from irsma.errors import DegenerateGeometryError, InfeasibleSpacingError, InvalidParameterError
 from irsma.rng import substream
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -434,6 +437,30 @@ class TestRunSweep:
         assert [(r.param, r.realization) for r in result.records] == [(5.0, 0), (5.0, 1)]
         assert builds == [100, 100, 100]
 
+    def test_one_scenario_per_value(self, scenario, monkeypatch):
+        # the load-time check builds each value's scenario, and every cell of
+        # the value runs on it
+        applied, cells = [], []
+        original_apply, original_cell = harness.apply_parameter, harness.run_cell
+
+        def counting(scen, parameter, value):
+            applied.append(value)
+            return original_apply(scen, parameter, value)
+
+        def recording(scen, *args):
+            cells.append(scen)
+            return original_cell(scen, *args)
+
+        monkeypatch.setattr(harness, "apply_parameter", counting)
+        monkeypatch.setattr(harness, "run_cell", recording)
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 5.0),
+                                 realizations=3, seed=21, schemes=(harness.FPA,))
+        result = harness.run_sweep(spec, scenario)
+        assert not result.failed and len(result.records) == 6
+        assert applied == [2.0, 5.0]
+        assert [scen.bs_distance for scen in cells] == [2.0] * 3 + [5.0] * 3
+        assert cells[0] is cells[2] and cells[3] is cells[5]
+
     def test_programming_error_propagates(self, scenario, monkeypatch):
         def broken(scen, rng, shared=None):
             raise TypeError("forced bug")
@@ -837,6 +864,38 @@ class TestCli:
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
             ("irsma.cli", logging.ERROR,
              f"{command} rejected: cannot load config {cfg}: {detail.format(path=cfg)}")]
+
+    @pytest.mark.parametrize("command", ["sweep", "verify", "profile", "convergence"])
+    @pytest.mark.parametrize("config, key, mapping_at, key_at", [
+        ("scenario: {irs_num_y: 6, irs_num_z: 6, num_mas: 4, num_mas: 2}\n"
+         "sweep: {parameter: bs_irs_distance, values: [2.0], realizations: 1}\n",
+         "num_mas", (1, 11), (1, 52)),
+        ("scenario: {irs_num_y: 6, irs_num_z: 6}\n"
+         "sweep: {parameter: bs_irs_distance, values: [2.0], realizations: 1}\n"
+         "sweep: {parameter: bs_irs_distance, values: [3.0], realizations: 1}\n",
+         "sweep", (1, 1), (3, 1)),
+    ], ids=["scenario_key", "sweep_section"])
+    def test_repeated_key_rejected(self, tmp_path, caplog, command, config, key,
+                                   mapping_at, key_at):
+        # PyYAML would keep the last of the two values without a word
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        detail = (f"while constructing a mapping in \"{cfg}\", line {mapping_at[0]}, "
+                  f"column {mapping_at[1]} found repeated key '{key}' in \"{cfg}\", "
+                  f"line {key_at[0]}, column {key_at[1]}")
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("irsma.cli", logging.ERROR,
+             f"{command} rejected: cannot load config {cfg}: {detail}")]
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_shipped_config_loads_as_plain_yaml(self, path):
+        with open(path, "rb") as fh:
+            assert load_config(path) == yaml.safe_load(fh)
 
     @pytest.mark.parametrize("config", ["sweep: 5", "scenario:\nsweep: {bogus: 1}", ""],
                              ids=["scalar_sweep_section", "null_scenario_section",
