@@ -153,7 +153,7 @@ def verify_far_field_no_gain(scenario: Scenario) -> Report:
     q = beta * (h_iu.conj() * phi) @ u
 
     regs = {"MRT": 1e8 * float(np.sum(np.abs(q) ** 2)) * num_mas,
-            "ZF": None,  # pseudoinverse limit of the regularizer -> 0
+            "ZF": 0.0,  # the pseudoinverse, as the far-field Gram matrix has rank 1
             "MMSE": sigma2, "RZF": sigma2 / 2}
 
     def pipeline_rates(reg):
@@ -161,12 +161,7 @@ def verify_far_field_no_gain(scenario: Scenario) -> Report:
         h_bi = channel.far_field_bs_irs(region.point(offsets), geometry, arrival, dep,
                                         beta, lam)
         rows = np.vstack([channel.cascaded_row(h_iu[i], phi, h_bi) for i in range(k)])
-        if reg is None:
-            dirs = rows.conj().T @ np.linalg.pinv(rows @ rows.conj().T, hermitian=True)
-            w = dirs / np.linalg.norm(dirs, axis=0, keepdims=True) * np.sqrt(powers)
-        else:
-            w = rzf(rows, reg, powers)
-        return _user_rates(rows, w, sigma2)
+        return _user_rates(rows, rzf(rows, reg, powers), sigma2)
 
     closed = rzf_rate_far_field(q, powers, num_mas, sigma2)
     for name, reg in regs.items():

@@ -10,8 +10,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, harness, su_opt
 from .config import Scenario, load_config, scenario_from_dict
 from .errors import InvalidParameterError, IrsmaError
@@ -100,15 +98,13 @@ def cmd_convergence(args) -> int:
     context = harness.cell_context(scenario, rng)
     phi = su_opt.random_reflection(rng, context.h_iu.shape[1])
     sol = harness.run_scheme(harness.PROPOSED, scenario, context, phi)
-    trace = ([float(np.log2(1 + g)) for g in sol.trace] if scenario.num_users == 1
-             else sol.trace)
     with open(_outdir(args) / "convergence.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "sum_rate"])
-        for i, v in enumerate(trace):
+        for i, v in enumerate(sol.trace):
             writer.writerow([i, repr(v)])
     print(f"converged in {sol.iterations} outer iterations, "
-          f"final rate {trace[-1]:.4f} bits/s/Hz")
+          f"final rate {sol.trace[-1]:.4f} bits/s/Hz")
     return 0
 
 

@@ -159,6 +159,8 @@ class Scenario:
             raise InvalidParameterError("powers must be positive")
         if self.rician_factor < 0 or self.num_paths < 0:
             raise InvalidParameterError("rician factor and path count must be >= 0")
+        if self.bs_distance <= 0:  # else the base station sits on or behind the surface
+            raise InvalidParameterError("bs_distance must be positive")
         if min(self.user_distance_range) <= 0:
             raise InvalidParameterError("user distances must be positive")
         if min(self.scatterer_box_size) <= 0:  # checked even if no path uses it

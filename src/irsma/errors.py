@@ -18,7 +18,7 @@ class DegenerateChannelError(IrsmaError):
 
 
 class SingularMatrixError(IrsmaError):
-    """A matrix that must be inverted is singular (e.g. ZF with rank-deficient Gram)."""
+    """A precoder has a zero direction, which cannot be normalized."""
 
 
 class InfeasibleSpacingError(IrsmaError):
@@ -26,4 +26,5 @@ class InfeasibleSpacingError(IrsmaError):
 
 
 class MultiplierBracketError(IrsmaError):
-    """The WMMSE power multiplier could not be bracketed within the doubling cap."""
+    """No WMMSE power multiplier meets the power budget: the Newton iteration's
+    lower bound exceeds 2**200, or it runs out of steps."""

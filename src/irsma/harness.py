@@ -39,8 +39,6 @@ SWEEPABLE = {"bs_irs_distance": "bs_distance", "region_length": "region_length",
 
 _log = logging.getLogger(__name__)
 
-Solution = su_opt.SuSolution | mu_opt.MuSolution
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -173,7 +171,7 @@ def _value_scenarios(spec: SweepSpec, scenario: Scenario):
 
 
 def run_scheme(scheme: str, scenario: Scenario, context: CellContext, phi: np.ndarray,
-               *, warm: Solution | None = None) -> Solution:
+               *, warm: su_opt.Solution | None = None) -> su_opt.Solution:
     """Run one benchmark scheme from the start reflection `phi` on the channel
     draw of `context`, and return the solver's solution; MA_RPS and FPA_RPS
     keep `phi` unchanged. The solution's `indices` number the fine grid, AS's
@@ -256,7 +254,7 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
     scen = scenario if at_value else apply_parameter(scenario, spec.parameter, value)
     context = cell_context(scen, substream(spec.seed, "chan", spec.parameter, value_index,
                                            realization_index), shared)
-    solved: dict[str, Solution] = {}
+    solved: dict[str, su_opt.Solution] = {}
     records = []
     for scheme in [s for s in _CELL_ORDER if s in spec.schemes]:
         warm = max((solved[s] for s in _WARM_FROM.get(scheme, ()) if s in solved),

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InvalidParameterError, MultiplierBracketError, SingularMatrixError
-from .su_opt import (_MAX_OUTER, _OUTER_TOL, _TINY, _checked_columns, _grid_product,
-                     _index_gap, _require_finite)
-
-if TYPE_CHECKING:
-    from .su_opt import SamplingGrid
+from .su_opt import (_MAX_OUTER, _OUTER_TOL, _TINY, SamplingGrid, Solution,
+                     _checked_columns, _grid_product, _index_gap, _require_finite)
 
 # Newton steps of the power multiplier search before it gives up
 _MAX_NEWTON = 100
@@ -55,7 +51,8 @@ def sum_rate(h_rows: np.ndarray, w: np.ndarray, noise_power: float) -> float:
 def rzf(h_rows: np.ndarray, reg: float, powers) -> np.ndarray:
     """Regularized-ZF precoding matrix (N, K); columns carry power p_k.
 
-    reg = 0 is ZF (requires invertible Gram), reg = noise power is MMSE, and
+    reg = 0 is ZF, through the pseudoinverse of the Gram matrix, which is
+    defined when that is rank-deficient; reg = noise power is MMSE, and
     reg -> infinity approaches the matched-filter direction.
     """
     h_rows = np.atleast_2d(np.asarray(h_rows))
@@ -63,10 +60,9 @@ def rzf(h_rows: np.ndarray, reg: float, powers) -> np.ndarray:
     if reg < 0:
         raise InvalidParameterError("regularizer must be >= 0")
     gram = h_rows @ h_rows.conj().T
-    a = gram + reg * np.eye(h_rows.shape[0])
-    if reg == 0 and np.linalg.cond(gram) > 1e12:
-        raise SingularMatrixError("channel Gram matrix is singular; ZF undefined")
-    directions = h_rows.conj().T @ np.linalg.inv(a)
+    inverse = (np.linalg.pinv(gram, hermitian=True) if reg == 0
+               else np.linalg.inv(gram + reg * np.eye(h_rows.shape[0])))
+    directions = h_rows.conj().T @ inverse
     norms = np.linalg.norm(directions, axis=0)
     if np.any(norms == 0):
         raise SingularMatrixError("zero precoding direction")
@@ -365,23 +361,10 @@ def sequential_position_search(cascade_table: np.ndarray, w: np.ndarray,
     return indices
 
 
-@dataclass
-class MuSolution:
-    """Outcome of the multi-user alternating loop."""
-
-    w: np.ndarray
-    phi: np.ndarray
-    positions: np.ndarray
-    indices: list[int]
-    rate: float  # the sum rate, bits/s/Hz
-    trace: list[float]
-    iterations: int
-
-
 def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices,
                   power: float, noise_power: float, *, min_spacing: float,
                   w_init=None, optimize_phi: bool = True,
-                  optimize_positions: bool = True) -> MuSolution:
+                  optimize_positions: bool = True) -> Solution:
     """Alternate precoding (WMMSE), reflection (manifold CG) and positions (sequential
     grid search); the sum-rate trace is non-decreasing. `grid_columns` (M, L) holds the
     channel column of every grid point; `harness.cell_context` checks it and `h_iu` to be
@@ -425,5 +408,5 @@ def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices
         trace.append(rate)
         if abs(trace[-1] - trace[-2]) <= _OUTER_TOL * max(abs(trace[-2]), _TINY):
             break
-    return MuSolution(w=w, phi=phi, positions=grid.points[indices], indices=indices,
-                      rate=trace[-1], trace=trace, iterations=len(trace) - 1)
+    return Solution(w=w, phi=phi, positions=grid.points[indices], indices=indices,
+                    rate=trace[-1], trace=trace, iterations=len(trace) - 1)

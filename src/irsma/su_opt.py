@@ -289,29 +289,34 @@ def _grid_product(x, grid_columns: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SuSolution:
-    """Outcome of the single-user alternating loop."""
+class Solution:
+    """Outcome of either alternating loop: this module's single-user one, whose
+    `w` is the unit-norm matched beamformer (N,) that the power P scales, and
+    `mu_opt.ao_multi_user`, whose `w` is the precoder (N, K). `rate` and the
+    outer-loop `trace` are in bits/s/Hz."""
 
+    w: np.ndarray
     phi: np.ndarray
     positions: np.ndarray
     indices: list[int]
-    beamformer: np.ndarray
-    snr: float
+    rate: float
     trace: list[float]
     iterations: int
 
     @property
-    def rate(self) -> float:  # bits/s/Hz
-        return float(np.log2(1 + self.snr))
+    def beamformer(self) -> np.ndarray:
+        """`w`, for perfbench/tracing.py alone; goes with ROADMAP item 1."""
+        return self.w
 
 
 def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
                    init_indices, power: float, noise_power: float, *,
                    optimize_phi: bool = True,
-                   optimize_positions: bool = True) -> SuSolution:
+                   optimize_positions: bool = True) -> Solution:
     """Alternate reflection BCD and optimal grid placement with matched transmit
-    beamforming; the SNR trace is non-decreasing. `grid_columns` (M, L) holds the channel
-    column of every grid point; `harness.cell_context` checks it and `h_iu` to be finite."""
+    beamforming; the loop stops on the SNR, and the rate trace is non-decreasing.
+    `grid_columns` (M, L) holds the channel column of every grid point;
+    `harness.cell_context` checks it and `h_iu` to be finite."""
     _require_finite(phi_init=phi_init)
     h_iu = np.asarray(h_iu)
     grid_columns = _checked_columns(grid_columns, grid)
@@ -340,9 +345,10 @@ def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
 
     h_sel = grid_columns[:, indices]
     w = mrt(h_iu, phi, h_sel)
-    return SuSolution(phi=phi, positions=grid.points[indices], indices=indices,
-                      beamformer=w, snr=snr(h_iu, phi, h_sel, w, power, noise_power),
-                      trace=trace, iterations=len(trace) - 1)
+    return Solution(w=w, phi=phi, positions=grid.points[indices], indices=indices,
+                    rate=float(np.log2(1 + snr(h_iu, phi, h_sel, w, power, noise_power))),
+                    trace=[float(np.log2(1 + g)) for g in trace],
+                    iterations=len(trace) - 1)
 
 
 def fpa_indices(grid: SamplingGrid, num_mas: int) -> list[int]:

@@ -265,9 +265,20 @@ class TestRunScheme:
 
     def test_single_user_rate_is_log_snr(self):
         s = Scenario(irs_num_y=6, irs_num_z=6, num_users=1, master_seed=4)
-        sol = harness.run_scheme(harness.FPA, s, _context(s, seed=4), _start(4, "i"))
+        context = _context(s, seed=4)
+        sol = harness.run_scheme(harness.FPA, s, context, _start(4, "i"))
         assert sol.rate > 0
-        assert sol.snr == pytest.approx(2 ** sol.rate - 1, rel=1e-9)
+        gamma = su_opt.snr(context.h_iu[0], sol.phi, context.fine_columns[:, sol.indices],
+                           sol.w, s.transmit_power, s.noise_power)
+        assert sol.rate == np.log2(1 + gamma)
+
+    @pytest.mark.parametrize("num_users", [1, 3])
+    def test_both_loops_return_one_solution_type(self, scenario, num_users):
+        s = scenario.replace(num_users=num_users)
+        sol = harness.run_scheme(harness.FPA, s, _context(s), _start(0, "i"))
+        assert type(sol) is su_opt.Solution
+        assert sol.w.shape == ((s.num_mas,) if num_users == 1 else (s.num_mas, num_users))
+        assert {type(v) for v in [sol.rate, *sol.trace]} == {float}
 
     @pytest.mark.parametrize("scheme", [harness.MA_RPS, harness.FPA_RPS])
     def test_random_phase_schemes_keep_their_start(self, scenario, scheme):
@@ -718,6 +729,44 @@ class TestCli:
         assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
         assert caplog.records[0].getMessage() == (
             f"{command} rejected: region length must be non-negative")
+
+    @pytest.mark.parametrize("distance", [0.0, -2.0])
+    @pytest.mark.parametrize("command", ["sweep", "verify", "profile", "convergence"])
+    def test_nonpositive_bs_distance_rejected_at_load(self, tmp_path, monkeypatch, caplog,
+                                                      command, distance):
+        # a base station on or behind the surface has no link to model
+        monkeypatch.setattr(harness, "run_cell", _no_cell)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            f"scenario: {{irs_num_y: 6, irs_num_z: 6, bs_distance: {distance}}}\n"
+            f"sweep: {{parameter: bs_irs_distance, values: [2.0], realizations: 1}}\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
+        assert caplog.records[0].getMessage() == (
+            f"{command} rejected: bs_distance must be positive")
+
+    @pytest.mark.parametrize("distance", [0.0, -2.0])
+    def test_nonpositive_swept_bs_distance_rejected_at_load(self, tmp_path, monkeypatch,
+                                                            caplog, distance):
+        # rejected before the first cell, with no partial records
+        monkeypatch.setattr(harness, "run_cell", _no_cell)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "scenario: {irs_num_y: 6, irs_num_z: 6, region_length: 0.606}\n"
+            f"sweep: {{parameter: bs_irs_distance, values: [{distance}, 2.0],"
+            " realizations: 1}\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
+        assert caplog.records[0].getMessage() == (
+            f"sweep rejected: bs_distance must be positive at bs_irs_distance={distance}")
 
     @pytest.mark.parametrize("config, message", [
         ("sweep: {parameter: bogus, values: [1.0]}",

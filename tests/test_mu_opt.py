@@ -97,10 +97,17 @@ class TestRzf:
         w = mu_opt.rzf(h, 0.3, powers)
         np.testing.assert_allclose(np.linalg.norm(w, axis=0) ** 2, powers, rtol=1e-10)
 
-    def test_singular_zf_raises(self):
+    def test_rank_one_zf_is_the_pseudoinverse(self):
         h = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)  # rank 1
+        powers = np.array([1.0, 2.0])
+        dirs = h.conj().T @ np.linalg.pinv(h @ h.conj().T, hermitian=True)
+        expected = dirs / np.linalg.norm(dirs, axis=0) * np.sqrt(powers)
+        assert mu_opt.rzf(h, 0.0, powers).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("reg", [0.0, 1.0])
+    def test_zero_direction_raises(self, reg):
         with pytest.raises(SingularMatrixError):
-            mu_opt.rzf(h, 0.0, np.ones(2))
+            mu_opt.rzf(np.zeros((2, 3), dtype=complex), reg, np.ones(2))
 
     def test_negative_reg_rejected(self, rng):
         with pytest.raises(InvalidParameterError):
@@ -200,7 +207,7 @@ class TestWmmse:
             mu_opt.wmmse(h, h.conj().T, power, noise_power)
 
     def test_unbracketable_multiplier_raises(self, rng):
-        # the multiplier that meets this power lies far beyond the doubling cap
+        # the multiplier that meets this power lies far beyond the 2**200 cap
         h = _random_rows(rng, 3, 4)
         with pytest.raises(MultiplierBracketError):
             mu_opt.wmmse(h, h.conj().T, 1e-300, 1.0)

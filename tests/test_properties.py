@@ -97,7 +97,7 @@ def test_solvers_keep_their_invariants(scenario):
         np.testing.assert_allclose(np.abs(sol.phi), 1.0, rtol=0, atol=1e-9)
         assert np.all(np.diff(np.sort(sol.indices)) >= grid.min_gap)
     assert np.sum(np.abs(mu.w) ** 2) <= power * (1 + 1e-6)
-    assert np.sum(np.abs(su.beamformer) ** 2) <= 1 + 1e-6
+    assert np.sum(np.abs(su.w) ** 2) <= 1 + 1e-6
 
 
 @st.composite

@@ -92,6 +92,15 @@ def _scoped(node: ast.AST, scope: str = ""):
             yield from _scoped(child, scope)
 
 
+def test_nothing_reads_the_beamformer_alias():
+    # `Solution.beamformer` stays only for perfbench/tracing.py; the package and
+    # the tests read `w`
+    tests = Path(__file__).resolve().parent
+    trees = [*_modules().values(), *(ast.parse(p.read_text()) for p in tests.glob("*.py"))]
+    assert not [n for tree in trees for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and n.attr == "beamformer"]
+
+
 def test_only_run_scheme_enters_the_alternating_loops():
     callers = {f"{module}.{scope or '<module>'}" for module, tree in _modules().items()
                for scope, node in _scoped(tree) if isinstance(node, ast.Call)
