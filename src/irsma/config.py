@@ -180,7 +180,9 @@ class Scenario:
         object.__setattr__(self, "region_axis", tuple(_unit(self.region_axis)))
         # their checks (positive element counts, a non-negative length) run at load
         self.geometry()
-        self.region()
+        ends = self.region().point([-self.region_length / 2, self.region_length / 2])
+        if min(ends[:, 0]) <= 0:  # an antenna there would sit on or behind the surface
+            raise InvalidParameterError("transmit region must lie in front of the surface")
 
     @property
     def wavelength(self) -> float:

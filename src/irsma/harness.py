@@ -8,7 +8,9 @@ builder makes them, once per value in a sweep, on the value's scenario, which th
 sweep's load-time check builds once. `run_scheme` returns the
 solver's own solution, whose antenna indices number the fine grid for every scheme.
 Randomized initial points come from named substreams, so every cell is a pure
-function of the sweep seed and its indices.
+function of the sweep seed and its indices. FPA and AS start from one reflection
+per cell, so they solve one problem where their positions agree, and the cell's
+solve cache hands AS each solve that repeats one of FPA's.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class CellContext:
     uses, and the fine grid's channel columns, (M, L). The coarse points are
     fine points, so their columns are a slice of those. A LoS-only cell's
     columns are the read-only LoS columns that the cells of its swept value
-    share."""
+    share. `solves` is the cell's solve cache (`su_opt._solved`)."""
 
     h_iu: np.ndarray  # (K, M)
     bs_irs: channel.BsIrsModel
@@ -111,6 +113,7 @@ class CellContext:
     coarse: su_opt.SamplingGrid
     coarse_on_fine: np.ndarray  # the fine index of each coarse point
     fine_columns: np.ndarray
+    solves: dict = field(default_factory=dict, repr=False, compare=False)
 
     def grid(self, scheme: str) -> tuple[su_opt.SamplingGrid, np.ndarray]:
         if scheme == AS:
@@ -175,7 +178,8 @@ def run_scheme(scheme: str, scenario: Scenario, context: CellContext, phi: np.nd
     """Run one benchmark scheme from the start reflection `phi` on the channel
     draw of `context`, and return the solver's solution; MA_RPS and FPA_RPS
     keep `phi` unchanged. The solution's `indices` number the fine grid, AS's
-    too.
+    too. Solves with byte-identical inputs to an earlier one of the cell, such
+    as AS's first ones after FPA's from the same start, reuse its result.
 
     `warm` is an optional solution of another scheme on the same cell whose
     antenna positions (and, for several users, precoder) are the starting
@@ -193,13 +197,15 @@ def run_scheme(scheme: str, scenario: Scenario, context: CellContext, phi: np.nd
         sol = su_opt.ao_single_user(
             context.h_iu[0], grid_columns, grid, phi, idx0,
             scenario.transmit_power, scenario.noise_power,
-            optimize_phi=optimize_phi, optimize_positions=optimize_positions)
+            optimize_phi=optimize_phi, optimize_positions=optimize_positions,
+            solves=context.solves)
     else:
         sol = mu_opt.ao_multi_user(
             context.h_iu, grid_columns, grid, phi, idx0, scenario.transmit_power,
             scenario.noise_power, min_spacing=scenario.min_spacing,
             w_init=None if warm is None else warm.w,
-            optimize_phi=optimize_phi, optimize_positions=optimize_positions)
+            optimize_phi=optimize_phi, optimize_positions=optimize_positions,
+            solves=context.solves)
     if scheme == AS:  # its solver numbers the coarse points
         sol.indices = context.coarse_on_fine[sol.indices].tolist()
     return sol
@@ -248,8 +254,9 @@ _WARM_FROM = {MA_RPS: (FPA_RPS,), PROPOSED: (FPA, AS)}
 def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
              realization_index: int, shared: tuple | None = None) -> list[Record]:
     """Run the schemes of `spec` on one channel draw, each from the phases of its
-    warm solution, else the cell's "rps" draw (MA_RPS, FPA_RPS), else its "init" draw.
-    `scenario` is the sweep's scenario, at `value` already or not."""
+    warm solution, else the cell's "rps" draw (MA_RPS, FPA_RPS), else its one "init"
+    draw (FPA, AS, and PROPOSED without them), so that the schemes it compares share
+    their start. `scenario` is the sweep's scenario, at `value` already or not."""
     at_value = getattr(scenario, SWEEPABLE[spec.parameter]) == value
     scen = scenario if at_value else apply_parameter(scenario, spec.parameter, value)
     context = cell_context(scen, substream(spec.seed, "chan", spec.parameter, value_index,
@@ -263,7 +270,7 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
             phi = warm.phi
         else:
             tags = (("rps", value_index, realization_index) if scheme in (MA_RPS, FPA_RPS)
-                    else ("init", value_index, realization_index, scheme))
+                    else ("init", value_index, realization_index, FPA))
             phi = su_opt.random_reflection(substream(spec.seed, *tags),
                                            context.h_iu.shape[1])
         solved[scheme] = sol = run_scheme(scheme, scen, context, phi, warm=warm)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, MultiplierBracketError, SingularMatrixError
 from .su_opt import (_MAX_OUTER, _OUTER_TOL, _TINY, SamplingGrid, Solution,
-                     _checked_columns, _grid_product, _index_gap, _require_finite)
+                     _checked_columns, _grid_product, _index_gap, _require_finite, _solved)
 
 # Newton steps of the power multiplier search before it gives up
 _MAX_NEWTON = 100
@@ -363,8 +363,8 @@ def sequential_position_search(cascade_table: np.ndarray, w: np.ndarray,
 
 def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices,
                   power: float, noise_power: float, *, min_spacing: float,
-                  w_init=None, optimize_phi: bool = True,
-                  optimize_positions: bool = True) -> Solution:
+                  w_init=None, optimize_phi: bool = True, optimize_positions: bool = True,
+                  solves: dict | None = None) -> Solution:
     """Alternate precoding (WMMSE), reflection (manifold CG) and positions (sequential
     grid search); the sum-rate trace is non-decreasing. `grid_columns` (M, L) holds the
     channel column of every grid point; `harness.cell_context` checks it and `h_iu` to be
@@ -396,10 +396,10 @@ def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices
     trace = [sum_rate(table[:, indices], w, noise_power)]
     for _ in range(_MAX_OUTER):
         h = table[:, indices]
-        w, _ = wmmse(h, w, power, noise_power)
+        w = _solved(solves, wmmse, h, w, power, noise_power)
         if optimize_phi:
-            phi, _ = manifold_cg(h_iu, grid_columns[:, indices], w, phi,
-                                 noise_power)
+            phi = _solved(solves, manifold_cg, h_iu, grid_columns[:, indices], w, phi,
+                          noise_power)
             table = cascades(phi)
         if optimize_positions:
             indices = sequential_position_search(table, w, grid.min_gap,

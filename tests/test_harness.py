@@ -306,8 +306,8 @@ class TestRunScheme:
 
 class TestCellStarts:
     """`run_cell` starts each scheme from the phases of its warm run if it has
-    one, else from the cell's "rps" draw (MA_RPS, FPA_RPS), else from its own
-    "init" draw."""
+    one, else from the cell's "rps" draw (MA_RPS, FPA_RPS), else from the cell's
+    one "init" draw, which keeps FPA's tag whichever scheme draws it."""
 
     @pytest.mark.parametrize("num_users", [1, 3])
     @pytest.mark.parametrize("schemes, starts", [
@@ -339,7 +339,126 @@ class TestCellStarts:
             if starts[scheme].endswith("rps"):
                 assert phi.tobytes() == _start(5, "rps", 0, 0).tobytes()
             elif starts[scheme] == "init":
-                assert phi.tobytes() == _start(5, "init", 0, 0, scheme).tobytes()
+                assert phi.tobytes() == _start(5, "init", 0, 0, harness.FPA).tobytes()
+
+
+class TestZeroGainControls:
+    """Where moving the antennas cannot raise the sum rate, PROPOSED may not beat
+    FPA: FPA and AS share their start, so a gap here would be start noise."""
+
+    @staticmethod
+    def _worst_gain(scen) -> float:
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 5.0),
+                                 realizations=5, seed=7)
+        result = harness.run_sweep(spec, scen)
+        cells = {}
+        for r in result.records:
+            cells.setdefault((r.param, r.realization), {})[r.scheme] = r.rate
+        assert not result.failed and len(cells) == 10
+        return max(cell[harness.PROPOSED] - cell[harness.FPA] for cell in cells.values())
+
+    def test_one_point_region(self):
+        # every scheme's one antenna stays at the region center
+        scen = Scenario(irs_num_y=6, irs_num_z=6, num_mas=1, num_users=3, region_length=0.0)
+        assert self._worst_gain(scen) <= 1e-5
+
+    def test_rank_one_far_field_channel(self, monkeypatch):
+        # columns g u v(t)^H: moving an antenna turns only its column's phase,
+        # which the precoder absorbs
+        original = harness.draw_realization
+
+        class FarFieldModel:
+            def __init__(self, scen):
+                self.scen = scen
+
+            def matrix(self, positions, los=None):
+                s = self.scen
+                center = s.region().center_array
+                return channel.far_field_bs_irs(
+                    positions, s.geometry(), [1.0, 0.0, 0.0], -center / np.linalg.norm(center),
+                    s.wavelength / (4 * np.pi * s.bs_distance), s.wavelength)
+
+        def drawing(scen, rng):
+            return original(scen, rng)[0], FarFieldModel(scen)
+
+        monkeypatch.setattr(harness, "draw_realization", drawing)
+        assert self._worst_gain(Scenario(irs_num_y=6, irs_num_z=6, num_users=3)) <= 1e-5
+
+
+# one cell of the single-user multipath sweep and one of the multi-user LoS sweep
+_CACHE_CELLS = {
+    "k1_multipath": Scenario(num_users=1, num_paths=8, user_distance_range=(30.0, 30.0)),
+    "k3_los": Scenario(num_users=3, num_paths=0),
+}
+
+
+def _run_cell_at_2m(monkeypatch, scen):
+    """The records of one cell at 2 m, and the solution of each scheme."""
+    solutions, original = {}, harness.run_scheme
+
+    def recording(scheme, *args, **kwargs):
+        solutions[scheme] = original(scheme, *args, **kwargs)
+        return solutions[scheme]
+
+    monkeypatch.setattr(harness, "run_scheme", recording)
+    spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,), realizations=1)
+    return harness.run_cell(scen, spec, 2.0, 0, 0), solutions
+
+
+class TestSolveCache:
+    """`run_scheme` solves through the cell's cache, `su_opt._solved`."""
+
+    @pytest.mark.parametrize("cell", sorted(_CACHE_CELLS))
+    def test_reuse_changes_no_byte(self, monkeypatch, cell):
+        records, solutions = _run_cell_at_2m(monkeypatch, _CACHE_CELLS[cell])
+
+        def straight(solves, solver, *args):
+            return solver(*args)[0]
+
+        for module in (su_opt, mu_opt):
+            monkeypatch.setattr(module, "_solved", straight)
+        records_off, solutions_off = _run_cell_at_2m(monkeypatch, _CACHE_CELLS[cell])
+        assert records == records_off and solutions.keys() == solutions_off.keys()
+        for scheme, sol in solutions.items():
+            off = solutions_off[scheme]
+            assert sol.phi.tobytes() == off.phi.tobytes(), scheme
+            assert sol.w.tobytes() == off.w.tobytes(), scheme
+            assert sol.indices == off.indices and sol.trace == off.trace, scheme
+
+    @pytest.mark.parametrize("cell, solvers", [("k1_multipath", ("bcd_irs",)),
+                                               ("k3_los", ("wmmse", "manifold_cg"))])
+    def test_as_reuses_its_first_solves(self, monkeypatch, cell, solvers):
+        # AS starts where FPA does, on the same antenna positions, so its first
+        # solves repeat FPA's
+        calls, schemes = [], []
+        original_solved, original_run = su_opt._solved, harness.run_scheme
+
+        def counting(solves, solver, *args):
+            stored = len(solves)
+            result = original_solved(solves, solver, *args)
+            calls.append((schemes[-1], solver.__name__, len(solves) == stored))
+            return result
+
+        def running(scheme, *args, **kwargs):
+            schemes.append(scheme)
+            return original_run(scheme, *args, **kwargs)
+
+        for module in (su_opt, mu_opt):
+            monkeypatch.setattr(module, "_solved", counting)
+        monkeypatch.setattr(harness, "run_scheme", running)
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,), realizations=1)
+        harness.run_cell(_CACHE_CELLS[cell], spec, 2.0, 0, 0)
+        for name in solvers:
+            hits = [hit for scheme, solver, hit in calls if solver == name]
+            first_as = [hit for scheme, solver, hit in calls
+                        if solver == name and scheme == harness.AS][0]
+            assert first_as and not hits[0], name
+
+    def test_stored_results_are_read_only(self, monkeypatch):
+        _, solutions = _run_cell_at_2m(monkeypatch, _CACHE_CELLS["k3_los"])
+        for sol in (solutions[harness.FPA], solutions[harness.AS]):
+            with pytest.raises(ValueError, match="read-only"):
+                sol.phi[0] = 1.0
 
 
 class TestCellOrderings:
@@ -767,6 +886,41 @@ class TestCli:
         assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
         assert caplog.records[0].getMessage() == (
             f"sweep rejected: bs_distance must be positive at bs_irs_distance={distance}")
+
+    @pytest.mark.parametrize("command", ["sweep", "verify", "profile", "convergence"])
+    def test_region_behind_the_surface_rejected_at_load(self, tmp_path, monkeypatch, caplog,
+                                                        command):
+        # at 0.2 m, 26 of the 0.6 m segment's 100 fine points lie at x < 0
+        monkeypatch.setattr(harness, "run_cell", _no_cell)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "scenario: {irs_num_y: 6, irs_num_z: 6, num_users: 1, bs_distance: 0.2}\n"
+            "sweep: {parameter: bs_irs_distance, values: [2.0], realizations: 1}\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
+        assert caplog.records[0].getMessage() == (
+            f"{command} rejected: transmit region must lie in front of the surface")
+
+    def test_swept_region_behind_the_surface_rejected_at_load(self, tmp_path, monkeypatch,
+                                                              caplog):
+        monkeypatch.setattr(harness, "run_cell", _no_cell)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(
+            "scenario: {irs_num_y: 6, irs_num_z: 6, num_users: 1}\n"
+            "sweep: {parameter: bs_irs_distance, values: [2.0, 0.2], realizations: 1}\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
+        assert caplog.records[0].getMessage() == (
+            "sweep rejected: transmit region must lie in front of the surface"
+            " at bs_irs_distance=0.2")
 
     @pytest.mark.parametrize("config, message", [
         ("sweep: {parameter: bogus, values: [1.0]}",

@@ -1150,11 +1150,10 @@ class TestManifoldCgConvergence:
 
 @pytest.fixture(scope="module")
 def los_solver_calls():
-    """The arguments of every `wmmse` and `manifold_cg` call that two
-    line-of-sight sweep cells (K=3, N=4, M=225, at 2 and 6 m) make."""
+    """The arguments of every `wmmse` and `manifold_cg` call that four
+    line-of-sight sweep cells (K=3, N=4, M=225, at 2 and 6 m, sweep seeds 3 and
+    4) make; a solve that a cell's cache supplies makes no call."""
     base = Scenario(num_users=3, num_paths=0, master_seed=0)
-    spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 6.0),
-                             realizations=1, seed=3)
     calls = {"wmmse": [], "manifold_cg": []}
 
     def recording(name, fn):
@@ -1166,8 +1165,11 @@ def los_solver_calls():
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
             mp.setattr(mu_opt, name, recording(name, getattr(mu_opt, name)))
-        for vi, value in enumerate(spec.values):
-            harness.run_cell(base, spec, value, vi, 0)
+        for seed in (3, 4):
+            spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 6.0),
+                                     realizations=1, seed=seed)
+            for vi, value in enumerate(spec.values):
+                harness.run_cell(base, spec, value, vi, 0)
     return calls
 
 

@@ -286,6 +286,21 @@ class TestScenario:
         with pytest.raises(InvalidParameterError, match=f"{field} must be finite"):
             Scenario(**{field: value})
 
+    @pytest.mark.parametrize("fields", [
+        dict(bs_direction=(1.0, 0.0, 0.0), bs_distance=0.3),  # one end at x = 0
+        dict(bs_direction=(-1.0, 0.0, 0.0), bs_distance=5.0),
+        dict(bs_direction=(0.0, 1.0, 0.0), bs_distance=5.0, region_length=0.0),
+        dict(bs_distance=0.2)])
+    def test_region_must_lie_in_front_of_the_surface(self, fields):
+        with pytest.raises(InvalidParameterError, match="in front of the surface"):
+            Scenario(**fields)
+        with pytest.raises(InvalidParameterError, match="in front of the surface"):
+            Scenario().replace(**fields)
+
+    def test_region_just_in_front_of_the_surface_loads(self):
+        scenario = Scenario(bs_direction=(1.0, 0.0, 0.0), bs_distance=0.3 + 1e-9)
+        assert scenario.region().point(-0.3)[0] > 0
+
     def test_surface_checked_at_load(self):
         with pytest.raises(InvalidParameterError, match="element counts must be positive"):
             Scenario(irs_num_y=0)
