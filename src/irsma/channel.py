@@ -8,7 +8,6 @@ position array.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,13 +136,6 @@ class BsIrsModel:
     wavelength: float
     clusters: ClusterSet | None = None
 
-    @functools.cached_property  # built once for all position sets
-    def _surface(self) -> list[np.ndarray]:
-        """Each cluster's (M,) response over the surface elements."""
-        elements = self.geometry.element_positions()
-        return [near_field_response(elements, c.scatterer_array, self.wavelength)
-                for c in self.clusters.clusters]
-
     def matrix(self, positions, los: np.ndarray | None = None) -> np.ndarray:
         """(M, N) columns: the LoS part plus one rank-1 term per scattered path.
         `los` is the LoS columns of `positions` if the caller has them; a
@@ -158,8 +150,10 @@ class BsIrsModel:
         # more, so the rounding would depend on the number of columns.
         h = los.copy()
         h *= self.clusters.los_ratio
-        for c, a in zip(self.clusters.clusters, self._surface):
-            t = np.outer(a, near_field_response(positions, c.scatterer_array, self.wavelength))
+        elements = self.geometry.element_positions()
+        for c in self.clusters.clusters:
+            t = np.outer(near_field_response(elements, c.scatterer_array, self.wavelength),
+                         near_field_response(positions, c.scatterer_array, self.wavelength))
             t *= c.power_ratio * c.gain
             h += t
         return h

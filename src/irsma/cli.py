@@ -104,7 +104,7 @@ def cmd_convergence(args) -> int:
         for i, v in enumerate(sol.trace):
             writer.writerow([i, repr(v)])
     print(f"converged in {sol.iterations} outer iterations, "
-          f"final rate {sol.trace[-1]:.4f} bits/s/Hz")
+          f"final rate {sol.rate:.4f} bits/s/Hz")
     return 0
 
 

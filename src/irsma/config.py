@@ -114,7 +114,6 @@ class Scenario:
 
     irs_num_y: int = 15
     irs_num_z: int = 15
-    irs_spacing: float | None = None  # default lambda/2
     region_length: float = 0.6  # m
     region_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
     bs_distance: float = 8.0  # m, IRS center to region center
@@ -170,8 +169,7 @@ class Scenario:
             if low > high:
                 raise InvalidParameterError(f"{name} must be (low, high), got {(low, high)}")
         lam = SPEED_OF_LIGHT / self.carrier_frequency
-        for name, default in (("min_spacing", lam / 2), ("sample_spacing", lam / 10),
-                              ("irs_spacing", lam / 2)):
+        for name, default in (("min_spacing", lam / 2), ("sample_spacing", lam / 10)):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, default)
         if self.min_spacing <= 0 or self.sample_spacing <= 0:
@@ -189,7 +187,7 @@ class Scenario:
         return SPEED_OF_LIGHT / self.carrier_frequency
 
     def geometry(self) -> IrsGeometry:
-        return IrsGeometry(self.irs_num_y, self.irs_num_z, self.irs_spacing)
+        return IrsGeometry(self.irs_num_y, self.irs_num_z, self.wavelength / 2)
 
     def region(self) -> TransmitRegion:
         center = self.bs_distance * np.asarray(self.bs_direction)

@@ -4,9 +4,10 @@ Within one (parameter value, realization) cell every scheme consumes the same ch
 draw: `cell_context` draws it, then builds the sampling grids' channel columns, and
 checks the draw and the columns for non-finite entries, once per cell. The grids
 and the line-of-sight part of the columns depend only on the swept value, so one
-builder makes them, once per value in a sweep, on the value's scenario, which the
-sweep's load-time check builds once. `run_scheme` returns the
-solver's own solution, whose antenna indices number the fine grid for every scheme.
+builder makes them, once per value in a sweep, on the value's scenario: the
+sweep's load-time check builds it once, and every cell of the value runs on it.
+`run_scheme` returns the solver's own solution, whose antenna indices number the
+fine grid for every scheme.
 Randomized initial points come from named substreams, so every cell is a pure
 function of the sweep seed and its indices. FPA and AS start from one reflection
 per cell, so they solve one problem where their positions agree, and the cell's
@@ -75,12 +76,6 @@ class SweepSpec:
 
 def sweep_spec_from_dict(d) -> SweepSpec:
     return _from_section(SweepSpec, d, "sweep")
-
-
-def apply_parameter(scenario: Scenario, parameter: str, value) -> Scenario:
-    if parameter not in SWEEPABLE:
-        raise InvalidParameterError(f"unknown sweep parameter {parameter!r}")
-    return scenario.replace(**{SWEEPABLE[parameter]: value})
 
 
 def draw_realization(scenario: Scenario,
@@ -155,7 +150,7 @@ def _value_scenarios(spec: SweepSpec, scenario: Scenario):
     that tracers wrapping every public harness function leave it alone."""
     for i, value in enumerate(spec.values):
         try:
-            scen = apply_parameter(scenario, spec.parameter, value)
+            scen = scenario.replace(**{SWEEPABLE[spec.parameter]: value})
         except InvalidParameterError as exc:
             raise InvalidParameterError(f"{exc} at {spec.parameter}={value}") from exc
         if float(value) in map(float, spec.values[:i]):  # its records would pool with theirs
@@ -251,16 +246,14 @@ _CELL_ORDER = (FPA_RPS, MA_RPS, FPA, AS, PROPOSED)
 _WARM_FROM = {MA_RPS: (FPA_RPS,), PROPOSED: (FPA, AS)}
 
 
-def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
+def run_cell(scenario: Scenario, spec: SweepSpec, value_index: int,
              realization_index: int, shared: tuple | None = None) -> list[Record]:
     """Run the schemes of `spec` on one channel draw, each from the phases of its
     warm solution, else the cell's "rps" draw (MA_RPS, FPA_RPS), else its one "init"
     draw (FPA, AS, and PROPOSED without them), so that the schemes it compares share
-    their start. `scenario` is the sweep's scenario, at `value` already or not."""
-    at_value = getattr(scenario, SWEEPABLE[spec.parameter]) == value
-    scen = scenario if at_value else apply_parameter(scenario, spec.parameter, value)
-    context = cell_context(scen, substream(spec.seed, "chan", spec.parameter, value_index,
-                                           realization_index), shared)
+    their start. `scenario` is at the swept value `spec.values[value_index]`."""
+    context = cell_context(scenario, substream(spec.seed, "chan", spec.parameter,
+                                               value_index, realization_index), shared)
     solved: dict[str, su_opt.Solution] = {}
     records = []
     for scheme in [s for s in _CELL_ORDER if s in spec.schemes]:
@@ -273,8 +266,8 @@ def run_cell(scenario: Scenario, spec: SweepSpec, value, value_index: int,
                     else ("init", value_index, realization_index, FPA))
             phi = su_opt.random_reflection(substream(spec.seed, *tags),
                                            context.h_iu.shape[1])
-        solved[scheme] = sol = run_scheme(scheme, scen, context, phi, warm=warm)
-        records.append(Record(scheme=scheme, param=float(value),
+        solved[scheme] = sol = run_scheme(scheme, scenario, context, phi, warm=warm)
+        records.append(Record(scheme=scheme, param=float(spec.values[value_index]),
                               realization=realization_index, rate=sol.rate,
                               iterations=sol.iterations))
     return records
@@ -295,7 +288,7 @@ def run_sweep(spec: SweepSpec, scenario: Scenario) -> SweepResult:
         for r in range(spec.realizations):
             try:
                 shared = shared or _shared(scen)
-                result.records.extend(run_cell(scen, spec, value, vi, r, shared))
+                result.records.extend(run_cell(scen, spec, vi, r, shared))
             except (IrsmaError, np.linalg.LinAlgError) as exc:
                 _log.warning("cell value=%s realization=%s failed: %r", value, r, exc)
                 result.failed.append((float(value), r))

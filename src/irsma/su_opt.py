@@ -309,7 +309,9 @@ class Solution:
     """Outcome of either alternating loop: this module's single-user one, whose
     `w` is the unit-norm matched beamformer (N,) that the power P scales, and
     `mu_opt.ao_multi_user`, whose `w` is the precoder (N, K). `rate` and the
-    outer-loop `trace` are in bits/s/Hz."""
+    outer-loop `trace` are in bits/s/Hz; `rate` is what the records hold. For
+    one user `trace[-1]` is the loop's own objective, which can differ from
+    `rate` in the last bits (up to 1.8e-15)."""
 
     w: np.ndarray
     phi: np.ndarray

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsma import channel
+from irsma import channel, harness
 from irsma.config import IrsGeometry, Scenario
 from irsma.errors import DegenerateGeometryError, InvalidParameterError
 from irsma.rng import substream
@@ -290,6 +290,11 @@ class TestMultipath:
                 t *= c.power_ratio * c.gain
                 h += t
             expected.append(h)
+        model = channel.BsIrsModel(small_geometry, 0.06, cs)
+        for p, want in zip((fine, fine[::2]), expected):
+            assert model.matrix(p).tobytes() == want.tobytes()
+        # a sweep cell builds its columns once: each path's surface side and
+        # antenna side once
         calls, original = [], channel.near_field_response
 
         def counting(points, source, wavelength):
@@ -297,11 +302,10 @@ class TestMultipath:
             return original(points, source, wavelength)
 
         monkeypatch.setattr(channel, "near_field_response", counting)
-        model = channel.BsIrsModel(small_geometry, 0.06, cs)
-        for p, want in zip((fine, fine[::2]), expected):
-            assert model.matrix(p).tobytes() == want.tobytes()
-        # each path's 16-element surface side once, its antenna side per grid
-        assert calls == [16] * 3 + [3] * 3 + [2] * 3
+        scenario = Scenario(irs_num_y=4, irs_num_z=4, num_users=1, num_paths=3)
+        spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,), realizations=1)
+        harness.run_cell(scenario.replace(bs_distance=2.0), spec, 0, 0)
+        assert len(calls) == 2 * scenario.num_paths
 
 
 class TestSampleClusters:

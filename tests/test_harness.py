@@ -74,17 +74,20 @@ class TestSweepSpec:
                                           "values": [0.3], "bogus": 1})
 
     def test_apply_parameter(self, scenario):
-        assert harness.apply_parameter(scenario, "bs_irs_distance", 3.0).bs_distance == 3.0
-        assert harness.apply_parameter(scenario, "region_length", 0.4).region_length == 0.4
-        assert harness.apply_parameter(scenario, "num_paths", 4).num_paths == 4
+        def apply(parameter, value):
+            return scenario.replace(**{harness.SWEEPABLE[parameter]: value})
+
+        assert apply("bs_irs_distance", 3.0).bs_distance == 3.0
+        assert apply("region_length", 0.4).region_length == 0.4
+        assert apply("num_paths", 4).num_paths == 4
         with pytest.raises(InvalidParameterError):
-            harness.apply_parameter(scenario, "bogus", 1)
+            harness.SweepSpec(parameter="bogus", values=(1,))
 
     def test_fractional_path_count_rejected(self, scenario, monkeypatch):
-        applied = harness.apply_parameter(scenario, "num_paths", 2.0)
+        applied = scenario.replace(**{harness.SWEEPABLE["num_paths"]: 2.0})
         assert applied.num_paths == 2 and type(applied.num_paths) is int
         with pytest.raises(InvalidParameterError, match="num_paths must be an integer"):
-            harness.apply_parameter(scenario, "num_paths", 1.5)
+            scenario.replace(**{harness.SWEEPABLE["num_paths"]: 1.5})
         monkeypatch.setattr(harness, "run_cell", _no_cell)
         spec = harness.SweepSpec(parameter="num_paths", values=(1, 1.5, 1.9), realizations=1)
         with pytest.raises(InvalidParameterError, match="got 1.5 at num_paths=1.5"):
@@ -144,7 +147,7 @@ class TestCellContext:
             assert grid is ctx.fine and columns is ctx.fine_columns
 
     def test_run_cell_builds_columns_once(self, scenario, small_spec, matrix_calls):
-        records = harness.run_cell(scenario, small_spec, 2.0, 0, 0)
+        records = harness.run_cell(scenario.replace(bs_distance=2.0), small_spec, 0, 0)
         assert len(records) == len(harness.ALL_SCHEMES)
         assert len(matrix_calls) == 1
 
@@ -152,7 +155,7 @@ class TestCellContext:
         schemes = tuple(s for s in harness.ALL_SCHEMES if s != harness.AS)
         spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,),
                                  schemes=schemes, realizations=1, seed=21)
-        records = harness.run_cell(scenario, spec, 2.0, 0, 0)
+        records = harness.run_cell(scenario.replace(bs_distance=2.0), spec, 0, 0)
         assert sorted(r.scheme for r in records) == sorted(schemes)
         assert len(matrix_calls) == 1
 
@@ -247,8 +250,8 @@ class TestCellContext:
 
         monkeypatch.setattr(su_opt, "_require_finite", counting)
         monkeypatch.setattr(mu_opt, "_require_finite", counting)
-        records = harness.run_cell(scenario.replace(num_users=num_users), small_spec,
-                                   2.0, 0, 0)
+        records = harness.run_cell(scenario.replace(num_users=num_users, bs_distance=2.0),
+                                   small_spec, 0, 0)
         assert len(records) == len(harness.ALL_SCHEMES)
         assert scans == ["grid_columns"]
 
@@ -297,7 +300,8 @@ class TestRunScheme:
             return solved[-1][2]
 
         monkeypatch.setattr(harness, "run_scheme", recording)
-        harness.run_cell(scenario.replace(num_users=num_users), small_spec, 2.0, 0, 0)
+        harness.run_cell(scenario.replace(num_users=num_users, bs_distance=2.0),
+                         small_spec, 0, 0)
         assert sorted(scheme for scheme, _, _ in solved) == sorted(harness.ALL_SCHEMES)
         for scheme, context, sol in solved:
             assert (context.fine.points[sol.indices].tobytes()
@@ -330,7 +334,7 @@ class TestCellStarts:
         scen = Scenario(irs_num_y=6, irs_num_z=6, num_users=num_users)
         spec = harness.SweepSpec(parameter="bs_irs_distance", values=(3.0,),
                                  schemes=schemes, realizations=1, seed=5)
-        harness.run_cell(scen, spec, 3.0, 0, 0)
+        harness.run_cell(scen.replace(bs_distance=3.0), spec, 0, 0)
         assert {scheme: warm is not None for scheme, _, warm in calls} == {
             scheme: start.startswith("warm") for scheme, start in starts.items()}
         for scheme, phi, warm in calls:
@@ -402,7 +406,7 @@ def _run_cell_at_2m(monkeypatch, scen):
 
     monkeypatch.setattr(harness, "run_scheme", recording)
     spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,), realizations=1)
-    return harness.run_cell(scen, spec, 2.0, 0, 0), solutions
+    return harness.run_cell(scen.replace(bs_distance=2.0), spec, 0, 0), solutions
 
 
 class TestSolveCache:
@@ -447,7 +451,7 @@ class TestSolveCache:
             monkeypatch.setattr(module, "_solved", counting)
         monkeypatch.setattr(harness, "run_scheme", running)
         spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,), realizations=1)
-        harness.run_cell(_CACHE_CELLS[cell], spec, 2.0, 0, 0)
+        harness.run_cell(_CACHE_CELLS[cell].replace(bs_distance=2.0), spec, 0, 0)
         for name in solvers:
             hits = [hit for scheme, solver, hit in calls if solver == name]
             first_as = [hit for scheme, solver, hit in calls
@@ -571,23 +575,23 @@ class TestRunSweep:
         # the load-time check builds each value's scenario, and every cell of
         # the value runs on it
         applied, cells = [], []
-        original_apply, original_cell = harness.apply_parameter, harness.run_cell
+        original_replace, original_cell = Scenario.replace, harness.run_cell
 
-        def counting(scen, parameter, value):
-            applied.append(value)
-            return original_apply(scen, parameter, value)
+        def counting(scen, **kwargs):
+            applied.append(kwargs)
+            return original_replace(scen, **kwargs)
 
         def recording(scen, *args):
             cells.append(scen)
             return original_cell(scen, *args)
 
-        monkeypatch.setattr(harness, "apply_parameter", counting)
+        monkeypatch.setattr(Scenario, "replace", counting)
         monkeypatch.setattr(harness, "run_cell", recording)
         spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 5.0),
                                  realizations=3, seed=21, schemes=(harness.FPA,))
         result = harness.run_sweep(spec, scenario)
         assert not result.failed and len(result.records) == 6
-        assert applied == [2.0, 5.0]
+        assert applied == [{"bs_distance": 2.0}, {"bs_distance": 5.0}]
         assert [scen.bs_distance for scen in cells] == [2.0] * 3 + [5.0] * 3
         assert cells[0] is cells[2] and cells[3] is cells[5]
 
@@ -1222,9 +1226,9 @@ from irsma.config import Scenario
 spec = harness.SweepSpec(parameter="bs_irs_distance", values=(3.0,), realizations=1)
 jobs = {
     "verify": lambda: analysis.verify_all(Scenario()),
-    "multi_user_los": lambda: harness.run_cell(Scenario(), spec, 3.0, 0, 0),
+    "multi_user_los": lambda: harness.run_cell(Scenario().replace(bs_distance=3.0), spec, 0, 0),
     "single_user_multipath": lambda: harness.run_cell(
-        Scenario(num_users=1, num_paths=8), spec, 3.0, 0, 0),
+        Scenario(num_users=1, num_paths=8).replace(bs_distance=3.0), spec, 0, 0),
 }
 # the BLAS workers that start with numpy spin for about 0.1 s before they sleep
 time.sleep(0.5)

@@ -546,7 +546,7 @@ def one_user_rates():
         sweep = data["sweep"]
         for distance in (1.0, 2.0, 6.0):
             vi = sweep["values"].index(distance)
-            s = harness.apply_parameter(base, sweep["parameter"], distance)
+            s = base.replace(**{harness.SWEEPABLE[sweep["parameter"]]: distance})
             for r in range(2):
                 ctx = harness.cell_context(
                     s, substream(sweep["seed"], "chan", sweep["parameter"], vi, r))
@@ -1129,7 +1129,7 @@ class TestManifoldCgConvergence:
     def _cells(seed=3):
         base = Scenario(num_users=3, num_paths=0, master_seed=0)
         for vi, distance in enumerate((2.0, 3.0, 4.0, 5.0, 6.0)):
-            s = harness.apply_parameter(base, "bs_irs_distance", distance)
+            s = base.replace(**{harness.SWEEPABLE["bs_irs_distance"]: distance})
             ctx = harness.cell_context(s, substream(seed, "chan", "bs_irs_distance", vi, 0))
             idx = su_opt.fpa_indices(ctx.fine, s.num_mas)
             phi0 = su_opt.random_reflection(substream(seed, "init", vi, 0, harness.FPA),
@@ -1169,7 +1169,7 @@ def los_solver_calls():
             spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0, 6.0),
                                      realizations=1, seed=seed)
             for vi, value in enumerate(spec.values):
-                harness.run_cell(base, spec, value, vi, 0)
+                harness.run_cell(base.replace(bs_distance=value), spec, vi, 0)
     return calls
 
 

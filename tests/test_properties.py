@@ -4,14 +4,20 @@ The outer loops and whole cells run on K = 1-4 users (K > N included), N =
 1-3 antennas, a 4x4 surface, 0-8 scattered paths, and transmit regions down
 to the shortest length that still holds the fixed layout. The inner solvers
 (WMMSE, the manifold CG and the single-user BCD) run on their own on random
-channels with K = 1-6 users, N = 1-5 antennas and M = 4-64 elements."""
+channels with K = 1-6 users, N = 1-5 antennas and M = 4-64 elements. The
+symmetry tests renumber the users and the surface elements of shipped sweep
+cells, which poses the same problem."""
+
+import dataclasses
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irsma import harness, mu_opt, su_opt
-from irsma.config import Scenario
+from irsma.config import Scenario, load_config, scenario_from_dict
 from irsma.errors import InfeasibleSpacingError
 from irsma.rng import substream
 
@@ -173,3 +179,55 @@ def test_proposed_below_as_off_grid():
     spec = harness.SweepSpec(parameter="num_paths", values=(0,), realizations=1, seed=5)
     rate = {r.scheme: r.rate for r in harness.run_sweep(spec, scenario).records}
     assert rate[harness.PROPOSED] >= rate[harness.AS] - ORDER_TOL
+
+
+SYMMETRY_TOL = 1e-6  # bit/s/Hz; 1 m cells move by up to 2.65e-2 (ROADMAP item 7)
+
+
+@pytest.fixture(scope="module")
+def los_cells():
+    """The `multi_user_los_sweep` cells at 2-6 m, realizations 0 and 1, each
+    as `(label, scenario, context, start, rates)`: the sweep's own "chan" and
+    "init" substreams, and FPA's and PROPOSED's rate on the cell as drawn,
+    each solved on a cache of its own."""
+    data = load_config(Path(__file__).resolve().parents[1] / "configs"
+                       / "multi_user_los_sweep.yaml")
+    base, sweep = scenario_from_dict(data["scenario"]), data["sweep"]
+    cells = []
+    for distance in (2.0, 3.0, 4.0, 5.0, 6.0):
+        vi = sweep["values"].index(distance)
+        s = base.replace(**{harness.SWEEPABLE[sweep["parameter"]]: distance})
+        for r in range(2):
+            ctx = harness.cell_context(
+                s, substream(sweep["seed"], "chan", sweep["parameter"], vi, r))
+            phi = su_opt.random_reflection(
+                substream(sweep["seed"], "init", vi, r, harness.FPA), ctx.h_iu.shape[1])
+            rates = {scheme: harness.run_scheme(
+                scheme, s, dataclasses.replace(ctx, solves={}), phi).rate
+                for scheme in (harness.FPA, harness.PROPOSED)}
+            cells.append((f"{distance:g} m, realization {r}", s, ctx, phi, rates))
+    return cells
+
+
+def _reversed_users(h_iu, columns, phi):
+    return h_iu[::-1].copy(), columns, phi
+
+
+def _permuted_elements(h_iu, columns, phi):
+    perm = np.random.default_rng(0).permutation(len(phi))
+    return h_iu[:, perm], columns[perm], phi[perm]
+
+
+@pytest.mark.parametrize("renumber", [_reversed_users, _permuted_elements],
+                         ids=["reversed_users", "permuted_elements"])
+def test_los_rate_does_not_depend_on_numbering(los_cells, renumber, record_property):
+    # FPA and PROPOSED, each on a cache of its own, on the cell renumbered
+    gaps = []
+    for label, s, ctx, phi, rates in los_cells:
+        h_iu, columns, start = renumber(ctx.h_iu, ctx.fine_columns, phi)
+        renumbered = dataclasses.replace(ctx, h_iu=h_iu, fine_columns=columns, solves={})
+        for scheme, want in rates.items():
+            got = harness.run_scheme(scheme, s, renumbered, start).rate
+            gaps.append((abs(got - want), scheme, label))
+    record_property("worst_gap", max(gaps))
+    assert max(gaps)[0] <= SYMMETRY_TOL, max(gaps)

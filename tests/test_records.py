@@ -1,6 +1,6 @@
 """The shipped sweeps' outputs, byte for byte.
 
-Runs the commands of `scripts/records_digest.sh` in-process and compares the
+Runs `COMMANDS` of `scripts/records_digest.py` in-process and compares the
 sha256 of every output file with `tests/data/records/digests.txt` (the
 script's own output), and each sweep's `records.csv` with the copy stored
 next to it. When a records file differs, the message tabulates the drift per
@@ -9,58 +9,36 @@ OpenBLAS 0.3.31; a BLAS kernel that rounds differently fails these tests by
 design, and the table shows whether the drift is rounding or behaviour.
 
 After a change that moves the records on purpose, refresh the reference
-with `scripts/records_digest.sh OUT > tests/data/records/digests.txt` and copy
-each `OUT/<config>/records.csv` to `tests/data/records/<config>.csv`.
+with `python3 scripts/records_digest.py OUT > tests/data/records/digests.txt`
+and copy each `OUT/<config>/records.csv` to `tests/data/records/<config>.csv`.
 """
 
-import contextlib
 import csv
-import hashlib
+import importlib.util
 import io
 from pathlib import Path
 
 import pytest
 
-from irsma.cli import main as cli_main
-
-ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = Path(__file__).parent / "data" / "records"
-SWEEPS = ("single_user_multipath_sweep", "multi_user_los_sweep",
-          "multi_user_multipath_sweep", "region_length_sweep", "path_count_sweep")
-EQUIVALENCE = str(ROOT / "configs" / "single_user_equivalence.yaml")
 
 
-def _commands():
-    """(output name, argv) in the script's order; each command's standard
-    output goes to `<name>.stdout` and its files to `<name>/`."""
-    for cfg in SWEEPS:
-        yield cfg, ["sweep", "--config", str(ROOT / "configs" / f"{cfg}.yaml"),
-                    "--realizations", "2", "--seed", "0"]
-    yield "verify", ["verify", "--seed", "0"]
-    for seed in (1000, 1002, 7000):
-        yield f"verify_{seed}", ["verify", "--seed", str(seed)]
-    yield "profile", ["profile", "--config", EQUIVALENCE, "--seed", "0"]
-    yield "convergence", ["convergence", "--seed", "0"]
-    yield "convergence_single_user", ["convergence", "--config", EQUIVALENCE,
-                                      "--seed", "0"]
+def _records_digest():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "records_digest.py"
+    spec = importlib.util.spec_from_file_location("records_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DIGEST = _records_digest()
 
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("records")
-    for name, argv in _commands():
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            status = cli_main(argv + ["--out", str(out / name)])
-        assert status == 0, f"{name} exited with {status}"
-        (out / f"{name}.stdout").write_text(stdout.getvalue())
+    DIGEST.run(out)
     return out
-
-
-def _digest_lines(out: Path) -> list[str]:
-    """`sha256sum` lines of every file under `out`, as the script prints them."""
-    files = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
-    return [f"{hashlib.sha256((out / f).read_bytes()).hexdigest()}  ./{f}" for f in files]
 
 
 def _rows(text: str) -> dict:
@@ -93,7 +71,7 @@ def drift_table(changed: dict) -> str:
 
 def test_records_match_reference(outputs):
     changed = {}
-    for cfg in SWEEPS:
+    for cfg in DIGEST.SWEEPS:
         want = (REFERENCE / f"{cfg}.csv").read_text()
         got = (outputs / cfg / "records.csv").read_text()
         if got != want:
@@ -103,7 +81,7 @@ def test_records_match_reference(outputs):
 
 def test_output_digests_match_reference(outputs):
     want = (REFERENCE / "digests.txt").read_text().splitlines()
-    got = _digest_lines(outputs)
+    got = DIGEST.digest_lines(outputs)
     assert len(want) == 41
     differ = sorted(set(want) ^ set(got), key=lambda line: line[66:])
     assert got == want, "output digests differ (- reference, + now):\n" + "\n".join(

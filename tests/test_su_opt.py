@@ -245,7 +245,7 @@ class TestSamplingGrid:
             base = scenario_from_dict(data.get("scenario", {}))
             sweep = data.get("sweep")
             scenarios = ([base] if sweep is None else
-                         [harness.apply_parameter(base, sweep["parameter"], v)
+                         [base.replace(**{harness.SWEEPABLE[sweep["parameter"]]: v})
                           for v in sweep["values"]])
             for s in scenarios:
                 for grid in harness._shared(s)[:2]:
@@ -576,7 +576,7 @@ def _cell_bcd_instances():
     scenario = Scenario(num_users=1, num_paths=8, user_distance_range=(30.0, 30.0))
     rng = np.random.default_rng(7)
     for distance in (1.0, 2.0, 4.0, 6.0):
-        scen = harness.apply_parameter(scenario, "bs_irs_distance", distance)
+        scen = scenario.replace(**{harness.SWEEPABLE["bs_irs_distance"]: distance})
         for _ in range(2):
             context = harness.cell_context(scen, rng)
             idx = su_opt.fpa_indices(context.fine, scen.num_mas)
