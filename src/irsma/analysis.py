@@ -115,7 +115,7 @@ def _screened_gains(points, elements, amps, wavelength: float) -> list[np.ndarra
     passes = sums >= (1 - 1e-9) * sums.max(axis=1, keepdims=True)
     used = np.flatnonzero(passes.any(axis=0))
     used = used[np.argsort(idx[used])]  # in grid order
-    d = np.linalg.norm(points[idx[used], None, :] - elements[None, :, :], axis=2)
+    d = channel._distance_matrix(points[idx[used]], elements)
     return [(wavelength / (4 * np.pi)) ** 2 * np.sum(amp / d[row], axis=1) ** 2
             for amp, row in zip(amps, passes[:, used])]
 

@@ -47,34 +47,28 @@ def rayleigh_distance(geometry: IrsGeometry, region_length: float, wavelength: f
     return 2.0 * (geometry.aperture + region_length) ** 2 / wavelength
 
 
-def nusw_los_matrix(positions, geometry: IrsGeometry, wavelength: float) -> np.ndarray:
-    """Per-antenna LoS channel columns stacked into an (M, N) matrix."""
+def _spherical_phases(points, sources, wavelength: float):
+    """(len(points), len(sources)) distances d and spherical phases
+    exp(j*2*pi*d/lambda); the one routine for every near-field phase."""
     if wavelength <= 0:
         raise InvalidParameterError("wavelength must be positive")
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    d = _distance_matrix(geometry.element_positions(), positions)
+    d = _distance_matrix(points, sources)
     if np.any(d <= 0):
         raise DegenerateGeometryError("source coincides with an array point")
-    # lam / (4*pi*d) * exp(2j*pi*d / lam) in place: the same operations and
-    # roundings, with fewer (M, N) temporaries
-    h = np.multiply(2j * np.pi, d, dtype=complex)
-    h /= wavelength
-    np.exp(h, out=h)
-    d *= 4 * np.pi
+    # in place: the rounding of exp(2j*pi*d / lam), with fewer temporaries
+    phases = np.multiply(2j * np.pi, d, dtype=complex)
+    phases /= wavelength
+    return d, np.exp(phases, out=phases)
+
+
+def nusw_los_matrix(positions, geometry: IrsGeometry, wavelength: float) -> np.ndarray:
+    """Per-antenna LoS channel columns stacked into an (M, N) matrix."""
+    positions = np.atleast_2d(np.asarray(positions, dtype=float))
+    d, h = _spherical_phases(geometry.element_positions(), positions, wavelength)
+    d *= 4 * np.pi  # times lam / (4*pi*d), in place
     np.divide(wavelength, d, out=d)
     h *= d
     return h
-
-
-def near_field_response(points, source, wavelength: float) -> np.ndarray:
-    """Unit-modulus spherical phase response exp(j*2*pi*||s - p||/lambda)."""
-    if wavelength <= 0:
-        raise InvalidParameterError("wavelength must be positive")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    d = _distance_matrix(points, np.atleast_2d(np.asarray(source, dtype=float)))[:, 0]
-    if np.any(d <= 0):
-        raise DegenerateGeometryError("source coincides with an array point")
-    return np.exp(2j * np.pi * d / wavelength)
 
 
 @dataclass(frozen=True)
@@ -84,10 +78,6 @@ class PathCluster:
     scatterer: tuple[float, float, float]
     power_ratio: complex
     gain: complex
-
-    @property
-    def scatterer_array(self) -> np.ndarray:
-        return np.asarray(self.scatterer, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -145,15 +135,16 @@ class BsIrsModel:
             los = nusw_los_matrix(positions, self.geometry, self.wavelength)
         if self.clusters is None:
             return los
-        # Explicit in-place products: `ratio * los` would round unlike
-        # `los *= ratio`, which numpy's temporary elision picks for 256 KiB or
-        # more, so the rounding would depend on the number of columns.
-        h = los.copy()
-        h *= self.clusters.los_ratio
-        elements = self.geometry.element_positions()
-        for c in self.clusters.clusters:
-            t = np.outer(near_field_response(elements, c.scatterer_array, self.wavelength),
-                         near_field_response(positions, c.scatterer_array, self.wavelength))
+        # Array first: `ratio * los` rounds unlike `los * ratio`, into which
+        # numpy's temporary elision turns it at 256 KiB or more, so the
+        # rounding would depend on the number of columns.
+        h = np.multiply(los, self.clusters.los_ratio)
+        sources = np.reshape([c.scatterer for c in self.clusters.clusters], (-1, 3))
+        u = _spherical_phases(self.geometry.element_positions(), sources, self.wavelength)[1]
+        v = _spherical_phases(positions, sources, self.wavelength)[1]
+        t = np.empty_like(h)
+        for i, c in enumerate(self.clusters.clusters):
+            np.multiply(u[:, i, None], v[None, :, i], out=t)
             t *= c.power_ratio * c.gain
             h += t
         return h

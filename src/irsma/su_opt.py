@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import cascaded_row
+from .channel import _distance_matrix, cascaded_row
 from .config import IrsGeometry, TransmitRegion
 from .errors import (DegenerateChannelError, DegenerateGeometryError,
                      InfeasibleSpacingError, InvalidParameterError)
@@ -52,7 +52,7 @@ def mrt(h_iu, phi, h_bi) -> np.ndarray:
 def gain_closed_form(t, geometry: IrsGeometry, h_iu, wavelength: float) -> float | np.ndarray:
     """End-to-end power gain under co-phased reflection: (lam/4pi)^2 (sum |h|/D)^2;
     one gain per row when `h_iu` stacks several (S, M) draws."""
-    d = np.linalg.norm(geometry.element_positions() - np.asarray(t, dtype=float), axis=1)
+    d = _distance_matrix(geometry.element_positions(), np.reshape(t, (1, 3)))[:, 0]
     if np.any(d <= 0):
         raise DegenerateGeometryError("antenna coincides with a reflecting element")
     sums = np.sum(np.abs(h_iu) / d, axis=-1)

@@ -110,37 +110,61 @@ class TestNuswLos:
         assert abs(abs(m[0, 0]) - abs(m[0, 1])) < 1e-15
 
 
+def _phases(points, sources, lam):
+    return channel._spherical_phases(np.asarray(points, dtype=float),
+                                     np.asarray(sources, dtype=float), lam)[1]
+
+
+def _path_response(points, scatterer, lam):
+    """A scattered path's response on one side, by per-point norms."""
+    d = np.linalg.norm(points - np.asarray(scatterer), axis=-1)
+    return np.exp(2j * np.pi * d / lam)
+
+
 class TestNearFieldResponse:
+    """The spherical-phase kernel behind the LoS columns and every path."""
+
     def test_unit_modulus(self, rng):
         pts = rng.normal(size=(10, 3))
-        out = channel.near_field_response(pts, [5.0, 5.0, 5.0], 0.06)
+        out = _phases(pts, [[5.0, 5.0, 5.0]], 0.06)
         np.testing.assert_allclose(np.abs(out), 1.0, atol=1e-12)
 
     def test_full_wavelength_phase(self):
         lam = 0.06
-        out = channel.near_field_response([[lam, 0, 0]], [0, 0, 0], lam)
+        out = _phases([[lam, 0, 0]], [[0, 0, 0]], lam)[:, 0]
         assert out[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_half_turn(self):
         lam = 0.06
-        out = channel.near_field_response([[lam, 0, 0], [1.5 * lam, 0, 0]],
-                                          [0, 0, 0], lam)
+        out = _phases([[lam, 0, 0], [1.5 * lam, 0, 0]], [[0, 0, 0]], lam)[:, 0]
         assert out[0] == pytest.approx(1.0, abs=1e-9)
         assert out[1] == pytest.approx(-1.0, abs=1e-9)
 
     def test_equals_per_point_norm(self, rng):
+        # several sources at once: each column is its one-source call
         for _ in range(200):
             pts = rng.uniform(-2, 2, size=(int(rng.integers(1, 50)), 3))
             source = rng.uniform(-5, 5, size=3)
             lam = float(rng.uniform(0.01, 0.3))
-            d = np.linalg.norm(pts - source, axis=-1)
-            np.testing.assert_array_equal(channel.near_field_response(pts, source, lam),
-                                          np.exp(2j * np.pi * d / lam))
+            sources = np.vstack([source, rng.uniform(-5, 5, size=(int(rng.integers(0, 4)), 3))])
+            out = _phases(pts, sources, lam)
+            assert out.shape == (len(pts), len(sources))
+            for j, s in enumerate(sources):
+                np.testing.assert_array_equal(out[:, j], _path_response(pts, s, lam))
+                np.testing.assert_array_equal(out[:, j], _phases(pts, s[None], lam)[:, 0])
 
-    def test_coincident_point_raises(self, rng):
+    def test_coincident_point_raises(self, rng, small_geometry):
         pts = rng.normal(size=(5, 3))
         with pytest.raises(DegenerateGeometryError):
-            channel.near_field_response(pts, pts[3], 0.06)
+            _phases(pts, pts[3:4], 0.06)
+        with pytest.raises(DegenerateGeometryError):
+            _phases(pts, [[5.0, 5.0, 5.0], pts[3]], 0.06)
+        # a scatterer on a surface element or on an antenna position
+        pos = np.array([[2.0, 0, 0], [2.1, 0, 0]])
+        for scatterer in (small_geometry.element_positions()[5], pos[1]):
+            cs = channel.ClusterSet(1.0, (channel.PathCluster(tuple(scatterer), 0.5, 0.5),))
+            with pytest.raises(DegenerateGeometryError):
+                channel.BsIrsModel(small_geometry, 0.06, cs).matrix(pos)
 
 
 def _reference_distance_matrix(a, b):
@@ -260,10 +284,10 @@ class TestMultipath:
         pos = np.array([5.3, 5.3, 0.0]) + np.linspace(0, 0.6, 100)[:, None] * [1, 0, 0]
         want = cs.los_ratio * channel.nusw_los_matrix(pos, geometry, 0.06)
         for c in cs.clusters:
-            want += c.power_ratio * c.gain * np.outer(
-                channel.near_field_response(geometry.element_positions(),
-                                            c.scatterer_array, 0.06),
-                channel.near_field_response(pos, c.scatterer_array, 0.06))
+            t = np.outer(_path_response(geometry.element_positions(), c.scatterer, 0.06),
+                         _path_response(pos, c.scatterer, 0.06))
+            t *= c.power_ratio * c.gain
+            want += t
         assert channel.BsIrsModel(geometry, 0.06, cs).matrix(pos).tobytes() == want.tobytes()
         los = channel.nusw_los_matrix(pos, geometry, 0.06)
         los.flags.writeable = False  # as the cells of one swept value share it
@@ -284,28 +308,28 @@ class TestMultipath:
             h = channel.nusw_los_matrix(p, small_geometry, 0.06)
             h *= cs.los_ratio
             for c in cs.clusters:
-                t = np.outer(
-                    channel.near_field_response(elements, c.scatterer_array, 0.06),
-                    channel.near_field_response(p, c.scatterer_array, 0.06))
+                t = np.outer(_path_response(elements, c.scatterer, 0.06),
+                             _path_response(p, c.scatterer, 0.06))
                 t *= c.power_ratio * c.gain
                 h += t
             expected.append(h)
         model = channel.BsIrsModel(small_geometry, 0.06, cs)
         for p, want in zip((fine, fine[::2]), expected):
             assert model.matrix(p).tobytes() == want.tobytes()
-        # a sweep cell builds its columns once: each path's surface side and
-        # antenna side once
-        calls, original = [], channel.near_field_response
+        # a sweep cell builds its columns once: one phase call for the value's
+        # LoS columns, then one per side for all the paths
+        calls, original = [], channel._spherical_phases
 
-        def counting(points, source, wavelength):
-            calls.append(len(np.atleast_2d(points)))
-            return original(points, source, wavelength)
+        def counting(points, sources, wavelength):
+            calls.append(len(sources))
+            return original(points, sources, wavelength)
 
-        monkeypatch.setattr(channel, "near_field_response", counting)
+        monkeypatch.setattr(channel, "_spherical_phases", counting)
         scenario = Scenario(irs_num_y=4, irs_num_z=4, num_users=1, num_paths=3)
         spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,), realizations=1)
         harness.run_cell(scenario.replace(bs_distance=2.0), spec, 0, 0)
-        assert len(calls) == 2 * scenario.num_paths
+        assert len(calls) == 3
+        assert calls[1:] == [scenario.num_paths] * 2
 
 
 class TestSampleClusters:
@@ -339,7 +363,7 @@ class TestSampleClusters:
         size = np.array([2.0, 1.0, 0.4])
         cs = channel.sample_clusters(rng, 20, center, size, 0.06, [2, 4, 1])
         for c in cs.clusters:
-            assert np.all(np.abs(c.scatterer_array - center) <= size / 2 + 1e-12)
+            assert np.all(np.abs(np.asarray(c.scatterer) - center) <= size / 2 + 1e-12)
 
 
 class TestRicianIuChannel:

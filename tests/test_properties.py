@@ -184,20 +184,18 @@ def test_proposed_below_as_off_grid():
 SYMMETRY_TOL = 1e-6  # bit/s/Hz; 1 m cells move by up to 2.65e-2 (ROADMAP item 7)
 
 
-@pytest.fixture(scope="module")
-def los_cells():
-    """The `multi_user_los_sweep` cells at 2-6 m, realizations 0 and 1, each
-    as `(label, scenario, context, start, rates)`: the sweep's own "chan" and
-    "init" substreams, and FPA's and PROPOSED's rate on the cell as drawn,
-    each solved on a cache of its own."""
-    data = load_config(Path(__file__).resolve().parents[1] / "configs"
-                       / "multi_user_los_sweep.yaml")
+def _sweep_cells(config, distances, realizations):
+    """The cells of a shipped sweep config at `distances`, each as `(label,
+    scenario, context, start, rates)`: the sweep's own "chan" and "init"
+    substreams, and FPA's and PROPOSED's rate on the cell as drawn, each
+    solved on a cache of its own."""
+    data = load_config(Path(__file__).resolve().parents[1] / "configs" / config)
     base, sweep = scenario_from_dict(data["scenario"]), data["sweep"]
     cells = []
-    for distance in (2.0, 3.0, 4.0, 5.0, 6.0):
+    for distance in distances:
         vi = sweep["values"].index(distance)
         s = base.replace(**{harness.SWEEPABLE[sweep["parameter"]]: distance})
-        for r in range(2):
+        for r in range(realizations):
             ctx = harness.cell_context(
                 s, substream(sweep["seed"], "chan", sweep["parameter"], vi, r))
             phi = su_opt.random_reflection(
@@ -209,6 +207,12 @@ def los_cells():
     return cells
 
 
+@pytest.fixture(scope="module")
+def los_cells():
+    """The `multi_user_los_sweep` cells at 2-6 m, realizations 0 and 1."""
+    return _sweep_cells("multi_user_los_sweep.yaml", (2.0, 3.0, 4.0, 5.0, 6.0), 2)
+
+
 def _reversed_users(h_iu, columns, phi):
     return h_iu[::-1].copy(), columns, phi
 
@@ -218,16 +222,34 @@ def _permuted_elements(h_iu, columns, phi):
     return h_iu[:, perm], columns[perm], phi[perm]
 
 
+def _worst_renumbered_gap(cells, renumberings):
+    """The largest |rate change| of FPA and PROPOSED, each on a cache of its
+    own, over the cells renumbered, as `(gap, scheme, label)`."""
+    gaps = []
+    for renumber in renumberings:
+        for label, s, ctx, phi, rates in cells:
+            h_iu, columns, start = renumber(ctx.h_iu, ctx.fine_columns, phi)
+            renumbered = dataclasses.replace(ctx, h_iu=h_iu, fine_columns=columns, solves={})
+            for scheme, want in rates.items():
+                got = harness.run_scheme(scheme, s, renumbered, start).rate
+                gaps.append((abs(got - want), scheme, label))
+    return max(gaps)
+
+
 @pytest.mark.parametrize("renumber", [_reversed_users, _permuted_elements],
                          ids=["reversed_users", "permuted_elements"])
 def test_los_rate_does_not_depend_on_numbering(los_cells, renumber, record_property):
-    # FPA and PROPOSED, each on a cache of its own, on the cell renumbered
-    gaps = []
-    for label, s, ctx, phi, rates in los_cells:
-        h_iu, columns, start = renumber(ctx.h_iu, ctx.fine_columns, phi)
-        renumbered = dataclasses.replace(ctx, h_iu=h_iu, fine_columns=columns, solves={})
-        for scheme, want in rates.items():
-            got = harness.run_scheme(scheme, s, renumbered, start).rate
-            gaps.append((abs(got - want), scheme, label))
-    record_property("worst_gap", max(gaps))
-    assert max(gaps)[0] <= SYMMETRY_TOL, max(gaps)
+    worst = _worst_renumbered_gap(los_cells, [renumber])
+    record_property("worst_gap", worst)
+    assert worst[0] <= SYMMETRY_TOL, worst
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="multipath cells at 2 m move by up to 1.25e-4 under "
+                          "renumbering (ROADMAP items 7 and 13)")
+def test_multipath_rate_does_not_depend_on_numbering(record_property):
+    # the `multi_user_multipath_sweep` cells at 2 m, realizations 0-3
+    cells = _sweep_cells("multi_user_multipath_sweep.yaml", (2.0,), 4)
+    worst = _worst_renumbered_gap(cells, [_reversed_users, _permuted_elements])
+    record_property("worst_gap", worst)
+    assert worst[0] <= SYMMETRY_TOL, worst

@@ -20,6 +20,9 @@ from pathlib import Path
 
 import pytest
 
+from irsma import harness
+from irsma.config import Scenario, load_config, scenario_from_dict
+
 REFERENCE = Path(__file__).parent / "data" / "records"
 
 
@@ -97,3 +100,22 @@ def test_drift_table_counts_rows_and_rate_change():
     lines = drift_table({"cfg": (want, got)}).splitlines()
     assert len(lines) == 2
     assert lines[1].split() == ["cfg", "FPA", "1.0", "2", "of", "2", "0.5"]
+
+
+def test_shipped_scenarios_stay_where_records_ignore_the_blas_threads():
+    # OpenBLAS threads a product from 4,096 entries, and its threaded kernels
+    # round unlike the one-thread kernel. Records hold for any thread count
+    # only while the CG's (K*K, M) products and `_grid_product`'s joined
+    # 5-column blocks stay below that: K^2 * M < 4,096 and M < 820.
+    scenarios = {"default": Scenario()}
+    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")):
+        data = load_config(path)
+        base, sweep = scenario_from_dict(data["scenario"]), data.get("sweep")
+        scenarios[path.name] = base
+        for value in sweep["values"] if sweep else ():
+            scenarios[f"{path.name} at {value}"] = base.replace(
+                **{harness.SWEEPABLE[sweep["parameter"]]: value})
+    assert len(scenarios) > 6
+    for label, s in scenarios.items():
+        m = s.irs_num_y * s.irs_num_z
+        assert s.num_users ** 2 * m < 4096 and m < 820, (label, s.num_users, m)
