@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Run every shipped benchmark sweep and collect plot-ready CSVs under out/.
+# Run every shipped benchmark sweep (configs/*_sweep.yaml) and collect
+# plot-ready CSVs under out/.
 # Usage: scripts/run_all_sweeps.sh [--realizations N]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 EXTRA=("$@")
-for cfg in single_user_multipath_sweep multi_user_los_sweep \
-           multi_user_multipath_sweep region_length_sweep path_count_sweep; do
+for path in configs/*_sweep.yaml; do
+    cfg=$(basename "$path" .yaml)
     echo "== $cfg"
-    python -m irsma.cli sweep --config "configs/$cfg.yaml" --out "out/$cfg" "${EXTRA[@]}"
+    python -m irsma.cli sweep --config "$path" --out "out/$cfg" "${EXTRA[@]}"
 done

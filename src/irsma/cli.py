@@ -67,19 +67,24 @@ def cmd_verify(args) -> int:
     return 0 if all(report.passed for report in reports) else 1
 
 
+def _proposed_on_one_draw(scenario: Scenario, stream: str):
+    """One cell drawn from the `stream` substream, its random start reflection
+    and its PROPOSED solution from that start: (context, phi, solution)."""
+    rng = substream(scenario.master_seed, stream)
+    context = harness.cell_context(scenario, rng)
+    phi = su_opt.random_reflection(rng, context.h_iu.shape[1])
+    return context, phi, harness.run_scheme(harness.PROPOSED, scenario, context, phi)
+
+
 def cmd_profile(args) -> int:
     """Gain fluctuation along the transmit region, optimized vs random phases."""
     if args.resolution < 1:
         raise InvalidParameterError(f"resolution must be >= 1, got {args.resolution}")
     scenario, _ = _load(args)
-    rng = substream(scenario.master_seed, "profile")
-    scen = scenario.replace(num_users=1)
-    context = harness.cell_context(scen, rng)
     # the random start is also the plotted "random" profile
-    phi_rand = su_opt.random_reflection(rng, context.h_iu.shape[1])
-    sol = harness.run_scheme(harness.PROPOSED, scen, context, phi_rand)
+    context, phi_rand, sol = _proposed_on_one_draw(scenario.replace(num_users=1), "profile")
     offsets, gains, spreads = analysis.fluctuation_profile(
-        context.h_iu[0], (sol.phi, phi_rand), context.bs_irs, scen.region(),
+        context.h_iu[0], (sol.phi, phi_rand), context.bs_irs, scenario.region(),
         resolution=args.resolution)
     with open(_outdir(args) / "profile.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -94,10 +99,7 @@ def cmd_profile(args) -> int:
 def cmd_convergence(args) -> int:
     """Dump the outer-loop rate trace of the joint optimizer on one draw."""
     scenario, _ = _load(args)
-    rng = substream(scenario.master_seed, "convergence")
-    context = harness.cell_context(scenario, rng)
-    phi = su_opt.random_reflection(rng, context.h_iu.shape[1])
-    sol = harness.run_scheme(harness.PROPOSED, scenario, context, phi)
+    _, _, sol = _proposed_on_one_draw(scenario, "convergence")
     with open(_outdir(args) / "convergence.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "sum_rate"])

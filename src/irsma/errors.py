@@ -17,10 +17,6 @@ class DegenerateChannelError(IrsmaError):
     """A channel vector/matrix is identically zero where a direction is needed."""
 
 
-class SingularMatrixError(IrsmaError):
-    """A precoder has a zero direction, which cannot be normalized."""
-
-
 class InfeasibleSpacingError(IrsmaError):
     """The antenna-spacing constraint cannot be met on the given sampling grid."""
 

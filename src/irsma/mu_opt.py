@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, MultiplierBracketError, SingularMatrixError
+from .errors import DegenerateChannelError, InvalidParameterError, MultiplierBracketError
 from .su_opt import (_MAX_OUTER, _OUTER_TOL, _TINY, SamplingGrid, Solution,
                      _checked_columns, _grid_product, _index_gap, _require_finite, _solved)
 
@@ -29,6 +29,13 @@ _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 30
 
 
+def _link_rates(links: np.ndarray, noise_power: float) -> np.ndarray:
+    """log2(1 + SINR) of every user for links[..., k, i] = h_k^H w_i."""
+    gains = np.abs(links) ** 2
+    signal = np.diagonal(gains, axis1=-2, axis2=-1)
+    return np.log2(1 + signal / (np.add.reduce(gains, -1) - signal + noise_power))
+
+
 def _user_rates(h_rows: np.ndarray, w: np.ndarray, noise_power: float) -> np.ndarray:
     """log2(1 + SINR) of every user for stacked cascaded rows (K, N) and W (N, K)."""
     h_rows = np.atleast_2d(np.asarray(h_rows))
@@ -37,10 +44,7 @@ def _user_rates(h_rows: np.ndarray, w: np.ndarray, noise_power: float) -> np.nda
         raise InvalidParameterError("precoder row count does not match antenna count")
     # per-row (1, N) @ (N, K) products, stacked: (K, N) @ (N, K) rounds
     # differently, and test_sum_rate_is_sum_of_user_rates pins these bits
-    gains = np.abs((h_rows[:, None, :] @ w)[:, 0, :]) ** 2
-    signal = gains.diagonal()
-    interference = np.add.reduce(gains, 1) - signal
-    return np.log2(1 + signal / (interference + noise_power))
+    return _link_rates((h_rows[:, None, :] @ w)[:, 0, :], noise_power)
 
 
 def sum_rate(h_rows: np.ndarray, w: np.ndarray, noise_power: float) -> float:
@@ -65,7 +69,7 @@ def rzf(h_rows: np.ndarray, reg: float, powers) -> np.ndarray:
     directions = h_rows.conj().T @ inverse
     norms = np.linalg.norm(directions, axis=0)
     if np.any(norms == 0):
-        raise SingularMatrixError("zero precoding direction")
+        raise DegenerateChannelError("zero precoding direction")
     return directions / norms * np.sqrt(powers)
 
 
@@ -221,7 +225,7 @@ def euclidean_grad_f2(phi: np.ndarray, r: np.ndarray, noise_power: float) -> np.
     inv_total = 1.0 / total
     c = z * (inv_total - 1.0 / interf)[:, None]
     c.ravel()[::k + 1] = z.diagonal() * inv_total
-    return -2.0 * (c.conj().ravel() @ r.reshape(k * k, -1)).conj()
+    return -2.0 * _grid_product(c.conj().ravel(), r.reshape(k * k, -1)).conj()
 
 
 def riemannian_project(grad: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -350,21 +354,17 @@ def sequential_position_search(cascade_table: np.ndarray, w: np.ndarray,
         if len(feasible) == 0:
             continue
         # links[c, k, i] = h_k^H w_i with antenna n at candidate c: the
-        # other antennas' part plus antenna n's; rates as in `_user_rates`
+        # other antennas' part plus antenna n's
         base = cascade_table[:, others] @ w[keep]  # (K, K)
         links = base[None] + cascade_table[:, feasible].T[:, :, None] * w[n]
-        gains = np.abs(links) ** 2
-        signal = np.diagonal(gains, axis1=1, axis2=2)
-        interference = np.add.reduce(gains, 2) - signal
-        rates = np.add.reduce(np.log2(1 + signal / (interference + noise_power)), 1)
-        indices[n] = int(feasible[np.argmax(rates)])
+        indices[n] = int(feasible[np.argmax(np.add.reduce(_link_rates(links, noise_power), 1))])
     return indices
 
 
 def ao_multi_user(h_iu, grid_columns, grid: SamplingGrid, phi_init, init_indices,
                   power: float, noise_power: float, *, min_spacing: float,
                   w_init=None, optimize_phi: bool = True, optimize_positions: bool = True,
-                  solves: dict | None = None) -> Solution:
+                  solves: dict) -> Solution:
     """Alternate precoding (WMMSE), reflection (manifold CG) and positions (sequential
     grid search); the sum-rate trace is non-decreasing. `grid_columns` (M, L) holds the
     channel column of every grid point; `harness.cell_context` checks it and `h_iu` to be

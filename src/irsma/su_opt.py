@@ -248,14 +248,12 @@ def _require_finite(**arrays) -> None:
             raise InvalidParameterError(f"non-finite entries in {name}")
 
 
-def _solved(solves: dict | None, solver, *args):
+def _solved(solves: dict, solver, *args):
     """The array that `solver(*args)` returns first (its solution; both alternating
     loops discard the trace), or the one that the cache `solves` holds for the same
     solver and byte-identical arguments. `bcd_irs`, `wmmse` and `manifold_cg` are
     deterministic and stay on the calling thread, so that is the call's own
     result. A stored array, which every later hit shares, is read-only."""
-    if solves is None:
-        return solver(*args)[0]
     key = (solver, *((a.dtype, a.shape, a.strides, a.tobytes()) if isinstance(a, np.ndarray)
                      else a for a in args))
     if key not in solves:
@@ -287,17 +285,19 @@ _COLUMN_GROUP = 4
 def _grid_product(x, grid_columns: np.ndarray) -> np.ndarray:
     """x @ grid_columns for x (M,) or (K, M), one column block per BLAS call.
 
-    Each block holds fewer than 4,096 entries (for M below 820), so every
-    call stays on the calling thread: the result is the one-thread product
-    bit for bit, whatever the BLAS thread count, and no BLAS thread is woken
-    to spin through the Python work that follows. A real (S, M) x, such as the
-    verify screen's (50, 625) draw amplitudes, makes each block S * M * width
-    multiply-adds, which OpenBLAS keeps on one thread up to about 750,000."""
+    Each block holds fewer than 4,096 entries while grid_columns has fewer than
+    820 rows (the CG gradient's has K * K), so every call stays on the calling
+    thread: the result is the one-thread product bit for bit, whatever the BLAS
+    thread count, and no idle BLAS thread spins through the Python work after
+    it. A real (S, M) x (the verify screen's (50, 625) amplitudes) makes S * M *
+    width multiply-adds per block, which OpenBLAS keeps on one thread to ~750,000."""
     m, num_points = grid_columns.shape
     # room for the one extra column a joined last block takes
     width = _COLUMN_GROUP * max(1, (_BLOCK_ENTRIES // m - 1) // _COLUMN_GROUP)
+    if num_points <= width + 1:  # one block: the same BLAS call, without the copy
+        return x @ grid_columns
     starts = list(range(0, num_points, width))
-    if len(starts) > 1 and starts[-1] == num_points - 1:
+    if starts[-1] == num_points - 1:
         starts.pop()
     ends = starts[1:] + [num_points]
     return np.concatenate([x @ grid_columns[:, a:b] for a, b in zip(starts, ends)],
@@ -330,7 +330,7 @@ class Solution:
 def ao_single_user(h_iu, grid_columns, grid: SamplingGrid, phi_init,
                    init_indices, power: float, noise_power: float, *,
                    optimize_phi: bool = True, optimize_positions: bool = True,
-                   solves: dict | None = None) -> Solution:
+                   solves: dict) -> Solution:
     """Alternate reflection BCD and optimal grid placement with matched transmit
     beamforming; the loop stops on the SNR, and the rate trace is non-decreasing.
     `grid_columns` (M, L) holds the channel column of every grid point;

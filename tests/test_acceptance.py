@@ -154,9 +154,9 @@ def test_criterion_07_alternating_loop_convergence(default_scenario):
         phi0 = su_opt.random_reflection(rng, context.bs_irs.geometry.num_elements)
         mu_sol = mu_opt.ao_multi_user(context.h_iu, columns, grid, phi0, idx0,
                                       s.transmit_power, s.noise_power,
-                                      min_spacing=s.min_spacing)
+                                      min_spacing=s.min_spacing, solves={})
         su_sol = su_opt.ao_single_user(context.h_iu[0], columns, grid, phi0,
-                                       idx0, s.transmit_power, s.noise_power)
+                                       idx0, s.transmit_power, s.noise_power, solves={})
         monotone = monotone and bool(np.all(np.diff(mu_sol.trace) >= -1e-9))
         monotone = monotone and bool(np.all(np.diff(su_sol.trace) >= -1e-9))
         max_outer = max(max_outer, mu_sol.iterations)

@@ -40,6 +40,24 @@ def _no_cell(*args):
     raise AssertionError("a cell ran")
 
 
+def _rejection(caplog, tmp_path, command, config=None, *flags) -> str:
+    """Run `irsma COMMAND FLAGS`, with a config file that holds `config` unless
+    it is None, and check that it is rejected at load: status 2, no output
+    directory, and one log record, an ERROR from irsma.cli. Returns its message."""
+    out = tmp_path / "out"
+    argv = [command, *flags, "--out", str(out)]
+    if config is not None:
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        argv += ["--config", str(cfg)]
+    with caplog.at_level(logging.WARNING):
+        rc = cli_main(argv)
+    assert rc == 2
+    assert not out.exists()
+    assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
+    return caplog.records[0].getMessage()
+
+
 def _default_blas_env() -> dict:
     """This environment with `src` importable and no BLAS thread variable, so
     that OpenBLAS picks its own thread count."""
@@ -669,10 +687,14 @@ class TestCli:
         """A sweep writes the same records with BLAS on one thread as with
         the thread count OpenBLAS picks. On the 15x15 surface and the
         100-point grid, each product against the grid columns exceeds the
-        4,096 entries from which OpenBLAS threads a product."""
+        4,096 entries from which OpenBLAS threads a product; on the 33x33
+        surface, so does the manifold CG's (9, 1089) gradient product."""
         configs = {
             "multi_user": "sweep: {parameter: bs_irs_distance, values: [3.0], "
                           "realizations: 1}",
+            "multi_user_33x33": "scenario: {irs_num_y: 33, irs_num_z: 33}\n"
+                                "sweep: {parameter: bs_irs_distance, values: [3.0], "
+                                "realizations: 2}",
             "single_user": "scenario: {num_users: 1, num_paths: 8}\n"
                            "sweep: {parameter: bs_irs_distance, values: [3.0], "
                            "realizations: 2}",
@@ -795,17 +817,12 @@ class TestCli:
                 assert cell[ma] == pytest.approx(cell[fpa], rel=1e-3)
 
     def test_zero_length_region_rejects_four_antennas(self, tmp_path, caplog):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
+        assert _rejection(
+            caplog, tmp_path, "sweep",
             "scenario: {irs_num_y: 6, irs_num_z: 6, num_mas: 4}\n"
-            "sweep: {parameter: region_length, values: [0.0, 0.3], realizations: 1}\n")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert "do not fit on the 1-point fine grid at region_length=0.0" in \
-            caplog.records[0].getMessage()
+            "sweep: {parameter: region_length, values: [0.0, 0.3], realizations: 1}\n") == (
+            "sweep rejected: 4 antennas 5 grid steps apart do not fit on the 1-point fine "
+            "grid at region_length=0.0")
         # a library call raises the same rejection
         spec = harness.SweepSpec(parameter="region_length", values=(0.0, 0.3),
                                  realizations=1, schemes=(harness.FPA,))
@@ -814,43 +831,21 @@ class TestCli:
             harness.run_sweep(spec, Scenario(irs_num_y=6, irs_num_z=6))
 
     def test_scenario_num_realizations_rejected_at_load(self, tmp_path, caplog):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("scenario: {num_realizations: 5}\n")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main(["verify", "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
-        assert caplog.records[0].getMessage() == (
+        assert _rejection(caplog, tmp_path, "verify", "scenario: {num_realizations: 5}\n") == (
             "verify rejected: unknown scenario keys: ['num_realizations']")
 
     def test_negative_swept_length_rejected_at_load(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(harness, "run_cell", _no_cell)
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
+        assert _rejection(
+            caplog, tmp_path, "sweep",
             "scenario: {irs_num_y: 6, irs_num_z: 6}\n"
-            "sweep: {parameter: region_length, values: [-0.1, 0.3], realizations: 1}\n")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
-        assert caplog.records[0].getMessage() == (
+            "sweep: {parameter: region_length, values: [-0.1, 0.3], realizations: 1}\n") == (
             "sweep rejected: region length must be non-negative at region_length=-0.1")
 
     @pytest.mark.parametrize("command", ["verify", "profile", "convergence"])
     def test_negative_region_length_rejected_at_load(self, tmp_path, caplog, command):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("scenario: {irs_num_y: 6, irs_num_z: 6, region_length: -0.1}\n")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
-        assert caplog.records[0].getMessage() == (
+        config = "scenario: {irs_num_y: 6, irs_num_z: 6, region_length: -0.1}\n"
+        assert _rejection(caplog, tmp_path, command, config) == (
             f"{command} rejected: region length must be non-negative")
 
     @pytest.mark.parametrize("distance", [0.0, -2.0])
@@ -859,17 +854,10 @@ class TestCli:
                                                       command, distance):
         # a base station on or behind the surface has no link to model
         monkeypatch.setattr(harness, "run_cell", _no_cell)
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
+        assert _rejection(
+            caplog, tmp_path, command,
             f"scenario: {{irs_num_y: 6, irs_num_z: 6, bs_distance: {distance}}}\n"
-            f"sweep: {{parameter: bs_irs_distance, values: [2.0], realizations: 1}}\n")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
-        assert caplog.records[0].getMessage() == (
+            f"sweep: {{parameter: bs_irs_distance, values: [2.0], realizations: 1}}\n") == (
             f"{command} rejected: bs_distance must be positive")
 
     @pytest.mark.parametrize("distance", [0.0, -2.0])
@@ -877,18 +865,11 @@ class TestCli:
                                                             caplog, distance):
         # rejected before the first cell, with no partial records
         monkeypatch.setattr(harness, "run_cell", _no_cell)
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
+        assert _rejection(
+            caplog, tmp_path, "sweep",
             "scenario: {irs_num_y: 6, irs_num_z: 6, region_length: 0.606}\n"
             f"sweep: {{parameter: bs_irs_distance, values: [{distance}, 2.0],"
-            " realizations: 1}\n")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
-        assert caplog.records[0].getMessage() == (
+            " realizations: 1}\n") == (
             f"sweep rejected: bs_distance must be positive at bs_irs_distance={distance}")
 
     @pytest.mark.parametrize("command", ["sweep", "verify", "profile", "convergence"])
@@ -896,33 +877,19 @@ class TestCli:
                                                         command):
         # at 0.2 m, 26 of the 0.6 m segment's 100 fine points lie at x < 0
         monkeypatch.setattr(harness, "run_cell", _no_cell)
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
+        assert _rejection(
+            caplog, tmp_path, command,
             "scenario: {irs_num_y: 6, irs_num_z: 6, num_users: 1, bs_distance: 0.2}\n"
-            "sweep: {parameter: bs_irs_distance, values: [2.0], realizations: 1}\n")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
-        assert caplog.records[0].getMessage() == (
+            "sweep: {parameter: bs_irs_distance, values: [2.0], realizations: 1}\n") == (
             f"{command} rejected: transmit region must lie in front of the surface")
 
     def test_swept_region_behind_the_surface_rejected_at_load(self, tmp_path, monkeypatch,
                                                               caplog):
         monkeypatch.setattr(harness, "run_cell", _no_cell)
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
+        assert _rejection(
+            caplog, tmp_path, "sweep",
             "scenario: {irs_num_y: 6, irs_num_z: 6, num_users: 1}\n"
-            "sweep: {parameter: bs_irs_distance, values: [2.0, 0.2], realizations: 1}\n")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
-        assert caplog.records[0].getMessage() == (
+            "sweep: {parameter: bs_irs_distance, values: [2.0, 0.2], realizations: 1}\n") == (
             "sweep rejected: transmit region must lie in front of the surface"
             " at bs_irs_distance=0.2")
 
@@ -972,18 +939,8 @@ class TestCli:
             "bool_realizations", "bool_seed", "repeated_value"])
     def test_bad_sweep_config_rejected_with_status_2(self, tmp_path, caplog, config,
                                                     message):
-        out = tmp_path / "out"
-        argv = ["sweep", "--out", str(out)]
-        if config is not None:
-            cfg = tmp_path / "cfg.yaml"
-            cfg.write_text(config + "\n")
-            argv += ["--config", str(cfg)]
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main(argv)
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
-        assert caplog.records[0].getMessage() == f"sweep rejected: {message}"
+        config = None if config is None else config + "\n"
+        assert _rejection(caplog, tmp_path, "sweep", config) == f"sweep rejected: {message}"
 
     @pytest.mark.parametrize("command", ["sweep", "verify"])
     @pytest.mark.parametrize("scenario_cfg, message", [
@@ -1020,16 +977,9 @@ class TestCli:
         # rejected before any cell or check runs
         monkeypatch.setattr(harness, "run_cell", _no_cell)
         monkeypatch.setattr(analysis, "verify_all", _no_cell)
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(f"scenario: {{irs_num_z: 6, {scenario_cfg}}}\n"
-                       "sweep: {parameter: bs_irs_distance, values: [2.0], realizations: 1}\n")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
-        assert caplog.records[0].getMessage() == f"{command} rejected: {message}"
+        config = (f"scenario: {{irs_num_z: 6, {scenario_cfg}}}\n"
+                  "sweep: {parameter: bs_irs_distance, values: [2.0], realizations: 1}\n")
+        assert _rejection(caplog, tmp_path, command, config) == f"{command} rejected: {message}"
 
     @pytest.mark.parametrize("command", ["verify", "profile", "convergence"])
     @pytest.mark.parametrize("config, message", [
@@ -1039,15 +989,8 @@ class TestCli:
     def test_malformed_config_rejected_at_load(self, tmp_path, caplog, command, config,
                                                message):
         # `sweep` is a case of test_bad_sweep_config_rejected_with_status_2
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(config + "\n")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-            ("irsma.cli", logging.ERROR, f"{command} rejected: {message}")]
+        assert _rejection(caplog, tmp_path, command, config + "\n") == (
+            f"{command} rejected: {message}")
 
     @pytest.mark.parametrize("command", ["sweep", "verify", "profile", "convergence"])
     @pytest.mark.parametrize("content, detail", [
@@ -1063,14 +1006,8 @@ class TestCli:
         cfg = tmp_path / "cfg.yaml"
         if content is not None:
             cfg.write_bytes(content)
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-            ("irsma.cli", logging.ERROR,
-             f"{command} rejected: cannot load config {cfg}: {detail.format(path=cfg)}")]
+        assert _rejection(caplog, tmp_path, command, None, "--config", str(cfg)) == (
+            f"{command} rejected: cannot load config {cfg}: {detail.format(path=cfg)}")
 
     @pytest.mark.parametrize("command", ["sweep", "verify", "profile", "convergence"])
     @pytest.mark.parametrize("config, key, mapping_at, key_at", [
@@ -1085,19 +1022,12 @@ class TestCli:
     def test_repeated_key_rejected(self, tmp_path, caplog, command, config, key,
                                    mapping_at, key_at):
         # PyYAML would keep the last of the two values without a word
+        message = _rejection(caplog, tmp_path, command, config)
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(config)
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main([command, "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
         detail = (f"while constructing a mapping in \"{cfg}\", line {mapping_at[0]}, "
                   f"column {mapping_at[1]} found repeated key '{key}' in \"{cfg}\", "
                   f"line {key_at[0]}, column {key_at[1]}")
-        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-            ("irsma.cli", logging.ERROR,
-             f"{command} rejected: cannot load config {cfg}: {detail}")]
+        assert message == f"{command} rejected: cannot load config {cfg}: {detail}"
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
     def test_shipped_config_loads_as_plain_yaml(self, path):
@@ -1118,14 +1048,8 @@ class TestCli:
 
     @pytest.mark.parametrize("resolution", ["0", "-3"])
     def test_profile_resolution_below_one_rejected(self, tmp_path, caplog, resolution):
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main(["profile", "--resolution", resolution, "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-            ("irsma.cli", logging.ERROR,
-             f"profile rejected: resolution must be >= 1, got {resolution}")]
+        assert _rejection(caplog, tmp_path, "profile", None, "--resolution", resolution) == (
+            f"profile rejected: resolution must be >= 1, got {resolution}")
 
     def test_profile_resolution_one_runs(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -1139,44 +1063,25 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["sweep", "verify", "profile", "convergence"])
     def test_negative_seed_flag_rejected_at_load(self, tmp_path, caplog, command):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("scenario: {irs_num_y: 6, irs_num_z: 6}\n"
-                       "sweep: {parameter: bs_irs_distance, values: [2.0], realizations: 1}\n")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main([command, "--config", str(cfg), "--seed", "-1", "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
-            ("irsma.cli", logging.ERROR, f"{command} rejected: master_seed must be >= 0")]
+        config = ("scenario: {irs_num_y: 6, irs_num_z: 6}\n"
+                  "sweep: {parameter: bs_irs_distance, values: [2.0], realizations: 1}\n")
+        assert _rejection(caplog, tmp_path, command, config, "--seed", "-1") == (
+            f"{command} rejected: master_seed must be >= 0")
 
     def test_fractional_path_count_rejected_at_load(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(harness, "run_cell", _no_cell)
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
+        assert _rejection(
+            caplog, tmp_path, "sweep",
             "scenario: {irs_num_y: 6, irs_num_z: 6}\n"
-            "sweep: {parameter: num_paths, values: [1, 1.5, 1.9], realizations: 1}\n")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [r.getMessage() for r in caplog.records] == [
-            "sweep rejected: num_paths must be an integer, got 1.5 at num_paths=1.5"]
+            "sweep: {parameter: num_paths, values: [1, 1.5, 1.9], realizations: 1}\n") == (
+            "sweep rejected: num_paths must be an integer, got 1.5 at num_paths=1.5")
 
     def test_infeasible_layout_rejected_at_load(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(harness, "run_cell", _no_cell)
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text(
+        assert _rejection(
+            caplog, tmp_path, "sweep",
             "scenario: {irs_num_y: 6, irs_num_z: 6, num_mas: 30}\n"
-            "sweep: {parameter: bs_irs_distance, values: [2.0, 3.0], realizations: 1}\n")
-        out = tmp_path / "out"
-        with caplog.at_level(logging.WARNING):
-            rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
-        assert rc == 2
-        assert not out.exists()
-        assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
-        assert caplog.records[0].getMessage() == (
+            "sweep: {parameter: bs_irs_distance, values: [2.0, 3.0], realizations: 1}\n") == (
             "sweep rejected: 30 antennas 5 grid steps apart do not fit on the "
             "100-point fine grid at bs_irs_distance=2.0")
 

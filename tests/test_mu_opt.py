@@ -8,8 +8,8 @@ import pytest
 
 from irsma import channel, harness, mu_opt, su_opt
 from irsma.config import Scenario, TransmitRegion, load_config, scenario_from_dict
-from irsma.errors import (InvalidParameterError, MultiplierBracketError,
-                          SingularMatrixError)
+from irsma.errors import (DegenerateChannelError, InvalidParameterError,
+                          MultiplierBracketError)
 from irsma.rng import substream
 
 from conftest import rician_row
@@ -106,7 +106,7 @@ class TestRzf:
 
     @pytest.mark.parametrize("reg", [0.0, 1.0])
     def test_zero_direction_raises(self, reg):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(DegenerateChannelError):
             mu_opt.rzf(np.zeros((2, 3), dtype=complex), reg, np.ones(2))
 
     def test_negative_reg_rejected(self, rng):
@@ -470,7 +470,7 @@ class TestAoMultiUser:
         h_iu, model, grid, phi0, idx0 = _mu_setup(s)
         sol = mu_opt.ao_multi_user(h_iu, model.matrix(grid.points), grid, phi0, idx0,
                                    s.transmit_power, s.noise_power,
-                                   min_spacing=s.min_spacing)
+                                   min_spacing=s.min_spacing, solves={})
         assert np.all(np.diff(sol.trace) >= -1e-9)
         assert sol.rate == pytest.approx(sol.trace[-1])
         assert sol.iterations <= 50
@@ -492,10 +492,10 @@ class TestAoMultiUser:
         columns = FarFieldModel().matrix(grid.points)
         fpa = mu_opt.ao_multi_user(h_iu, columns, grid, phi0, idx0,
                                    s.transmit_power, s.noise_power,
-                                   optimize_positions=False, **common)
+                                   optimize_positions=False, solves={}, **common)
         ma = mu_opt.ao_multi_user(h_iu, columns, grid, phi0, idx0,
                                   s.transmit_power, s.noise_power,
-                                  optimize_positions=True, **common)
+                                  optimize_positions=True, solves={}, **common)
         assert abs(ma.rate - fpa.rate) / fpa.rate <= 1e-4
 
     def test_columns_of_another_grid_rejected(self, small_scenario):
@@ -504,7 +504,7 @@ class TestAoMultiUser:
         with pytest.raises(InvalidParameterError):
             mu_opt.ao_multi_user(h_iu, model.matrix(grid.points[:-1]), grid, phi0,
                                  idx0, s.transmit_power, s.noise_power,
-                                 min_spacing=s.min_spacing)
+                                 min_spacing=s.min_spacing, solves={})
 
     def test_grid_with_smaller_spacing_rejected(self, small_scenario):
         s = small_scenario
@@ -514,7 +514,7 @@ class TestAoMultiUser:
         with pytest.raises(InvalidParameterError):
             mu_opt.ao_multi_user(h_iu, model.matrix(grid.points), grid, phi0, idx0,
                                  s.transmit_power, s.noise_power,
-                                 min_spacing=s.min_spacing)
+                                 min_spacing=s.min_spacing, solves={})
 
     # `harness.cell_context` checks h_iu and the grid columns
     # (test_harness.py::TestCellContext::test_nonfinite_cell_rejected)
@@ -529,7 +529,7 @@ class TestAoMultiUser:
         with pytest.raises(InvalidParameterError):
             mu_opt.ao_multi_user(grid=grid, init_indices=idx0, power=s.transmit_power,
                                  noise_power=s.noise_power, min_spacing=s.min_spacing,
-                                 **args)
+                                 solves={}, **args)
 
 
 @pytest.fixture(scope="module")
@@ -557,10 +557,12 @@ def one_user_rates():
                     moves = scheme == harness.PROPOSED
                     multi = mu_opt.ao_multi_user(
                         ctx.h_iu, ctx.fine_columns, ctx.fine, phi0, idx0, s.transmit_power,
-                        s.noise_power, min_spacing=s.min_spacing, optimize_positions=moves)
+                        s.noise_power, min_spacing=s.min_spacing, optimize_positions=moves,
+                        solves={})
                     single = su_opt.ao_single_user(
                         ctx.h_iu[0], ctx.fine_columns, ctx.fine, phi0, idx0,
-                        s.transmit_power, s.noise_power, optimize_positions=moves)
+                        s.transmit_power, s.noise_power, optimize_positions=moves,
+                        solves={})
                     rates[channel_kind, distance, r, scheme] = (multi.rate, single.rate)
     return rates
 

@@ -96,8 +96,8 @@ def test_solvers_keep_their_invariants(scenario):
     phi0 = su_opt.random_reflection(rng, h_iu.shape[1])
     power, noise = scenario.transmit_power, scenario.noise_power
     mu = mu_opt.ao_multi_user(h_iu, columns, grid, phi0, idx0, power, noise,
-                              min_spacing=scenario.min_spacing)
-    su = su_opt.ao_single_user(h_iu[0], columns, grid, phi0, idx0, power, noise)
+                              min_spacing=scenario.min_spacing, solves={})
+    su = su_opt.ao_single_user(h_iu[0], columns, grid, phi0, idx0, power, noise, solves={})
     for sol in (mu, su):
         assert _non_decreasing(sol.trace)
         np.testing.assert_allclose(np.abs(sol.phi), 1.0, rtol=0, atol=1e-9)

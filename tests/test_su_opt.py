@@ -659,7 +659,7 @@ class TestAoSingleUser:
         s = small_scenario
         h_iu, model, grid, phi0, idx0 = _su_setup(s)
         sol = su_opt.ao_single_user(h_iu, model.matrix(grid.points), grid, phi0, idx0,
-                                    s.transmit_power, s.noise_power)
+                                    s.transmit_power, s.noise_power, solves={})
         assert np.all(np.diff(sol.trace) >= 0)
         assert sol.rate >= sol.trace[0]
         assert np.linalg.norm(sol.w) == pytest.approx(1.0, abs=1e-10)
@@ -686,7 +686,7 @@ class TestAoSingleUser:
             sol = su_opt.ao_single_user(h_iu, FarFieldModel().matrix(grid.points), grid,
                                         phi0, start,
                                         s.transmit_power, s.noise_power,
-                                        optimize_positions=False)
+                                        optimize_positions=False, solves={})
             snrs.append(2 ** sol.rate - 1)
         assert (max(snrs) - min(snrs)) / max(snrs) <= 1e-9
 
@@ -695,11 +695,11 @@ class TestAoSingleUser:
         h_iu, model, grid, phi0, idx0 = _su_setup(s, seed=3)
         sol_pos = su_opt.ao_single_user(h_iu, model.matrix(grid.points), grid, phi0, idx0,
                                         s.transmit_power, s.noise_power,
-                                        optimize_phi=False)
+                                        optimize_phi=False, solves={})
         np.testing.assert_array_equal(sol_pos.phi, phi0)
         sol_phi = su_opt.ao_single_user(h_iu, model.matrix(grid.points), grid, phi0, idx0,
                                         s.transmit_power, s.noise_power,
-                                        optimize_positions=False)
+                                        optimize_positions=False, solves={})
         assert sol_phi.indices == list(idx0)
 
     def test_fixed_positions_evaluate_the_objective_once_per_iteration(
@@ -714,7 +714,7 @@ class TestAoSingleUser:
                             lambda *args: calls.append(1) or product(*args))
         sol = su_opt.ao_single_user(h_iu, model.matrix(grid.points), grid, phi0, idx0,
                                     s.transmit_power, s.noise_power,
-                                    optimize_positions=False)
+                                    optimize_positions=False, solves={})
         assert len(calls) == 1 + sol.iterations
         assert len(sol.trace) == 1 + sol.iterations
 
@@ -723,7 +723,7 @@ class TestAoSingleUser:
         h_iu, model, grid, phi0, idx0 = _su_setup(s)
         with pytest.raises(InvalidParameterError):
             su_opt.ao_single_user(h_iu, model.matrix(grid.points[:-1]), grid, phi0,
-                                  idx0, s.transmit_power, s.noise_power)
+                                  idx0, s.transmit_power, s.noise_power, solves={})
 
     # `harness.cell_context` checks h_iu and the grid columns
     # (test_harness.py::TestCellContext::test_nonfinite_cell_rejected)
@@ -736,7 +736,7 @@ class TestAoSingleUser:
         args[arg].flat[0] = np.nan
         with pytest.raises(InvalidParameterError):
             su_opt.ao_single_user(grid=grid, init_indices=idx0, power=s.transmit_power,
-                                  noise_power=s.noise_power, **args)
+                                  noise_power=s.noise_power, solves={}, **args)
 
 
 @settings(max_examples=25, deadline=None)
