@@ -156,8 +156,9 @@ class Scenario:
             raise InvalidParameterError("antenna and user counts must be >= 1")
         if self.transmit_power <= 0 or self.noise_power <= 0:
             raise InvalidParameterError("powers must be positive")
-        if self.rician_factor < 0 or self.num_paths < 0:
-            raise InvalidParameterError("rician factor and path count must be >= 0")
+        for name in ("rician_factor", "num_paths", "pathloss_exponent"):
+            if getattr(self, name) < 0:  # a negative exponent: gains grow with distance
+                raise InvalidParameterError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.bs_distance <= 0:  # else the base station sits on or behind the surface
             raise InvalidParameterError("bs_distance must be positive")
         if min(self.user_distance_range) <= 0:
@@ -168,6 +169,9 @@ class Scenario:
             low, high = getattr(self, name)
             if low > high:
                 raise InvalidParameterError(f"{name} must be (low, high), got {(low, high)}")
+            if name != "user_distance_range" and max(-low, high) >= math.pi / 2:
+                # x = cos(el) cos(az): a user behind or in the plane of the surface
+                raise InvalidParameterError(f"{name} must lie in (-pi/2, pi/2), got {(low, high)}")
         lam = SPEED_OF_LIGHT / self.carrier_frequency
         for name, default in (("min_spacing", lam / 2), ("sample_spacing", lam / 10)):
             if getattr(self, name) is None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import channel, mu_opt, su_opt
 from .config import Scenario, _from_section
-from .errors import InfeasibleSpacingError, InvalidParameterError, IrsmaError
+from .errors import InvalidParameterError, IrsmaError
 from .rng import substream
 
 PROPOSED = "PROPOSED"
@@ -143,31 +143,6 @@ def cell_context(scenario: Scenario, rng: np.random.Generator,
     return CellContext(h_iu, bs_irs, fine, coarse, on_fine, columns)
 
 
-def _value_scenarios(spec: SweepSpec, scenario: Scenario):
-    """Yield the scenario at each swept value. Raise unless every value differs from
-    the others, the scenario builds at it, and the fixed layout of `num_mas`
-    antennas fits on its fine grid, and so on the coarse one. Private, so
-    that tracers wrapping every public harness function leave it alone."""
-    for i, value in enumerate(spec.values):
-        try:
-            scen = scenario.replace(**{SWEEPABLE[spec.parameter]: value})
-        except InvalidParameterError as exc:
-            raise InvalidParameterError(f"{exc} at {spec.parameter}={value}") from exc
-        if float(value) in map(float, spec.values[:i]):  # its records would pool with theirs
-            raise InvalidParameterError(
-                f"sweep value repeats an earlier one at {spec.parameter}={value}")
-        grid = su_opt.SamplingGrid.from_region(scen.region(), scen.sample_spacing,
-                                               scen.min_spacing)
-        try:
-            su_opt.fpa_indices(grid, scen.num_mas)
-        except InfeasibleSpacingError as exc:
-            raise InfeasibleSpacingError(
-                f"{scen.num_mas} antennas {grid.min_gap} grid steps apart do not "
-                f"fit on the {grid.num_points}-point fine grid at "
-                f"{spec.parameter}={value}") from exc
-        yield scen
-
-
 def run_scheme(scheme: str, scenario: Scenario, context: CellContext, phi: np.ndarray,
                *, warm: su_opt.Solution | None = None) -> su_opt.Solution:
     """Run one benchmark scheme from the start reflection `phi` on the channel
@@ -277,11 +252,22 @@ def run_sweep(spec: SweepSpec, scenario: Scenario) -> SweepResult:
     """Run the (value, realization) cells in order; deterministic under the
     sweep seed. A sweep whose values repeat, or whose scenario cannot be
     built, or whose antennas cannot fit, at some swept value raises before its
-    first cell. Past that, a cell that fails with a package error or a
-    linear-algebra error is skipped with a logged warning and listed in
-    `SweepResult.failed` instead of aborting the sweep; any other exception is
-    a bug and propagates."""
-    scenarios = list(_value_scenarios(spec, scenario))  # all checked before the first cell
+    first cell, with " at <parameter>=<value>" after the reason. Past that, a
+    cell that fails with a package error or a linear-algebra error is skipped
+    with a logged warning and listed in `SweepResult.failed` instead of
+    aborting the sweep; any other exception is a bug and propagates."""
+    scenarios = []  # all checked before the first cell
+    for i, value in enumerate(spec.values):
+        try:
+            scen = scenario.replace(**{SWEEPABLE[spec.parameter]: value})
+            if float(value) in map(float, spec.values[:i]):  # its records would pool with theirs
+                raise InvalidParameterError("sweep value repeats an earlier one")
+            grid = su_opt.SamplingGrid.from_region(scen.region(), scen.sample_spacing,
+                                                   scen.min_spacing)
+            su_opt.fpa_indices(grid, scen.num_mas)  # and so on AS's coarse grid
+        except IrsmaError as exc:
+            raise type(exc)(f"{exc} at {spec.parameter}={value}") from exc
+        scenarios.append(scen)
     result = SweepResult(spec=spec)
     for vi, (value, scen) in enumerate(zip(spec.values, scenarios)):
         shared = None  # one value's grids and LoS columns, kept for its realizations only

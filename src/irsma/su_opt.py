@@ -375,7 +375,8 @@ def fpa_indices(grid: SamplingGrid, num_mas: int) -> list[int]:
     gap = grid.min_gap
     slack = grid.num_points - 1 - (num_mas - 1) * gap
     if slack < 0:
-        raise InfeasibleSpacingError("fixed layout does not fit on the grid")
+        raise InfeasibleSpacingError(f"{num_mas} antennas {gap} grid steps apart do not "
+                                     f"fit on the {grid.num_points}-point grid")
     # round(slack / 2) lies in [0, slack], so the layout stays on the grid
     start = round(slack / 2)
     return [start + n * gap for n in range(num_mas)]

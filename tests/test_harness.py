@@ -1,15 +1,20 @@
 """Sweep harness: schemes, determinism, persistence and the CLI surface."""
 
 import csv
+import dataclasses
 import logging
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from irsma import analysis, channel, harness, mu_opt, su_opt
 from irsma.cli import main as cli_main
@@ -40,10 +45,20 @@ def _no_cell(*args):
     raise AssertionError("a cell ran")
 
 
+def _rejected(caplog, rc, out) -> str:
+    """Check that a command that exited with `rc` and was to write into `out`
+    was rejected at load: status 2, no output directory, and one log record,
+    an ERROR from irsma.cli. Returns its message."""
+    assert rc == 2, caplog.text
+    assert not out.exists()
+    assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
+    return caplog.records[0].getMessage()
+
+
 def _rejection(caplog, tmp_path, command, config=None, *flags) -> str:
     """Run `irsma COMMAND FLAGS`, with a config file that holds `config` unless
-    it is None, and check that it is rejected at load: status 2, no output
-    directory, and one log record, an ERROR from irsma.cli. Returns its message."""
+    it is None, and check that it is rejected at load (`_rejected`). Returns
+    its message."""
     out = tmp_path / "out"
     argv = [command, *flags, "--out", str(out)]
     if config is not None:
@@ -52,10 +67,7 @@ def _rejection(caplog, tmp_path, command, config=None, *flags) -> str:
         argv += ["--config", str(cfg)]
     with caplog.at_level(logging.WARNING):
         rc = cli_main(argv)
-    assert rc == 2
-    assert not out.exists()
-    assert [(r.name, r.levelno) for r in caplog.records] == [("irsma.cli", logging.ERROR)]
-    return caplog.records[0].getMessage()
+    return _rejected(caplog, rc, out)
 
 
 def _default_blas_env() -> dict:
@@ -526,7 +538,7 @@ class TestRunSweep:
         spec = harness.SweepSpec(parameter="bs_irs_distance", values=(2.0,),
                                  realizations=1, seed=0)
         with pytest.raises(InfeasibleSpacingError,
-                           match="2-point fine grid at bs_irs_distance=2.0"):
+                           match="2-point grid at bs_irs_distance=2.0"):
             harness.run_sweep(spec, bad)
 
     def test_negative_length_rejected_before_first_cell(self, scenario, monkeypatch):
@@ -821,13 +833,13 @@ class TestCli:
             caplog, tmp_path, "sweep",
             "scenario: {irs_num_y: 6, irs_num_z: 6, num_mas: 4}\n"
             "sweep: {parameter: region_length, values: [0.0, 0.3], realizations: 1}\n") == (
-            "sweep rejected: 4 antennas 5 grid steps apart do not fit on the 1-point fine "
+            "sweep rejected: 4 antennas 5 grid steps apart do not fit on the 1-point "
             "grid at region_length=0.0")
         # a library call raises the same rejection
         spec = harness.SweepSpec(parameter="region_length", values=(0.0, 0.3),
                                  realizations=1, schemes=(harness.FPA,))
         with pytest.raises(InfeasibleSpacingError,
-                           match="1-point fine grid at region_length=0.0"):
+                           match="1-point grid at region_length=0.0"):
             harness.run_sweep(spec, Scenario(irs_num_y=6, irs_num_z=6))
 
     def test_scenario_num_realizations_rejected_at_load(self, tmp_path, caplog):
@@ -967,11 +979,20 @@ class TestCli:
         ("1: 2, a: 3", "unknown scenario keys: [1, 'a']"),
         # checked with or without scattered paths, since a num_paths sweep may start at 0
         ("scatterer_box_size: [0, 2, 2]", "scatterer box must have positive side lengths"),
+        # the surface in x = 0 faces +x, and a user lies along cos(el) cos(az) in x
+        ("user_azimuth_range: [3.0, 3.1]",
+         "user_azimuth_range must lie in (-pi/2, pi/2), got (3.0, 3.1)"),
+        ("user_elevation_range: [-1.6, 0.0]",
+         "user_elevation_range must lie in (-pi/2, pi/2), got (-1.6, 0.0)"),
+        # gains would grow with distance
+        ("pathloss_exponent: -3", "pathloss_exponent must be >= 0, got -3.0"),
     ], ids=["negative_distances", "zero_distances", "infinite_rician_factor",
             "empty_surface", "fractional_antenna_count", "string_frequency",
             "negative_master_seed", "scalar_range", "short_range", "short_direction",
             "list_count", "reversed_distance_range", "reversed_azimuth_range",
-            "bool_count", "bool_direction", "non_string_keys", "zero_box_side"])
+            "bool_count", "bool_direction", "non_string_keys", "zero_box_side",
+            "azimuth_behind_the_surface", "elevation_behind_the_surface",
+            "negative_pathloss_exponent"])
     def test_bad_scenario_rejected_at_load(self, tmp_path, monkeypatch, caplog, command,
                                            scenario_cfg, message):
         # rejected before any cell or check runs
@@ -1083,7 +1104,7 @@ class TestCli:
             "scenario: {irs_num_y: 6, irs_num_z: 6, num_mas: 30}\n"
             "sweep: {parameter: bs_irs_distance, values: [2.0, 3.0], realizations: 1}\n") == (
             "sweep rejected: 30 antennas 5 grid steps apart do not fit on the "
-            "100-point fine grid at bs_irs_distance=2.0")
+            "100-point grid at bs_irs_distance=2.0")
 
     def test_failed_cell_sets_exit_status(self, tmp_path, monkeypatch, caplog):
         original = harness.cell_context
@@ -1121,6 +1142,137 @@ class TestCli:
         assert rows[0] == ["iteration", "sum_rate"]
         rates = [float(r[1]) for r in rows[1:]]
         assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
+
+
+# The load boundary, fuzzed. Each Scenario field draws from values its
+# checks admit, values they exclude, and values of the wrong type. In range,
+# sizes stay small (at most 5 x 5 elements, 4 antennas, 3 users, 3 paths and
+# 200 grid points), so a config that runs is one small cell.
+def _floats(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+def _vector(entry, size):
+    return st.lists(entry, min_size=size, max_size=size)
+
+
+def _pair(low, high):
+    return _vector(_floats(low, high), 2).map(sorted)
+
+
+def _spoiled(vector, entry):
+    """`vector` with one entry replaced by a value from `entry`."""
+    return st.tuples(vector, st.integers(0, 2), entry).map(
+        lambda t: [e if i != t[1] % len(t[0]) else t[2] for i, e in enumerate(t[0])])
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_HALF_PI = math.pi / 2
+# field -> (values its checks admit, values they exclude); a bs_direction
+# with x <= 0 puts the region centre, and so one of its ends, at x <= 0
+_FIELDS = {
+    "carrier_frequency": (_floats(1e9, 1e10), _floats(-1e10, 0) | _NON_FINITE),
+    "num_mas": (st.integers(1, 4), st.integers(-3, 0) | st.just(2.5)),
+    "num_users": (st.integers(1, 3), st.integers(-3, 0) | st.just(1.5)),
+    "transmit_power": (_floats(1e-3, 10.0), _floats(-1.0, 0) | _NON_FINITE),
+    "noise_power": (_floats(1e-10, 1e-6), _floats(-1.0, 0) | _NON_FINITE),
+    "min_spacing": (st.none() | _floats(3e-3, 0.1), _floats(-1.0, 0) | _NON_FINITE),
+    "sample_spacing": (st.none() | _floats(3e-3, 0.05), _floats(-1.0, 0) | _NON_FINITE),
+    "rician_factor": (_floats(0, 10.0), _floats(-10.0, -1e-9) | _NON_FINITE),
+    "pathloss_exponent": (_floats(2.0, 4.0), _floats(-4.0, -1e-9) | _NON_FINITE),
+    "num_paths": (st.integers(0, 3), st.integers(-3, -1) | st.just(0.5)),
+    "master_seed": (st.integers(0, 2**63), st.integers(-3, -1) | st.just(0.5)),
+    "irs_num_y": (st.integers(1, 5), st.integers(-3, 0) | st.just(2.5)),
+    "irs_num_z": (st.integers(1, 5), st.integers(-3, 0) | st.just(2.5)),
+    "region_length": (_floats(0, 0.6), _floats(-1.0, -1e-9) | _NON_FINITE),
+    "region_axis": (_vector(_floats(-1.0, 1.0), 3).filter(any),
+                    st.just([0.0, 0.0, 0.0]) | _spoiled(_vector(_floats(-1.0, 1.0), 3),
+                                                        _NON_FINITE)),
+    "bs_distance": (_floats(2.0, 10.0), _floats(-10.0, 0) | _NON_FINITE),
+    "bs_direction": (st.tuples(_floats(1e-3, 1.0), _floats(-1.0, 1.0), _floats(-1.0, 1.0))
+                     .map(list),
+                     st.tuples(_floats(-1.0, 0), _floats(-1.0, 1.0), _floats(-1.0, 1.0))
+                     .map(list)),
+    "user_distance_range": (_pair(10.0, 60.0), _spoiled(_pair(10.0, 60.0),
+                                                       _floats(-60.0, 0) | _NON_FINITE)),
+    "user_azimuth_range": (_pair(-1.57, 1.57), _spoiled(
+        _pair(-1.57, 1.57), _floats(_HALF_PI, 4.0) | _floats(-4.0, -_HALF_PI) | _NON_FINITE)),
+    "user_elevation_range": (_pair(-1.57, 1.57), _spoiled(
+        _pair(-1.57, 1.57), _floats(_HALF_PI, 4.0) | _floats(-4.0, -_HALF_PI) | _NON_FINITE)),
+    "scatterer_box_size": (_vector(_floats(0.1, 3.0), 3), _spoiled(
+        _vector(_floats(0.1, 3.0), 3), _floats(-3.0, 0) | _NON_FINITE)),
+}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(Scenario)}
+
+
+def _wrong_type(name):
+    default = _DEFAULTS[name]
+    if not isinstance(default, tuple):  # None is the default of the two spacings
+        return st.sampled_from(["5e9", "abc", True, False, [1.0], {"a": 1.0}]
+                               + ([] if default is None else [None]))
+    size = len(default)
+    return st.sampled_from([40.0, "abc", None, [1.0] * (size + 1), [1.0] * (size - 1),
+                            [True] + [1.0] * (size - 1), ["1.0"] * size])
+
+
+@st.composite
+def _load_boundary_cases(draw):
+    """(config, spoiled). `config` is a sweep with in-range values for the
+    surface, a few other fields and the swept value. `spoiled` holds one copy
+    of it per field and one for the swept value, each with that one value
+    out of range or of the wrong type."""
+    names = sorted(_FIELDS)
+    drawn = draw(st.lists(st.sampled_from(names), max_size=8, unique=True))
+    # the surface is always drawn, as its default of 15 x 15 elements is not small
+    scenario = {name: draw(_FIELDS[name][0])
+                for name in sorted({"irs_num_y", "irs_num_z", *drawn})}
+    parameter = draw(st.sampled_from(sorted(harness.SWEEPABLE)))
+    swept = harness.SWEEPABLE[parameter]
+    sweep = {"parameter": parameter, "values": [draw(_FIELDS[swept][0])],
+             "realizations": 1, "seed": 0}
+    spoiled = []
+    for name in [*names, None]:  # None: the swept value
+        value = draw(_FIELDS[name or swept][1] | _wrong_type(name or swept))
+        spoiled.append({"scenario": {**scenario, name: value} if name else scenario,
+                        "sweep": sweep if name else {**sweep, "values": [value]}})
+    return {"scenario": scenario, "sweep": sweep}, spoiled
+
+
+def _sweep_rates(caplog, config) -> dict | None:
+    """Run `irsma sweep` on `config`. Return None if it is rejected at load
+    (`_rejected`); else check that it ran every cell (status 0) to finite
+    records, and return the one cell's rates by scheme."""
+    caplog.clear()
+    with tempfile.TemporaryDirectory() as tmp, caplog.at_level(logging.WARNING):
+        cfg, out = Path(tmp) / "cfg.yaml", Path(tmp) / "out"
+        cfg.write_text(yaml.safe_dump(config))
+        rc = cli_main(["sweep", "--config", str(cfg), "--out", str(out)])
+        if rc != 0:
+            _rejected(caplog, rc, out)
+            return None
+        with open(out / "records.csv") as fh:
+            rows = list(csv.DictReader(fh))
+    assert all(math.isfinite(float(r["value"])) for r in rows)
+    return {r["scheme"]: float(r["value"]) for r in rows if r["metric"] == "sum_rate"}
+
+
+# no shrinking: an example runs 24 configs, and shrinking a failure takes minutes
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          phases=[Phase.generate], suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_load_boundary_cases())
+def test_config_is_rejected_at_load_or_every_cell_runs(caplog, case):
+    """`irsma sweep` on one realization either rejects a config at load, as it
+    must when one value lies outside its field's checks, or runs its one cell
+    with finite records and the orderings PROPOSED >= max(FPA, AS) and
+    MA_RPS >= FPA_RPS. A cell that fails at run time (status 1) fails."""
+    config, spoiled = case
+    for bad in spoiled:
+        assert _sweep_rates(caplog, bad) is None, f"ran: {bad}"
+    rates = _sweep_rates(caplog, config)
+    if rates is not None:
+        assert sorted(rates) == sorted(harness.ALL_SCHEMES)
+        assert rates[harness.PROPOSED] >= max(rates[harness.FPA], rates[harness.AS]) - 1e-9
+        assert rates[harness.MA_RPS] >= rates[harness.FPA_RPS] - 1e-9
 
 
 _THREAD_CPU_PROBE = """

@@ -5,8 +5,10 @@ sha256 of every output file with `tests/data/records/digests.txt` (the
 script's own output), and each sweep's `records.csv` with the copy stored
 next to it. When a records file differs, the message tabulates the drift per
 config, scheme and swept value. The reference was made with numpy 2.4.6 on
-OpenBLAS 0.3.31; a BLAS kernel that rounds differently fails these tests by
-design, and the table shows whether the drift is rounding or behaviour.
+OpenBLAS 0.3.31, whose run-time kernel was `SkylakeX`; a BLAS kernel that
+rounds differently fails these tests by design. The failure message names
+the kernel that runs, and the table shows whether the drift is rounding or
+behaviour.
 
 After a change that moves the records on purpose, refresh the reference
 with `python3 scripts/records_digest.py OUT > tests/data/records/digests.txt`
@@ -14,10 +16,12 @@ and copy each `OUT/<config>/records.csv` to `tests/data/records/<config>.csv`.
 """
 
 import csv
+import ctypes
 import importlib.util
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from irsma import harness
@@ -25,6 +29,25 @@ from irsma.config import Scenario, load_config, scenario_from_dict
 
 REFERENCE = Path(__file__).parent / "data" / "records"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+REFERENCE_KERNEL = "SkylakeX"  # the OpenBLAS kernel that made the references
+
+
+def _openblas_kernel() -> str:
+    """The run-time kernel of numpy's bundled OpenBLAS, or "unknown" if numpy
+    has no such library."""
+    numpy_dir = Path(np.__file__).resolve().parent
+    libs = [*(numpy_dir.parent / "numpy.libs").glob("libscipy_openblas*"),
+            *(numpy_dir / ".dylibs").glob("libscipy_openblas*")]
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def _kernels() -> str:
+    return f"OpenBLAS kernel {_openblas_kernel()}, references made on {REFERENCE_KERNEL}"
 
 
 def _records_digest():
@@ -80,7 +103,8 @@ def test_records_match_reference(outputs):
         got = (outputs / cfg / "records.csv").read_text()
         if got != want:
             changed[cfg] = (want, got)
-    assert not changed, "records drifted from tests/data/records:\n" + drift_table(changed)
+    assert not changed, (f"records drifted from tests/data/records ({_kernels()}):\n"
+                         + drift_table(changed))
 
 
 def test_output_digests_match_reference(outputs):
@@ -88,8 +112,15 @@ def test_output_digests_match_reference(outputs):
     got = DIGEST.digest_lines(outputs)
     assert len(want) == 41
     differ = sorted(set(want) ^ set(got), key=lambda line: line[66:])
-    assert got == want, "output digests differ (- reference, + now):\n" + "\n".join(
-        ("- " if line in want else "+ ") + line for line in differ)
+    assert got == want, (f"output digests differ ({_kernels()}; - reference, + now):\n"
+                         + "\n".join(("- " if line in want else "+ ") + line
+                                     for line in differ))
+
+
+def test_kernel_name_is_read_or_unknown(monkeypatch, tmp_path):
+    assert _openblas_kernel()  # the running kernel, such as SkylakeX or Haswell
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert _openblas_kernel() == "unknown"
 
 
 def test_drift_table_counts_rows_and_rate_change():

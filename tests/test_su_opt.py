@@ -212,6 +212,15 @@ class TestSamplingGrid:
         with pytest.raises(InfeasibleSpacingError):
             su_opt.fpa_indices(grid, 2)
 
+    def test_unfit_layout_names_count_gap_and_grid_size(self):
+        # 20 antennas span 95 of the 100 points; a 21st would need a 101st point
+        region = TransmitRegion((5.0, 5.0, 0.0), (1.0, 0.0, 0.0), 0.6)
+        grid = su_opt.SamplingGrid.from_region(region, 0.006, 0.03)
+        assert su_opt.fpa_indices(grid, 20) == list(range(2, 100, 5))
+        with pytest.raises(InfeasibleSpacingError, match=(
+                r"^21 antennas 5 grid steps apart do not fit on the 100-point grid$")):
+            su_opt.fpa_indices(grid, 21)
+
     @pytest.mark.parametrize("length", [5e-324, 1e-300, 0.004])
     def test_short_region_is_one_point_with_the_requested_step(self, length):
         # 5e-324 / 1 as the step made min_spacing / step overflow
